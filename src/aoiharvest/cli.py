@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -70,10 +69,6 @@ def _out(args, text: str):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _default_grid_points() -> int:
-    return int(os.environ.get("AOIHARVEST_GRID_POINTS", "15"))
-
-
 def cmd_evaluate(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     policy = validate_policy(params, _parse_floats(args.thresholds))
@@ -100,7 +95,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _make_config(args, battery: int) -> OptimizerConfig:
+def _make_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         q=args.q,
         grid_points=args.grid_points,
@@ -119,7 +114,7 @@ def _run_optimizer(mode: str, params: SystemParams, config: OptimizerConfig):
 
 def cmd_optimize(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
-    config = _make_config(args, args.battery)
+    config = _make_config(args)
     result = _run_optimizer(args.mode, params, config)
     _out(
         args,
@@ -153,7 +148,7 @@ def cmd_sweep(args) -> int:
     for mu in mus:
         for b in batteries:
             params = SystemParams(mu_h=mu, battery=b)
-            config = _make_config(args, b)
+            config = _make_config(args)
             result = _run_optimizer(args.mode, params, config)
             taus = [_g(t) for t in result.policy.thresholds] + [""] * (bmax - b)
             rows.append(",".join([_g(mu), str(b)] + taus + [_g(result.objective)]))
@@ -190,7 +185,7 @@ def cmd_simulate(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     p = _parse_penalty(args)
     if args.optimal:
-        config = _make_config(args, args.battery)
+        config = _make_config(args)
         policy = optimize_penalty(params, config).policy
     elif args.thresholds:
         policy = validate_policy(params, _parse_floats(args.thresholds))
@@ -253,7 +248,9 @@ def _add_penalty_flags(sp):
 
 def _add_optimizer_flags(sp):
     sp.add_argument("--q", type=int, default=10, help="bisection iterations")
-    sp.add_argument("--grid-points", type=int, default=_default_grid_points())
+    sp.add_argument(
+        "--grid-points", type=int, default=15, help="grid points per axis (--mode grid only)"
+    )
     sp.add_argument("--refine-tol", type=float, default=1e-6)
 
 

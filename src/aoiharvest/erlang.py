@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .model import PenaltySpec
 
@@ -82,14 +82,18 @@ def _poly_exp_antideriv(n: int, mu: float, x: float) -> float:
 def _power_exp_integral(s: float, mu: float, a: float, b: float) -> float:
     """int_a^b x^s e^{-mu x} dx for real s > -1.
 
-    Exact finite-sum antiderivative for integer s; regularized lower
-    incomplete gamma otherwise.
+    Exact finite-sum antiderivative for integer s; otherwise a difference
+    of regularized incomplete gammas: the lower ones P below the mode, the
+    upper ones Q = 1 - P past it, where every P rounds toward 1.
     """
     if s >= 0 and float(s).is_integer():
         n = int(s)
         return _poly_exp_antideriv(n, mu, b) - _poly_exp_antideriv(n, mu, a)
     # int_0^x t^s e^{-mu t} dt = Gamma(s+1)/mu^(s+1) * P(s+1, mu x)
     scale = math.exp(gammaln(s + 1.0) - (s + 1.0) * math.log(mu))
+    if mu * a >= s + 1.0:
+        tail = 0.0 if b == INF else gammaincc(s + 1.0, mu * b)
+        return scale * (gammaincc(s + 1.0, mu * a) - tail)
     hi = 1.0 if b == INF else gammainc(s + 1.0, mu * b)
     return scale * (hi - gammainc(s + 1.0, mu * a))
 

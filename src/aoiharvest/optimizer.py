@@ -1,16 +1,20 @@
 """Threshold policy optimization.
 
-Three routes to (near-)optimal monotone threshold policies:
+One search engine, ``_search`` (bounded L-BFGS-B from one fixed start),
+behind two optimizers:
 
-* an exhaustive zoomed grid oracle over the gap parameterization,
-* a bisection on the full-battery threshold whose feasibility test comes
-  from the structural result that a monotone solution of the moment
+* ``algorithm1``, a bisection on the full-battery threshold whose
+  feasibility test minimizes over the upper thresholds at fixed tau_B. It
+  rests on the structural result that a monotone solution of the moment
   condition 2 tau_B m1 = m2 exists iff tau_B is at least the optimal
-  average age (this yields a certified optimality gap of
-  1 / (2^{q+1} mu_h) after q iterations),
-* a joint derivative-free minimizer for arbitrary power penalties, whose
-  convergence is certified by the fixed-point property
+  average age, which yields a certified optimality gap of
+  1 / (2^{q+1} mu_h) after q iterations;
+* ``optimize_penalty``, a joint minimization over all thresholds for any
+  power penalty, certified by the fixed-point property
   p(tau_B) = optimal average penalty.
+
+``grid_search``, an exhaustive zoomed grid, is the oracle both are checked
+against.
 
 Thresholds are searched as (tau_B, gaps): tau_{i} = tau_{i+1} + d_i with
 d_i >= 0, so monotonicity holds by construction and ties (empty
@@ -29,6 +33,10 @@ from scipy.optimize import minimize
 from .model import PenaltySpec, Policy, SystemParams, validate_policy
 from .renewal import policy_metrics
 
+# Largest gap on the grid oracle's axes, in units of 1/mu_h; the engine's
+# bounds allow twice that.
+UPPER_CAP_FACTOR = 10.0
+
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -42,13 +50,12 @@ class BracketInvalid(RuntimeError):
 class OptimizerConfig:
     q: int = 10
     grid_points: int = 15
-    upper_cap_factor: float = 10.0
     refine_tol: float = 1e-6
     penalty: PenaltySpec = field(default_factory=PenaltySpec.identity)
     grid_rounds: int = 6
 
     def __post_init__(self):
-        if self.q < 1 or self.grid_points < 2 or self.upper_cap_factor <= 0 or self.refine_tol <= 0:
+        if self.q < 1 or self.grid_points < 2 or self.refine_tol <= 0:
             raise ValueError("invalid optimizer configuration")
 
 
@@ -112,7 +119,7 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
     """
     mu = params.mu_h
     B = params.battery
-    cap = config.upper_cap_factor / mu
+    cap = UPPER_CAP_FACTOR / mu
     lows = [0.5 / mu] + [0.0] * (B - 1)
     highs = [1.0 / mu] + [cap] * (B - 1)
     bounds = list(zip(lows, highs))
@@ -124,40 +131,49 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
     )
 
 
+def _search(
+    params: SystemParams, penalty: PenaltySpec, tol: float, tau_b: float | None = None
+) -> tuple[tuple[float, ...], float]:
+    """Bounded L-BFGS-B minimization of the average penalty.
+
+    Searches (tau_B, gaps) jointly, or the gaps alone when tau_b is fixed,
+    with finite-difference gradients, from one fixed start. The start and
+    the box scale with 1/mu_h. Returns (tau_1..tau_B, objective).
+    """
+    mu = params.mu_h
+    ngaps = params.battery - 1
+    x0 = [0.4 / mu] * ngaps
+    bounds = [(0.0, 2.0 * UPPER_CAP_FACTOR / mu)] * ngaps
+    if tau_b is None:
+        x0 = [0.75 / mu] + x0
+        bounds = [(1e-9 / mu, 4.0 / mu)] + bounds
+
+    def thresholds(v):
+        return _build_thresholds(v[0], v[1:]) if tau_b is None else _build_thresholds(tau_b, v)
+
+    res = minimize(
+        lambda v: _objective(params, penalty, thresholds(v)),
+        np.asarray(x0),
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"ftol": 1e-15, "gtol": 1e-4 * tol},
+    )
+    return thresholds(res.x), float(res.fun)
+
+
 def inner_minimize(
     params: SystemParams, config: OptimizerConfig, tau_b: float
 ) -> tuple[tuple[float, ...], float]:
     """Minimize the average penalty over the upper thresholds at fixed tau_B.
 
-    Coarse deterministic grid over the gaps followed by Nelder-Mead
-    refinement. Returns (tau_1..tau_{B-1}, objective).
+    Returns (tau_1..tau_{B-1}, objective).
     """
     if tau_b <= 0:
         raise ValueError("tau_b must be positive")
-    B = params.battery
-    if B == 1:
+    if params.battery == 1:
         return (), _objective(params, config.penalty, (tau_b,))
-    cap = config.upper_cap_factor / params.mu_h
-    ndim = B - 1
-    axes = [np.linspace(0.0, cap, config.grid_points)] * ndim
-    best_val = math.inf
-    best_g = None
-    for g in itertools.product(*axes):
-        val = _objective(params, config.penalty, _build_thresholds(tau_b, g))
-        if val < best_val:
-            best_val, best_g = val, g
-    res = minimize(
-        lambda g: _objective(params, config.penalty, _build_thresholds(tau_b, np.maximum(g, 0.0))),
-        np.asarray(best_g),
-        method="Nelder-Mead",
-        bounds=[(0.0, 2.0 * cap)] * ndim,
-        options={"xatol": config.refine_tol, "fatol": config.refine_tol, "maxiter": 2000},
-    )
-    if res.fun <= best_val:
-        best_val = float(res.fun)
-        best_g = np.maximum(res.x, 0.0)
-    taus = _build_thresholds(tau_b, best_g)
-    return taus[:-1], best_val
+    taus, val = _search(params, config.penalty, config.refine_tol, tau_b)
+    return taus[:-1], val
 
 
 def feasible(params: SystemParams, config: OptimizerConfig, tau_b: float) -> bool:
@@ -210,44 +226,11 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
 def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
     """Joint minimization over all thresholds for any supported penalty.
 
-    Deterministic coarse grid over (tau_B, gaps), Nelder-Mead restarts
-    from the five best distinct grid vertices, and a fixed-point
-    certificate |p(tau_B) - objective| <= 10 * refine_tol on the result.
+    Certified by the fixed point |p(tau_B) - objective| <= 10 * refine_tol.
     """
-    mu = params.mu_h
-    B = params.battery
-    cap = config.upper_cap_factor / mu
-    ndim = B
-    if config.grid_points**ndim > 10**8:
-        raise BudgetExceeded(f"{config.grid_points}^{ndim} grid combinations exceed the budget")
-    tau_axis = np.linspace(0.05 / mu, 2.0 / mu, config.grid_points)
-    gap_axes = [np.linspace(0.0, cap, config.grid_points)] * (B - 1)
-    scored = []
-    for vec in itertools.product(tau_axis, *gap_axes):
-        val = _objective(params, config.penalty, _build_thresholds(vec[0], vec[1:]))
-        scored.append((val, vec))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    seeds = [np.asarray(vec) for _, vec in scored[:5]]
-
-    def fun(v):
-        tau_b = max(v[0], 1e-9)
-        return _objective(params, config.penalty, _build_thresholds(tau_b, np.maximum(v[1:], 0.0)))
-
-    bounds = [(1e-9, 4.0 / mu)] + [(0.0, 2.0 * cap)] * (B - 1)
-    best_val, best_v = scored[0][0], np.asarray(scored[0][1])
-    for seed in seeds:
-        res = minimize(
-            fun,
-            seed,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": config.refine_tol, "fatol": config.refine_tol, "maxiter": 4000},
-        )
-        if res.fun < best_val:
-            best_val, best_v = float(res.fun), np.asarray(res.x)
-    taus = _build_thresholds(max(best_v[0], 1e-9), np.maximum(best_v[1:], 0.0))
+    taus, val = _search(params, config.penalty, config.refine_tol)
     policy = validate_policy(params, taus)
-    certified = abs(config.penalty(policy.tau_full) - best_val) <= 10.0 * config.refine_tol
+    certified = abs(config.penalty(policy.tau_full) - val) <= 10.0 * config.refine_tol
     return OptimizationResult(
-        policy=policy, objective=best_val, gap_bound=None, trace=(), certified=certified
+        policy=policy, objective=val, gap_bound=None, trace=(), certified=certified
     )

@@ -71,6 +71,15 @@ class TestEvaluate:
         payload = json.loads(target.read_text())
         assert payload["battery"] == 1
 
+    def test_ignores_grid_points_environment_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("AOIHARVEST_GRID_POINTS", "abc")
+        code, out = run(
+            capsys,
+            ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1.5,0.72"],
+        )
+        assert code == 0
+        assert json.loads(out)["battery"] == 2
+
 
 class TestOptimize:
     def test_algorithm1_json(self, capsys):
