@@ -59,21 +59,14 @@ def transition_matrix(params: SystemParams, policy: Policy) -> TransitionMatrix:
     if B == 1:
         return TransitionMatrix(np.ones((1, 1)))
     taus = policy.thresholds  # taus[i-1] = tau_i
-
-    def cdf_at_tau(order: int, i: int) -> float:
-        # Pr(Y_order <= tau_i), with tau_0 = +inf
-        if i == 0:
-            return 1.0
-        return erlang_cdf(ErlangKernel(mu, order), taus[i - 1])
-
-    T = np.empty((B, B))
-    for j in range(B):
-        T[j, B - 1] = cdf_at_tau(B - j, B - 1)
-        for i in range(B - 1):
-            v = cdf_at_tau(1 + i - j, i) - cdf_at_tau(2 + i - j, i + 1)
-            if -1e-14 < v < 0.0:
-                v = 0.0
-            T[j, i] = v
+    # C[j, i] = Pr(Y_{1+i-j} <= tau_i), tau_0 = +inf: 1 for i = 0 and i < j; C[:, B] = 0
+    C = np.ones((B, B + 1))
+    C[:, B] = 0.0
+    for i in range(1, B):
+        for j in range(i + 1):
+            C[j, i] = erlang_cdf(ErlangKernel(mu, 1 + i - j), taus[i - 1])
+    T = C[:, :-1] - C[:, 1:]
+    T[(T > -1e-14) & (T < 0.0)] = 0.0
     return TransitionMatrix(T)
 
 

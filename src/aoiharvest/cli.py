@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     p = _parse_penalty(args)
     if args.optimal:
-        config = _make_config(args)
+        config = OptimizerConfig(refine_tol=args.refine_tol, penalty=p)
         policy = optimize_penalty(params, config).policy
     elif args.thresholds:
         policy = validate_policy(params, _parse_floats(args.thresholds))
@@ -222,12 +222,7 @@ def cmd_table1(args) -> int:
     ]
     for b in range(1, 5):
         params = SystemParams(mu_h=1.0, battery=b)
-        config = OptimizerConfig(
-            q=args.q,
-            grid_points=args.grid_points,
-            refine_tol=args.refine_tol,
-            penalty=PenaltySpec.identity(),
-        )
+        config = OptimizerConfig(refine_tol=args.refine_tol, penalty=PenaltySpec.identity())
         result = optimize_penalty(params, config)
         ref_taus, ref_age = REFERENCE_TABLE[b]
         taus = ", ".join(f"{t:.4f}" for t in result.policy.thresholds)
@@ -246,12 +241,16 @@ def _add_penalty_flags(sp):
     sp.add_argument("--coeff", type=float, default=1.0, help="power penalty coefficient")
 
 
+def _add_refine_tol_flag(sp):
+    sp.add_argument("--refine-tol", type=float, default=1e-6)
+
+
 def _add_optimizer_flags(sp):
     sp.add_argument("--q", type=int, default=10, help="bisection iterations")
     sp.add_argument(
         "--grid-points", type=int, default=15, help="grid points per axis (--mode grid only)"
     )
-    sp.add_argument("--refine-tol", type=float, default=1e-6)
+    _add_refine_tol_flag(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--warmup", type=int, default=1000)
     sp.add_argument("--check", action="store_true", help="cross-check against analytic metrics")
     _add_penalty_flags(sp)
-    _add_optimizer_flags(sp)
+    _add_refine_tol_flag(sp)
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("table1", help="optimal thresholds for B=1..4 at mu=1")
-    _add_optimizer_flags(sp)
+    _add_refine_tol_flag(sp)
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_table1)
 

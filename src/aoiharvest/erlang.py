@@ -103,6 +103,25 @@ def _check_interval(a: float, b: float):
         raise InvalidInterval(f"need 0 <= a <= b, got a={a}, b={b}")
 
 
+def weighted_prefix(mu: float, a: float, b: float, terms, n: int) -> list[float]:
+    """[int_a^b p(x) Pr(Y_k > x) dx for k = 0..n], p(x) = sum c * x^e over terms.
+
+    One running sum over the Poisson terms of the survival function serves
+    every order up to n; each entry is clamped at zero, the running total
+    is not. b may be math.inf.
+    """
+    row = [0.0]
+    total = 0.0
+    fact = 1.0  # mu^v / v!
+    for v in range(n):
+        if v > 0:
+            fact *= mu / v
+        for c, e in terms:
+            total += c * fact * _power_exp_integral(e + v, mu, a, b)
+        row.append(max(total, 0.0))
+    return row
+
+
 def survival_weighted_integral(
     k: ErlangKernel, a: float, b: float, weight_degree: int = 0
 ) -> float:
@@ -116,14 +135,7 @@ def survival_weighted_integral(
         raise ValueError(f"weight_degree must be a non-negative integer, got {weight_degree!r}")
     if k.order <= 0 or a == b:
         return 0.0
-    mu = k.rate
-    total = 0.0
-    fact = 1.0  # mu^v / v!
-    for v in range(k.order):
-        if v > 0:
-            fact *= mu / v
-        total += fact * _power_exp_integral(weight_degree + v, mu, a, b)
-    return max(total, 0.0)
+    return weighted_prefix(k.rate, a, b, ((1.0, weight_degree),), k.order)[-1]
 
 
 def penalty_weighted_integral(k: ErlangKernel, a: float, b: float, p: PenaltySpec) -> float:
@@ -131,12 +143,4 @@ def penalty_weighted_integral(k: ErlangKernel, a: float, b: float, p: PenaltySpe
     _check_interval(a, b)
     if k.order <= 0 or a == b:
         return 0.0
-    mu = k.rate
-    total = 0.0
-    for c, e in p.terms:
-        fact = 1.0
-        for v in range(k.order):
-            if v > 0:
-                fact *= mu / v
-            total += c * fact * _power_exp_integral(e + v, mu, a, b)
-    return max(total, 0.0)
+    return weighted_prefix(k.rate, a, b, p.terms, k.order)[-1]

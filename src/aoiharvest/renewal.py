@@ -9,10 +9,13 @@ survival function over those pieces (which handles the atoms for free):
     E[X^2 | j]  = int 2x (1 - F_j),
     E[P(X) | j] = int p(x) (1 - F_j),
 
-each piece in closed form via the erlang module. Long-run averages are
-stationary mixtures of the per-state moments; the average penalty is the
-renewal-reward ratio E[P(X)] / E[X] (for identity penalty this is the
-classic E[X^2] / 2 E[X] average age).
+each piece in closed form via the erlang module. Piece [tau_m, tau_{m-1})
+carries Pr(Y_{m-j} > x) from start state j, so one prefix row per piece
+(its integral for every Erlang order 0..m) serves every start state: B(B+1)/2
+power-exponential integrals per moment instead of one Erlang sum per state
+and piece. Long-run averages are stationary mixtures of the per-state
+moments; the average penalty is the renewal-reward ratio E[P(X)] / E[X]
+(for identity penalty this is the classic E[X^2] / 2 E[X] average age).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import stationary, transition_matrix
-from .erlang import INF, ErlangKernel, erlang_cdf, penalty_weighted_integral, survival_weighted_integral
+from .erlang import INF, ErlangKernel, erlang_cdf, weighted_prefix
+from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
 
 
@@ -41,21 +45,6 @@ class ConditionalMoments:
     ex: np.ndarray
     ex2: np.ndarray
     epx: np.ndarray
-
-
-def _pieces(policy: Policy):
-    """Yield (lo, hi, order_offset) for the survival pieces above tau_B.
-
-    Piece [tau_m, tau_{m-1}) carries survival Pr(Y_{m-j} > x); the last
-    piece [tau_1, inf) carries Pr(Y_{1-j} > x). order_offset is m.
-    """
-    taus = policy.thresholds
-    B = len(taus)
-    for m in range(B, 1, -1):
-        lo, hi = taus[m - 1], taus[m - 2]
-        if lo < hi:
-            yield lo, hi, m
-    yield taus[0], INF, 1
 
 
 def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> float:
@@ -82,20 +71,25 @@ def conditional_moments(
     B = params.battery
     mu = params.mu_h
     tau_b = policy.tau_full
+    tau = (INF, *policy.thresholds)  # tau[m] = tau_m, tau_0 = +inf
+
+    def rows(terms):
+        # rows(terms)[m-1][k] = int over piece m of p(x) Pr(Y_k > x)
+        return [weighted_prefix(mu, tau[m], tau[m - 1], terms, m) for m in range(1, B + 1)]
+
+    r1, r2, rp = rows(((1.0, 0),)), rows(((1.0, 1),)), rows(p.terms)
     ex = np.empty(B)
     ex2 = np.empty(B)
     epx = np.empty(B)
-    pieces = list(_pieces(policy))
     for j in range(B):
-        # survival is 1 on [0, tau_B)
+        # survival is 1 on [0, tau_B); pieces m <= j carry zero survival
         e1 = tau_b
         e2 = tau_b * tau_b
         ep = p.antiderivative(tau_b)
-        for lo, hi, m in pieces:
-            k = ErlangKernel(mu, m - j)
-            e1 += survival_weighted_integral(k, lo, hi, 0)
-            e2 += 2.0 * survival_weighted_integral(k, lo, hi, 1)
-            ep += penalty_weighted_integral(k, lo, hi, p)
+        for m in range(B, j, -1):
+            e1 += r1[m - 1][m - j]
+            e2 += 2.0 * r2[m - 1][m - j]
+            ep += rp[m - 1][m - j]
         ex[j], ex2[j], epx[j] = e1, e2, ep
     return ConditionalMoments(ex, ex2, epx)
 

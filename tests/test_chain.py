@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoiharvest.chain import stationary, transition_matrix
+from aoiharvest.erlang import ErlangKernel, erlang_cdf
 from aoiharvest.model import SystemParams, validate_policy
 
 
@@ -38,6 +39,26 @@ class TestTransitionMatrix:
         T = transition_matrix(params, pol).entries
         power = np.linalg.matrix_power(T, params.battery - 1)
         assert np.all(power > 0)
+
+    @pytest.mark.parametrize(
+        "mu,taus",
+        [(1.0, [1.5, 0.72]), (0.8, [2.0, 1.0, 1.0, 0.0]), (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2])],
+    )
+    def test_entries_are_cdf_differences_bitwise(self, mu, taus):
+        # T[j, i] = Pr(Y_{1+i-j} <= tau_i) - Pr(Y_{2+i-j} <= tau_{i+1}), tau_0 = inf;
+        # level B-1 takes the first term alone, and tiny negatives clamp to 0
+        params, pol = make(mu, taus)
+        B = params.battery
+        tau = [math.inf] + taus
+        T = transition_matrix(params, pol).entries
+        for j in range(B):
+            for i in range(B):
+                want = erlang_cdf(ErlangKernel(mu, 1 + i - j), tau[i])
+                if i < B - 1:
+                    want -= erlang_cdf(ErlangKernel(mu, 2 + i - j), tau[i + 1])
+                    if -1e-14 < want < 0.0:
+                        want = 0.0
+                assert T[j, i] == want
 
     def test_tau_full_invariance_bitwise(self):
         params, base = make(1.0, [1.5, 1.0, 0.72])

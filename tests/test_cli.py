@@ -206,9 +206,26 @@ class TestSimulate:
         assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--grid-points", "9"],
+        ["table1", "--q", "3"],
+        ["simulate", "--mu", "1", "--battery", "1", "--optimal", "--q", "3"],
+        ["simulate", "--mu", "1", "--battery", "1", "--optimal", "--grid-points", "9"],
+    ],
+)
+def test_penalty_only_commands_reject_search_flags(capsys, argv):
+    # table1 and simulate --optimal run optimize_penalty, which reads neither flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestTable1:
     def test_rows_parse(self, capsys):
-        code, out = run(capsys, ["table1", "--grid-points", "9"])
+        code, out = run(capsys, ["table1"])
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 5

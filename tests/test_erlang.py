@@ -16,6 +16,7 @@ from aoiharvest.erlang import (
     erlang_survival,
     penalty_weighted_integral,
     survival_weighted_integral,
+    weighted_prefix,
 )
 from aoiharvest.model import PenaltySpec
 
@@ -112,6 +113,23 @@ class TestSurvivalWeightedIntegral:
         got = survival_weighted_integral(k, a, b, degree)
         want = quad_survival_integral(mu, order, a, b, lambda x: x**degree)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestWeightedPrefix:
+    @pytest.mark.parametrize("a,b", [(0.0, 0.8), (0.4, 2.5), (1.3, INF)])
+    @pytest.mark.parametrize(
+        "p", [PenaltySpec.identity(), PenaltySpec.power(0.5), PenaltySpec.power(2.0, 3.0)]
+    )
+    def test_entry_k_matches_quadrature_of_order_k(self, a, b, p):
+        row = weighted_prefix(1.3, a, b, p.terms, 6)
+        assert len(row) == 7 and row[0] == 0.0
+        for k in range(1, 7):
+            want = quad_survival_integral(1.3, k, a, b, p)
+            assert row[k] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_empty_interval_gives_exact_zeros(self):
+        # tied thresholds make empty pieces, whose rows renewal adds unconditionally
+        assert weighted_prefix(1.3, 0.7, 0.7, PenaltySpec.power(0.5).terms, 6) == [0.0] * 7
 
 
 class TestPenaltyWeightedIntegral:

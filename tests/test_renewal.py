@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aoiharvest.erlang import ErlangKernel, penalty_weighted_integral, survival_weighted_integral
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
@@ -77,6 +78,48 @@ class TestConditionalMoments:
         cm = conditional_moments(params, pol, IDENT)
         assert np.all(cm.ex >= pol.tau_full)
         assert np.all(cm.ex2 >= cm.ex**2)
+
+
+def per_piece_moments(params, policy, p):
+    """One integral per start state and piece: the head on [0, tau_B), then
+    pieces m = B..1, [tau_m, tau_{m-1}) with tau_0 = inf, skipping m <= j."""
+    B, mu = params.battery, params.mu_h
+    tau = [math.inf] + list(policy.thresholds)
+    out = []
+    for j in range(B):
+        e1, e2, ep = tau[B], tau[B] * tau[B], p.antiderivative(tau[B])
+        for m in range(B, j, -1):
+            k = ErlangKernel(mu, m - j)
+            e1 += survival_weighted_integral(k, tau[m], tau[m - 1], 0)
+            e2 += 2.0 * survival_weighted_integral(k, tau[m], tau[m - 1], 1)
+            ep += penalty_weighted_integral(k, tau[m], tau[m - 1], p)
+        out.append((e1, e2, ep))
+    return out
+
+
+class TestPrefixRows:
+    """The per-piece prefix rows give exactly the per-state, per-piece sums."""
+
+    @pytest.mark.parametrize(
+        "mu,taus",
+        [
+            (1.0, [0.9]),
+            (1.0, [1.5, 0.72]),
+            (0.7, [2.1, 1.4, 0.9]),
+            (1.0, [1.5, 0.01, 0.01]),
+            (2.0, [1.2, 0.9, 0.9, 0.4, 0.0]),
+            (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
+            (0.4, [9.0, 7.5, 7.5, 6.0, 4.4, 3.1, 1.0, 0.0]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "p", [IDENT, PenaltySpec.power(0.5), PenaltySpec.power(2.0)], ids=["id", "pow0.5", "pow2"]
+    )
+    def test_bitwise_equal_to_per_piece_sums(self, mu, taus, p):
+        params, pol = make(mu, taus)
+        cm = conditional_moments(params, pol, p)
+        want = per_piece_moments(params, pol, p)
+        assert [(cm.ex[j], cm.ex2[j], cm.epx[j]) for j in range(params.battery)] == want
 
 
 class TestPolicyMetrics:
