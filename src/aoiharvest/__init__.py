@@ -27,9 +27,11 @@ from .optimizer import (
 )
 from .renewal import (
     ConditionalMoments,
+    avg_penalty_gradient,
     conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
+    moment_derivatives,
     policy_metrics,
 )
 from .simulator import KERNEL, SimConfig, SimReport, simulate, simulate_greedy
@@ -48,6 +50,7 @@ __all__ = [
     "SystemParams",
     "TransitionMatrix",
     "algorithm1",
+    "avg_penalty_gradient",
     "b1_average_age",
     "b1_optimal",
     "b2_average_age",
@@ -58,6 +61,7 @@ __all__ = [
     "interupdate_cdf",
     "lambert_w0",
     "moment_derivative_check",
+    "moment_derivatives",
     "optimize_penalty",
     "policy_from_json",
     "policy_metrics",

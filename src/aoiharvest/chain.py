@@ -4,7 +4,8 @@ Battery levels sampled immediately after each update form a DTMC on
 {0, ..., B-1}. Transition probabilities are finite differences of Erlang
 CDFs evaluated at the thresholds; notably they never involve the
 full-battery threshold, so the stationary distribution is invariant to
-it.
+it. The derivative of the stationary vector in the thresholds is one more
+solve with the same bordered matrix (Golub & Meyer 1986).
 
 Note on the two-state case: the closed-form expression
 e^{-mu tau_1} / (1 - mu tau_1 e^{-mu tau_1}) solves the balance equation
@@ -70,6 +71,20 @@ def transition_matrix(params: SystemParams, policy: Policy) -> TransitionMatrix:
     return TransitionMatrix(T)
 
 
+def _bordered(T: np.ndarray) -> np.ndarray:
+    """T' - I with its last row replaced by ones: A pi = e_B defines pi."""
+    A = T.T - np.eye(T.shape[0])
+    A[-1, :] = 1.0
+    return A
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
 def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     """Unique probability vector with pi = pi T, by direct linear solve.
 
@@ -77,14 +92,9 @@ def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     """
     T = matrix.entries
     B = T.shape[0]
-    A = T.T - np.eye(B)
-    A[-1, :] = 1.0
     b = np.zeros(B)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    pi = _solve(_bordered(T), b)
     pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
     if (pi < 0).any():
         raise SingularSystem(f"negative stationary mass: {pi}")
@@ -93,3 +103,22 @@ def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     if resid > 1e-10:
         raise SingularSystem(f"stationary residual {resid:.3e} too large")
     return StationaryDistribution(pi)
+
+
+def stationary_derivative(matrix: TransitionMatrix, pi: np.ndarray, dcdf: np.ndarray) -> np.ndarray:
+    """d pi / d tau_i for i = 1..B-1, one column each, from one bordered solve.
+
+    dcdf[j, i-1] is d C[j, i] / d tau_i for the CDF table C of
+    transition_matrix: raising tau_i moves that mass from level i-1 to
+    level i, so dT_i is +dcdf[:, i-1] in column i and its negative in
+    column i-1. Differentiating pi (T - I) = 0 and sum(pi) = 1 gives
+    A dpi = -(pi dT_i)' with its last entry replaced by 0.
+    """
+    B = pi.shape[0]
+    g = pi @ dcdf  # (pi dT_i)[i] = g[i-1] = -(pi dT_i)[i-1]
+    rhs = np.zeros((B, B - 1))
+    cols = np.arange(B - 1)
+    rhs[cols, cols] = g
+    rhs[cols + 1, cols] = -g
+    rhs[-1, :] = 0.0
+    return _solve(_bordered(matrix.entries), rhs)

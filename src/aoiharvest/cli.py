@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .chain import stationary, transition_matrix
+from .chain import stationary, transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, PolicyError, policy_to_json, validate_policy, SystemParams
 from .optimizer import (
     BudgetExceeded,
@@ -74,7 +74,6 @@ def cmd_evaluate(args) -> int:
     policy = validate_policy(params, _parse_floats(args.thresholds))
     p = _parse_penalty(args)
     m = policy_metrics(params, policy, p)
-    pi = stationary(transition_matrix(params, policy)).pi
     _out(
         args,
         json.dumps(
@@ -87,7 +86,7 @@ def cmd_evaluate(args) -> int:
                 "avg_age": m.avg_age,
                 "avg_penalty": m.avg_penalty,
                 "per_state": [list(t) for t in m.per_state],
-                "stationary": list(pi),
+                "stationary": list(m.pi),
             },
             sort_keys=True,
         ),

@@ -169,7 +169,7 @@ class PolicyMetrics:
 
     per_state[j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
     battery level j, where X is the inter-update time and P the penalty
-    antiderivative.
+    antiderivative; pi[j] is the stationary probability of level j.
     """
 
     m1: float
@@ -177,3 +177,4 @@ class PolicyMetrics:
     avg_age: float
     avg_penalty: float
     per_state: tuple[tuple[float, float, float], ...]
+    pi: tuple[float, ...]

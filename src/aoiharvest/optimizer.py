@@ -1,6 +1,6 @@
 """Threshold policy optimization.
 
-One search engine, ``_search`` (bounded L-BFGS-B from one fixed start),
+One search engine, ``_Search`` (bounded L-BFGS-B with exact gradients),
 behind two optimizers:
 
 * ``algorithm1``, a bisection on the full-battery threshold whose
@@ -8,7 +8,10 @@ behind two optimizers:
   rests on the structural result that a monotone solution of the moment
   condition 2 tau_B m1 = m2 exists iff tau_B is at least the optimal
   average age, which yields a certified optimality gap of
-  1 / (2^{q+1} mu_h) after q iterations;
+  1 / (2^{q+1} mu_h) after q iterations. Each test starts from the gaps
+  the previous one ended at and stops at the first policy whose average
+  age is at most tau_B, a witness of feasibility; only the final search at
+  the feasible endpoint runs to convergence;
 * ``optimize_penalty``, a joint minimization over all thresholds for any
   power penalty, certified by the fixed-point property
   p(tau_B) = optimal average penalty.
@@ -18,20 +21,23 @@ against.
 
 Thresholds are searched as (tau_B, gaps): tau_{i} = tau_{i+1} + d_i with
 d_i >= 0, so monotonicity holds by construction and ties (empty
-intervals) sit on the search-space boundary.
+intervals) sit on the search-space boundary. The gradient in
+(tau_1..tau_B) comes from ``renewal.avg_penalty_gradient``; since every
+tau_i moves with tau_B and with the gaps d_k for k >= i, the gradient in
+d_k is the sum of the first k entries and the one in tau_B the total.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .model import PenaltySpec, Policy, SystemParams, validate_policy
-from .renewal import policy_metrics
+from .renewal import avg_penalty_gradient, policy_metrics
 
 # Largest gap on the grid oracle's axes, in units of 1/mu_h; the engine's
 # bounds allow twice that.
@@ -61,11 +67,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """An optimizer's answer and how it got there.
+
+    evaluations counts the policies evaluated; fixed_point_residual is
+    |p(tau_B) - objective|, which vanishes at the optimum.
+    """
+
     policy: Policy
     objective: float
     gap_bound: float | None
     trace: tuple[tuple[float, float], ...]
     certified: bool = True
+    evaluations: int = 0
+    fixed_point_residual: float = math.nan
 
 
 def _build_thresholds(tau_b: float, gaps) -> tuple[float, ...]:
@@ -111,6 +125,12 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
     return best_taus, best_val
 
 
+def _result(params, config, taus, objective, **fields) -> OptimizationResult:
+    policy = validate_policy(params, taus)
+    residual = abs(config.penalty(policy.tau_full) - objective)
+    return OptimizationResult(policy=policy, objective=objective, fixed_point_residual=residual, **fields)
+
+
 def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
     """Exhaustive zoomed grid over tau_B in [1/(2mu), 1/mu] and gaps.
 
@@ -126,39 +146,83 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
     taus, val = _zoomed_grid(
         params, config.penalty, lows, highs, bounds, config.grid_points, config.grid_rounds
     )
-    return OptimizationResult(
-        policy=validate_policy(params, taus), objective=val, gap_bound=None, trace=()
-    )
+    evaluations = config.grid_rounds * config.grid_points**B
+    return _result(params, config, taus, val, gap_bound=None, trace=(), evaluations=evaluations)
 
 
-def _search(
-    params: SystemParams, penalty: PenaltySpec, tol: float, tau_b: float | None = None
-) -> tuple[tuple[float, ...], float]:
-    """Bounded L-BFGS-B minimization of the average penalty.
+class _Witness(Exception):
+    """A policy whose objective reached the stop level ends the search."""
 
-    Searches (tau_B, gaps) jointly, or the gaps alone when tau_b is fixed,
-    with finite-difference gradients, from one fixed start. The start and
-    the box scale with 1/mu_h. Returns (tau_1..tau_B, objective).
+    def __init__(self, x, value):
+        super().__init__()
+        self.x, self.value = x, value
+
+
+class _Search:
+    """Bounded L-BFGS-B minimization of the average penalty, exact gradients.
+
+    Searches (tau_B, gaps) jointly, or the gaps alone when tau_b is fixed.
+    The first run starts from one fixed point, every later one from the
+    gaps the previous run ended at; the start and the box scale with
+    1/mu_h. ``evaluations`` counts the policies evaluated over all runs.
     """
-    mu = params.mu_h
-    ngaps = params.battery - 1
-    x0 = [0.4 / mu] * ngaps
-    bounds = [(0.0, 2.0 * UPPER_CAP_FACTOR / mu)] * ngaps
-    if tau_b is None:
-        x0 = [0.75 / mu] + x0
-        bounds = [(1e-9 / mu, 4.0 / mu)] + bounds
 
-    def thresholds(v):
-        return _build_thresholds(v[0], v[1:]) if tau_b is None else _build_thresholds(tau_b, v)
+    def __init__(self, params: SystemParams, config: OptimizerConfig):
+        self.params = params
+        self.penalty = config.penalty
+        self.tol = config.refine_tol
+        self.gaps = np.full(params.battery - 1, 0.4 / params.mu_h)
+        self.evaluations = 0
 
-    res = minimize(
-        lambda v: _objective(params, penalty, thresholds(v)),
-        np.asarray(x0),
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"ftol": 1e-15, "gtol": 1e-4 * tol},
-    )
-    return thresholds(res.x), float(res.fun)
+    def _metrics(self, taus):
+        self.evaluations += 1
+        policy = Policy(taus)
+        return policy, policy_metrics(self.params, policy, self.penalty)
+
+    def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> tuple[tuple[float, ...], float]:
+        """Minimize; returns (tau_1..tau_B, objective).
+
+        Stops at the first evaluated policy whose objective is at most
+        stop_at and returns that policy.
+        """
+        mu = self.params.mu_h
+        ngaps = self.params.battery - 1
+        bounds = [(0.0, 2.0 * UPPER_CAP_FACTOR / mu)] * ngaps
+        x0 = self.gaps
+        if tau_b is None:
+            x0 = np.concatenate(([0.75 / mu], x0))
+            bounds = [(1e-9 / mu, 4.0 / mu)] + bounds
+        elif tau_b <= 0:
+            raise ValueError("tau_b must be positive")
+
+        def thresholds(v):
+            return _build_thresholds(v[0], v[1:]) if tau_b is None else _build_thresholds(tau_b, v)
+
+        def fun(v):
+            policy, m = self._metrics(thresholds(v))
+            if m.avg_penalty <= stop_at:
+                raise _Witness(v.copy(), m.avg_penalty)
+            # tau_B moves every tau_i, gap d_k moves tau_1..tau_k
+            csum = np.cumsum(avg_penalty_gradient(self.params, policy, self.penalty, m))
+            return m.avg_penalty, np.roll(csum, 1) if tau_b is None else csum[:-1]
+
+        if len(x0) == 0:  # B = 1 at fixed tau_B: nothing to search
+            x, val = x0, self._metrics((tau_b,))[1].avg_penalty
+        else:
+            try:
+                res = minimize(
+                    fun,
+                    x0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={"ftol": 1e-15, "gtol": 1e-4 * self.tol},
+                )
+                x, val = res.x, float(res.fun)
+            except _Witness as w:
+                x, val = w.x, w.value
+        self.gaps = x[len(x) - ngaps :]
+        return thresholds(x), val
 
 
 def inner_minimize(
@@ -168,23 +232,24 @@ def inner_minimize(
 
     Returns (tau_1..tau_{B-1}, objective).
     """
-    if tau_b <= 0:
-        raise ValueError("tau_b must be positive")
-    if params.battery == 1:
-        return (), _objective(params, config.penalty, (tau_b,))
-    taus, val = _search(params, config.penalty, config.refine_tol, tau_b)
+    taus, val = _Search(params, config).run(tau_b)
     return taus[:-1], val
 
 
-def feasible(params: SystemParams, config: OptimizerConfig, tau_b: float) -> bool:
+def feasible(
+    params: SystemParams, config: OptimizerConfig, tau_b: float, search: _Search | None = None
+) -> bool:
     """Does a monotone solution of 2 tau_B m1 = m2 exist at this tau_B?
 
     The moment condition rewrites as avg_age = tau_B; avg_age is
     continuous in the upper thresholds and grows without bound, so a
-    root exists iff the minimum over upper thresholds is <= tau_B.
+    root exists iff the minimum over upper thresholds is <= tau_B. Any
+    policy with avg_age <= tau_B proves it, so the search stops at the
+    first one. ``search`` carries the warm start from test to test.
     """
-    _, val = inner_minimize(params, config, tau_b)
-    return val <= tau_b + 1e-9
+    level = tau_b + 1e-9
+    _, val = (search or _Search(params, config)).run(tau_b, stop_at=level)
+    return val <= level
 
 
 def _require_identity(config: OptimizerConfig):
@@ -203,23 +268,26 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
     _require_identity(config)
     mu = params.mu_h
     lo, hi = 0.5 / mu, 1.0 / mu
-    if not feasible(params, config, hi):
+    search = _Search(params, config)
+    if not feasible(params, config, hi, search):
         raise BracketInvalid(f"upper bracket endpoint {hi} is infeasible")
     trace = [(lo, hi)]
     for _ in range(config.q):
         mid = 0.5 * (lo + hi)
-        if feasible(params, config, mid):
+        if feasible(params, config, mid, search):
             hi = mid
         else:
             lo = mid
         trace.append((lo, hi))
-    uppers, val = inner_minimize(params, config, hi)
-    policy = validate_policy(params, uppers + (hi,))
-    return OptimizationResult(
-        policy=policy,
-        objective=val,
+    taus, val = search.run(hi)
+    return _result(
+        params,
+        config,
+        taus,
+        val,
         gap_bound=1.0 / (2.0 ** (config.q + 1) * mu),
         trace=tuple(trace),
+        evaluations=search.evaluations,
     )
 
 
@@ -228,9 +296,8 @@ def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> Optimizat
 
     Certified by the fixed point |p(tau_B) - objective| <= 10 * refine_tol.
     """
-    taus, val = _search(params, config.penalty, config.refine_tol)
-    policy = validate_policy(params, taus)
-    certified = abs(config.penalty(policy.tau_full) - val) <= 10.0 * config.refine_tol
-    return OptimizationResult(
-        policy=policy, objective=val, gap_bound=None, trace=(), certified=certified
-    )
+    search = _Search(params, config)
+    taus, val = search.run()
+    result = _result(params, config, taus, val, gap_bound=None, trace=(), evaluations=search.evaluations)
+    certified = result.fixed_point_residual <= 10.0 * config.refine_tol
+    return replace(result, certified=certified)

@@ -16,6 +16,12 @@ power-exponential integrals per moment instead of one Erlang sum per state
 and piece. Long-run averages are stationary mixtures of the per-state
 moments; the average penalty is the renewal-reward ratio E[P(X)] / E[X]
 (for identity penalty this is the classic E[X^2] / 2 E[X] average age).
+
+Threshold derivatives are endpoint terms by Leibniz's rule: tau_i < tau_B
+ends piece i+1 and starts piece i, so d E[f(X)|j] / d tau_i is
+f(tau_i) Pr(N(mu tau_i) = i-j) for i >= j and 0 for i < j, and tau_B ends
+the head, so d E[f(X)|j] / d tau_B is f(tau_B) Pr(Y_{B-j} <= tau_B).
+avg_penalty_gradient combines them with d pi from the chain.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import stationary, transition_matrix
+from .chain import stationary, stationary_derivative, transition_matrix
 from .erlang import INF, ErlangKernel, erlang_cdf, weighted_prefix
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
@@ -109,7 +115,54 @@ def policy_metrics(
     per_state = tuple(
         (float(cm.ex[j]), float(cm.ex2[j]), float(cm.epx[j])) for j in range(params.battery)
     )
-    return PolicyMetrics(m1=m1, m2=m2, avg_age=avg_age, avg_penalty=avg_penalty, per_state=per_state)
+    return PolicyMetrics(
+        m1=m1, m2=m2, avg_age=avg_age, avg_penalty=avg_penalty, per_state=per_state, pi=tuple(pi.tolist())
+    )
+
+
+def _poisson_rows(z: np.ndarray, n: int) -> np.ndarray:
+    """P[r, v] = e^{-z_r} z_r^v / v! for v < n, by erlang_survival's running product."""
+    steps = np.empty((len(z), n))
+    steps[:, 0] = np.exp(-z)
+    steps[:, 1:] = z[:, None] / np.arange(1, n)
+    return np.cumprod(steps, axis=1)
+
+
+def moment_derivatives(params: SystemParams, policy: Policy, p: PenaltySpec) -> ConditionalMoments:
+    """Exact threshold derivatives of the conditional moments.
+
+    Each field is a B x B array whose entry [j, i-1] is the derivative of
+    the matching ConditionalMoments entry j in tau_i.
+    """
+    B = params.battery
+    taus = np.asarray(policy.thresholds)
+    P = _poisson_rows(params.mu_h * taus, B)  # P[i-1, v] = Pr(N(mu tau_i) = v)
+    lag = np.arange(1, B + 1) - np.arange(B)[:, None]  # lag[j, i-1] = i - j
+    K = np.where(lag >= 0, P[np.arange(B), lag % B], 0.0)
+    # Pr(Y_{B-j} <= tau_B) = 1 - Pr(N(mu tau_B) < B - j)
+    K[:, -1] = np.maximum(1.0 - np.cumsum(P[-1])[::-1], 0.0)
+    return ConditionalMoments(K, K * (2.0 * taus), K * p(taus))
+
+
+def avg_penalty_gradient(
+    params: SystemParams, policy: Policy, p: PenaltySpec, metrics: PolicyMetrics
+) -> np.ndarray:
+    """d avg_penalty / d tau_i for i = 1..B, given policy_metrics(params, policy, p).
+
+    With N = pi . E[P(X)|.] and m1 = pi . E[X|.], avg_penalty = N / m1 and
+    d avg_penalty = (dN - avg_penalty dm1) / m1, where pi moves with
+    tau_1..tau_{B-1} through the chain and not with tau_B.
+    """
+    d = moment_derivatives(params, policy, p)
+    pi = np.asarray(metrics.pi)
+    ex, _, epx = np.asarray(metrics.per_state).T
+    # d C[j, i] / d tau_i is the Erlang-(1+i-j) density at tau_i, mu d E[X|j] / d tau_i
+    dcdf = params.mu_h * d.ex[:, :-1]
+    dpi = np.zeros((params.battery, params.battery))
+    dpi[:, :-1] = stationary_derivative(transition_matrix(params, policy), pi, dcdf)
+    d_num = pi @ d.epx + epx @ dpi
+    d_m1 = pi @ d.ex + ex @ dpi
+    return (d_num - metrics.avg_penalty * d_m1) / metrics.m1
 
 
 def moment_derivative_check(

@@ -4,6 +4,7 @@ Everything goes through ``cli.main(argv)`` so exit codes and output
 formatting are exercised exactly as a shell user would see them.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -192,10 +193,7 @@ class TestSimulate:
 
         def skewed(params, policy, penalty=None):
             m = real(params, policy, penalty)
-            return type(m)(
-                m1=m.m1, m2=m.m2, avg_age=m.avg_age, avg_penalty=m.avg_penalty + 1.0,
-                per_state=m.per_state,
-            )
+            return dataclasses.replace(m, avg_penalty=m.avg_penalty + 1.0)
 
         monkeypatch.setattr(cli, "policy_metrics", skewed)
         code, _ = run(capsys, self.ARGV + ["--check"])

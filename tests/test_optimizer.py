@@ -182,3 +182,79 @@ def test_algorithm1_within_gap_of_joint_optimum_b5():
     ref = optimize_penalty(params, cfg())
     assert a1.gap_bound == pytest.approx(1 / 2**11)
     assert -1e-9 <= a1.objective - ref.objective <= a1.gap_bound
+
+
+# The finite-difference engine's algorithm1 objective at B = 4, mu = 1, default config.
+ALGORITHM1_B4_OBJECTIVE = 0.6023427657200854
+
+
+@pytest.fixture
+def metrics_calls(monkeypatch):
+    """One entry per policy_metrics call the optimizer makes."""
+    from aoiharvest import optimizer
+
+    calls = []
+    real = optimizer.policy_metrics
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "policy_metrics", counted)
+    return calls
+
+
+class TestObservability:
+    """Evaluation counts are machine-independent budgets (2x the measured count)."""
+
+    def test_optimize_penalty_budget_b4(self):
+        r = optimize_penalty(SystemParams(1.0, 4), OptimizerConfig())
+        assert 0 < r.evaluations <= 24  # measured 12; finite differences took 85
+        assert r.fixed_point_residual == abs(r.policy.tau_full - r.objective)
+        assert r.fixed_point_residual <= 1e-6
+
+    def test_algorithm1_budget_b4(self):
+        r = algorithm1(SystemParams(1.0, 4), OptimizerConfig())
+        assert 0 < r.evaluations <= 150  # measured 75; cold, unstopped tests took 832
+        assert r.fixed_point_residual == abs(r.policy.tau_full - r.objective)
+
+    def test_evaluations_count_policy_metrics_calls(self, metrics_calls):
+        params = SystemParams(1.0, 3)
+        for run in (algorithm1, optimize_penalty):
+            metrics_calls.clear()
+            assert run(params, OptimizerConfig()).evaluations == len(metrics_calls)
+
+    def test_grid_counts_every_vertex(self):
+        r = grid_search(SystemParams(1.0, 2), cfg(grid_points=5, grid_rounds=3))
+        assert r.evaluations == 3 * 5**2
+
+
+class TestAlgorithm1Bisection:
+    """Warm-started, witness-stopped tests decide every step as a cold full search does."""
+
+    @pytest.mark.parametrize("battery", [2, 3, 4, 5])
+    def test_trace_steps_hold_under_cold_search(self, battery):
+        params = SystemParams(1.0, battery)
+        config = OptimizerConfig()
+        r = algorithm1(params, config)
+        for lo, hi in r.trace:
+            assert inner_minimize(params, config, hi)[1] <= hi + 1e-9
+            if lo > 0.5:
+                assert inner_minimize(params, config, lo)[1] > lo + 1e-9
+
+    def test_b4_objective_unchanged(self):
+        r = algorithm1(SystemParams(1.0, 4), OptimizerConfig())
+        assert r.objective == pytest.approx(ALGORITHM1_B4_OBJECTIVE, rel=1e-12)
+
+    def test_feasible_stops_at_first_witness(self, metrics_calls):
+        # at tau_B = 1 the fixed start already has avg_age < 1
+        assert feasible(SystemParams(1.0, 4), OptimizerConfig(), 1.0)
+        assert len(metrics_calls) == 1
+
+
+def test_large_battery_certified():
+    config = OptimizerConfig()
+    r16 = optimize_penalty(SystemParams(1.0, 16), config)
+    r12 = optimize_penalty(SystemParams(1.0, 12), config)
+    assert r16.certified and r16.fixed_point_residual <= 1e-6
+    assert r16.objective < r12.objective

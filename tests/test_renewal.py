@@ -8,9 +8,11 @@ from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
     StepBreaksMonotonicity,
+    avg_penalty_gradient,
     conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
+    moment_derivatives,
     policy_metrics,
 )
 
@@ -205,3 +207,101 @@ class TestMomentDerivative:
         params, pol = make(1.0, [1.0, 1.0])
         with pytest.raises(StepBreaksMonotonicity):
             moment_derivative_check(params, pol, 2, 1e-5)
+
+
+PENALTIES = [IDENT, PenaltySpec.power(0.5), PenaltySpec.power(2.0)]
+PENALTY_IDS = ["id", "pow0.5", "pow2"]
+
+
+def difference_quotient(fn, taus, i, h):
+    """Derivative of fn in threshold i (0-based) by a second-order stencil.
+
+    Central where +-h keeps the thresholds monotone and non-negative,
+    otherwise one-sided into the monotone region (ties, tau_B = 0).
+    """
+
+    def at(step):
+        v = list(taus)
+        v[i] += step
+        return np.asarray(fn(Policy(tuple(v))), dtype=float)
+
+    up_ok = i == 0 or taus[i - 1] >= taus[i] + 2 * h
+    down_ok = taus[i] - 2 * h >= (taus[i + 1] if i + 1 < len(taus) else 0.0)
+    if up_ok and down_ok:
+        return (at(h) - at(-h)) / (2 * h)
+    if up_ok:
+        return (-3 * at(0.0) + 4 * at(h) - at(2 * h)) / (2 * h)
+    assert down_ok, "a threshold tied on both sides has no one-sided stencil"
+    return (3 * at(0.0) - 4 * at(-h) + at(-2 * h)) / (2 * h)
+
+
+GRADIENT_CASES = [
+    (1.0, [0.9]),
+    (0.8, [1.7, 0.6]),
+    (1.3, [2.4, 1.1, 0.5]),
+    (0.6, [6.0, 4.1, 3.3, 1.9, 0.8]),
+    (1.7, [2.2, 1.9, 1.5, 1.2, 1.0, 0.7, 0.4, 0.2]),
+    # ties and tau_B = 0: checked one-sided
+    (1.0, [1.5, 1.5, 0.7, 0.0]),
+    (2.0, [1.2, 0.9, 0.9, 0.4, 0.4]),
+    (0.9, [3.0, 2.5, 2.5, 2.0, 1.6, 1.6, 1.0, 0.3]),
+]
+
+
+class TestGradient:
+    """The exact threshold gradient against difference quotients of the evaluator."""
+
+    @pytest.mark.parametrize("mu,taus", GRADIENT_CASES)
+    @pytest.mark.parametrize("p", PENALTIES, ids=PENALTY_IDS)
+    def test_avg_penalty_gradient(self, mu, taus, p):
+        params, pol = make(mu, taus)
+        grad = avg_penalty_gradient(params, pol, p, policy_metrics(params, pol, p))
+        h = 1e-5 / mu
+        fd = [
+            difference_quotient(lambda q: policy_metrics(params, q, p).avg_penalty, taus, i, h)
+            for i in range(len(taus))
+        ]
+        assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("mu,taus", GRADIENT_CASES)
+    @pytest.mark.parametrize("p", PENALTIES, ids=PENALTY_IDS)
+    def test_moment_derivatives(self, mu, taus, p):
+        params, pol = make(mu, taus)
+        d = moment_derivatives(params, pol, p)
+        h = 1e-5 / mu
+
+        def moments(q):
+            cm = conditional_moments(params, q, p)
+            return np.stack([cm.ex, cm.ex2, cm.epx])
+
+        for i in range(len(taus)):
+            fd = difference_quotient(moments, taus, i, h)
+            exact = np.stack([d.ex[:, i], d.ex2[:, i], d.epx[:, i]])
+            assert np.abs(exact - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max()), f"tau_{i + 1}"
+
+    @pytest.mark.parametrize("mu,taus", GRADIENT_CASES)
+    def test_second_moment_identity(self, mu, taus):
+        # d E[X^2|j] = 2 tau_i d E[X|j], to rounding
+        params, pol = make(mu, taus)
+        d = moment_derivatives(params, pol, IDENT)
+        assert np.allclose(d.ex2, 2.0 * np.asarray(taus) * d.ex, rtol=1e-15, atol=0.0)
+        assert np.allclose(d.epx, d.ex2 / 2.0, rtol=1e-15, atol=0.0)
+
+    def test_b1_closed_form(self):
+        # avg_age = (tau^2 + (2/mu^2 + 2 tau/mu) e^{-mu tau}) / (2 (tau + e^{-mu tau}/mu))
+        params, pol = make(1.0, [1.0])
+        m = policy_metrics(params, pol)
+        e = math.exp(-1.0)
+        d_num = (2.0 + 2.0 * e - 4.0 * e) / 2.0  # derivative of E[X^2]/2 at tau = 1
+        d_m1 = 1.0 - e
+        want = (d_num - m.avg_age * d_m1) / m.m1
+        assert avg_penalty_gradient(params, pol, IDENT, m)[0] == pytest.approx(want, rel=1e-13)
+
+    def test_tau_b_moves_no_stationary_mass(self):
+        # pi does not depend on tau_B, so its gradient entry is moments alone
+        params, pol = make(1.0, [1.5, 0.72])
+        m = policy_metrics(params, pol)
+        pi = np.asarray(m.pi)
+        d = moment_derivatives(params, pol, IDENT)
+        want = (pi @ d.epx[:, -1] - m.avg_penalty * (pi @ d.ex[:, -1])) / m.m1
+        assert avg_penalty_gradient(params, pol, IDENT, m)[-1] == pytest.approx(want, rel=1e-14)
