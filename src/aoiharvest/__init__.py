@@ -28,6 +28,7 @@ from .optimizer import (
 from .renewal import (
     ConditionalMoments,
     avg_penalty_gradient,
+    bellman_levels,
     conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
@@ -54,6 +55,7 @@ __all__ = [
     "b1_average_age",
     "b1_optimal",
     "b2_average_age",
+    "bellman_levels",
     "conditional_moments",
     "feasible",
     "grid_search",

@@ -6,7 +6,8 @@ sweeps), simulate (seeded Monte Carlo, optionally cross-checked against
 the analytic evaluator), table1 (optimal thresholds for B = 1..4 at
 mu = 1 next to the published reference values).
 
-Exit codes: 0 success, 2 validation failure, 3 search budget exceeded,
+Exit codes: 0 success, 2 validation failure (also an unwritable --output
+file, or a result outside double range), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
 JSON output is deterministic for fixed flags and seed; CSV uses a fixed
@@ -21,6 +22,7 @@ import sys
 
 import numpy as np
 
+from .chain import SingularSystem
 from .chain import stationary, transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, PolicyError, policy_to_json, validate_policy, SystemParams
 from .optimizer import (
@@ -61,6 +63,11 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _dumps(payload) -> str:
+    """Deterministic JSON; a non-finite number raises ValueError instead of printing NaN."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
 def _out(args, text: str):
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -76,7 +83,7 @@ def cmd_evaluate(args) -> int:
     m = policy_metrics(params, policy, p)
     _out(
         args,
-        json.dumps(
+        _dumps(
             {
                 "mu_h": params.mu_h,
                 "battery": params.battery,
@@ -87,8 +94,7 @@ def cmd_evaluate(args) -> int:
                 "avg_penalty": m.avg_penalty,
                 "per_state": [list(t) for t in m.per_state],
                 "stationary": list(m.pi),
-            },
-            sort_keys=True,
+            }
         ),
     )
     return 0
@@ -117,7 +123,7 @@ def cmd_optimize(args) -> int:
     result = _run_optimizer(args.mode, params, config)
     _out(
         args,
-        json.dumps(
+        _dumps(
             {
                 "mode": args.mode,
                 "mu_h": params.mu_h,
@@ -127,8 +133,7 @@ def cmd_optimize(args) -> int:
                 "gap_bound": result.gap_bound,
                 "certified": result.certified,
                 "trace": [list(t) for t in result.trace],
-            },
-            sort_keys=True,
+            }
         ),
     )
     return 0
@@ -138,7 +143,7 @@ def cmd_sweep(args) -> int:
     if args.fig in (5, 6):
         return _sweep_fig(args)
     mus = _parse_floats(args.mu)
-    batteries = [int(b) for b in _parse_floats(args.battery)]
+    batteries = [int(tok) for tok in args.battery.split(",") if tok.strip() != ""]
     if not mus or not batteries:
         raise ValueError("empty sweep ranges")
     bmax = max(batteries)
@@ -157,6 +162,8 @@ def cmd_sweep(args) -> int:
 
 def _sweep_fig(args) -> int:
     """Average-age surfaces for B = 2: one curve per fixed threshold."""
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     mu = float(_parse_floats(args.mu)[0])
     params = SystemParams(mu_h=mu, battery=2)
     rows = ["tau_1,tau_2,avg_age"]
@@ -184,8 +191,7 @@ def cmd_simulate(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     p = _parse_penalty(args)
     if args.optimal:
-        config = OptimizerConfig(refine_tol=args.refine_tol, penalty=p)
-        policy = optimize_penalty(params, config).policy
+        policy = optimize_penalty(params, OptimizerConfig(penalty=p)).policy
     elif args.thresholds:
         policy = validate_policy(params, _parse_floats(args.thresholds))
     else:
@@ -211,7 +217,7 @@ def cmd_simulate(args) -> int:
         payload["z_score"] = z
         if z > 4.0:
             code = EXIT_CHECK
-    _out(args, json.dumps(payload, sort_keys=True))
+    _out(args, _dumps(payload))
     return code
 
 
@@ -221,8 +227,7 @@ def cmd_table1(args) -> int:
     ]
     for b in range(1, 5):
         params = SystemParams(mu_h=1.0, battery=b)
-        config = OptimizerConfig(refine_tol=args.refine_tol, penalty=PenaltySpec.identity())
-        result = optimize_penalty(params, config)
+        result = optimize_penalty(params, OptimizerConfig())
         ref_taus, ref_age = REFERENCE_TABLE[b]
         taus = ", ".join(f"{t:.4f}" for t in result.policy.thresholds)
         refs = ", ".join(f"{t:g}" for t in ref_taus)
@@ -240,16 +245,17 @@ def _add_penalty_flags(sp):
     sp.add_argument("--coeff", type=float, default=1.0, help="power penalty coefficient")
 
 
-def _add_refine_tol_flag(sp):
-    sp.add_argument("--refine-tol", type=float, default=1e-6)
-
-
 def _add_optimizer_flags(sp):
     sp.add_argument("--q", type=int, default=10, help="bisection iterations")
     sp.add_argument(
         "--grid-points", type=int, default=15, help="grid points per axis (--mode grid only)"
     )
-    _add_refine_tol_flag(sp)
+    sp.add_argument(
+        "--refine-tol",
+        type=float,
+        default=1e-6,
+        help="fixed-point certificate tolerance, relative to max(1, objective) (--mode penalty only)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,12 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--warmup", type=int, default=1000)
     sp.add_argument("--check", action="store_true", help="cross-check against analytic metrics")
     _add_penalty_flags(sp)
-    _add_refine_tol_flag(sp)
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("table1", help="optimal thresholds for B=1..4 at mu=1")
-    _add_refine_tol_flag(sp)
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_table1)
 
@@ -316,7 +320,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PolicyError, ValueError) as exc:
+    except (PolicyError, ValueError, OSError, OverflowError, SingularSystem) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

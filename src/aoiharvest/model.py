@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 
 class PolicyError(ValueError):
@@ -162,6 +164,26 @@ class PenaltySpec:
             raise NegativeAge("age must be non-negative")
         return sum(c * x ** (a + 1) / (a + 1) for c, a in self.terms)
 
+    def inverse(self, y):
+        """Smallest x >= 0 with p(x) >= y, elementwise; 0 where y <= p(0).
+
+        Exact for one positive power; a sum of several is bisected between
+        bounds that bracket its root: no term alone can exceed the rise
+        y - p(0), and the largest of n terms supplies at least 1/n of it.
+        """
+        rise = np.maximum(np.asarray(y, dtype=float) - sum(c for c, a in self.terms if a == 0), 0.0)
+        powers = [(c, a) for c, a in self.terms if a > 0]
+        hi = np.min([(rise / c) ** (1.0 / a) for c, a in powers], axis=0)
+        lo = np.min([(rise / (len(powers) * c)) ** (1.0 / a) for c, a in powers], axis=0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not ((lo < mid) & (mid < hi)).any():
+                break
+            above = sum(c * mid**a for c, a in powers) >= rise
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        return hi
+
 
 @dataclass(frozen=True)
 class PolicyMetrics:
@@ -169,7 +191,8 @@ class PolicyMetrics:
 
     per_state[j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
     battery level j, where X is the inter-update time and P the penalty
-    antiderivative; pi[j] is the stationary probability of level j.
+    antiderivative; pi[j] is the stationary probability of level j, and
+    transition holds the battery chain's (read-only) transition matrix.
     """
 
     m1: float
@@ -178,3 +201,4 @@ class PolicyMetrics:
     avg_penalty: float
     per_state: tuple[tuple[float, float, float], ...]
     pi: tuple[float, ...]
+    transition: np.ndarray = field(compare=False, repr=False)

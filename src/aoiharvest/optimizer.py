@@ -1,30 +1,34 @@
 """Threshold policy optimization.
 
-One search engine, ``_Search`` (bounded L-BFGS-B with exact gradients),
-behind two optimizers:
+One search engine, ``_Search``: Howard's policy iteration for the
+semi-Markov decision problem (Puterman 1994, ch. 11). An evaluation gives
+the average penalty gamma and, from one more linear solve, the relative
+values h of the post-update battery levels; the improvement step then sets
+every threshold at once from its Bellman condition
+
+    p(tau_i) = gamma + mu_h (h_{i-1} - h_i)   (i < B),   p(tau_B) = gamma,
+
+the one-step-lookahead stopping rule at each battery level: wait while the
+penalty is below the average cost plus the value of one more stored unit.
+The paper's fixed point p(tau_B*) = gamma* is the i = B case. Two
+optimizers use it:
 
 * ``algorithm1``, a bisection on the full-battery threshold whose
-  feasibility test minimizes over the upper thresholds at fixed tau_B. It
-  rests on the structural result that a monotone solution of the moment
-  condition 2 tau_B m1 = m2 exists iff tau_B is at least the optimal
-  average age, which yields a certified optimality gap of
+  feasibility test minimizes over the upper thresholds at fixed tau_B
+  (the same iteration with tau_B held and every tau_i kept at or above
+  it). It rests on the structural result that a monotone solution of the
+  moment condition 2 tau_B m1 = m2 exists iff tau_B is at least the
+  optimal average age, which yields a certified optimality gap of
   1 / (2^{q+1} mu_h) after q iterations. Each test starts from the gaps
   the previous one ended at and stops at the first policy whose average
   age is at most tau_B, a witness of feasibility; only the final search at
   the feasible endpoint runs to convergence;
-* ``optimize_penalty``, a joint minimization over all thresholds for any
-  power penalty, certified by the fixed-point property
+* ``optimize_penalty``, the iteration over all thresholds for any power
+  penalty, certified by the fixed-point property
   p(tau_B) = optimal average penalty.
 
-``grid_search``, an exhaustive zoomed grid, is the oracle both are checked
-against.
-
-Thresholds are searched as (tau_B, gaps): tau_{i} = tau_{i+1} + d_i with
-d_i >= 0, so monotonicity holds by construction and ties (empty
-intervals) sit on the search-space boundary. The gradient in
-(tau_1..tau_B) comes from ``renewal.avg_penalty_gradient``; since every
-tau_i moves with tau_B and with the gaps d_k for k >= i, the gradient in
-d_k is the sum of the first k entries and the one in tau_B the total.
+``grid_search``, an exhaustive zoomed grid over (tau_B, gaps) with
+tau_i = tau_{i+1} + d_i, is the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -34,14 +38,24 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import PenaltySpec, Policy, SystemParams, validate_policy
-from .renewal import avg_penalty_gradient, policy_metrics
+from .renewal import bellman_levels, policy_metrics
 
-# Largest gap on the grid oracle's axes, in units of 1/mu_h; the engine's
-# bounds allow twice that.
+# Largest gap on the grid oracle's axes, in units of 1/mu_h.
 UPPER_CAP_FACTOR = 10.0
+# Policy iteration stops once no threshold moves more than STEP_TOL / mu_h:
+# above the evaluator's rounding noise, where at large B tighter tolerances
+# see steps wander instead of shrink, and far below any reported digit.
+STEP_TOL = 1e-10
+MAX_ITERATIONS = 100
+# Objectives closer than this, relative, are equal: the evaluator's rounding
+# grows with B (3e-14 at B = 64), while a step whose Bellman residual is
+# still 1e-7 lowers the objective by about 1e-14 more.
+OBJECTIVE_TIE = 1e-12
+# The bisection bracket [1/(2 mu), 1/mu] has width 2^-(q+1) / mu after q
+# steps; past about 52 its midpoint rounds onto an endpoint.
+MAX_Q = 50
 
 
 class BudgetExceeded(RuntimeError):
@@ -61,8 +75,10 @@ class OptimizerConfig:
     grid_rounds: int = 6
 
     def __post_init__(self):
-        if self.q < 1 or self.grid_points < 2 or self.refine_tol <= 0:
-            raise ValueError("invalid optimizer configuration")
+        if not 1 <= self.q <= MAX_Q or self.grid_points < 2:
+            raise ValueError(f"need 1 <= q <= {MAX_Q} and grid_points >= 2")
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+            raise ValueError(f"refine_tol must be positive and finite, got {self.refine_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,10 @@ class OptimizationResult:
     """An optimizer's answer and how it got there.
 
     evaluations counts the policies evaluated; fixed_point_residual is
-    |p(tau_B) - objective|, which vanishes at the optimum.
+    |p(tau_B) - objective| and bellman_residual the largest
+    |p(tau_i) - level_i| over the B Bellman conditions
+    (renewal.bellman_levels) at the returned policy; both vanish at the
+    optimum. stop_reason says why the last search stopped.
     """
 
     policy: Policy
@@ -80,6 +99,8 @@ class OptimizationResult:
     certified: bool = True
     evaluations: int = 0
     fixed_point_residual: float = math.nan
+    stop_reason: str = ""
+    bellman_residual: float = math.nan
 
 
 def _build_thresholds(tau_b: float, gaps) -> tuple[float, ...]:
@@ -125,12 +146,6 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
     return best_taus, best_val
 
 
-def _result(params, config, taus, objective, **fields) -> OptimizationResult:
-    policy = validate_policy(params, taus)
-    residual = abs(config.penalty(policy.tau_full) - objective)
-    return OptimizationResult(policy=policy, objective=objective, fixed_point_residual=residual, **fields)
-
-
 def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
     """Exhaustive zoomed grid over tau_B in [1/(2mu), 1/mu] and gaps.
 
@@ -146,83 +161,90 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
     taus, val = _zoomed_grid(
         params, config.penalty, lows, highs, bounds, config.grid_points, config.grid_rounds
     )
-    evaluations = config.grid_rounds * config.grid_points**B
-    return _result(params, config, taus, val, gap_bound=None, trace=(), evaluations=evaluations)
+    return OptimizationResult(
+        policy=validate_policy(params, taus),
+        objective=val,
+        gap_bound=None,
+        trace=(),
+        evaluations=config.grid_rounds * config.grid_points**B,
+        fixed_point_residual=abs(config.penalty(taus[-1]) - val),
+        stop_reason="grid exhausted",
+    )
 
 
-class _Witness(Exception):
-    """A policy whose objective reached the stop level ends the search."""
+@dataclass(frozen=True)
+class _Point:
+    """An evaluated policy: thresholds, objective and Bellman levels."""
 
-    def __init__(self, x, value):
-        super().__init__()
-        self.x, self.value = x, value
+    taus: tuple[float, ...]
+    objective: float
+    levels: np.ndarray
 
 
 class _Search:
-    """Bounded L-BFGS-B minimization of the average penalty, exact gradients.
+    """Policy iteration on the per-level Bellman conditions.
 
-    Searches (tau_B, gaps) jointly, or the gaps alone when tau_b is fixed.
-    The first run starts from one fixed point, every later one from the
-    gaps the previous run ended at; the start and the box scale with
-    1/mu_h. ``evaluations`` counts the policies evaluated over all runs.
+    Each iteration evaluates the policy (one policy_metrics call and one
+    solve for the relative values) and moves every threshold to the age at
+    which the penalty reaches its Bellman level, tau_i = p^{-1}(level_i).
+    With tau_b fixed, tau_B stays put. Every threshold is kept at or above
+    the one below it, so the policy stays monotone. The first run starts
+    from one fixed point, every later one from the gaps the previous run
+    ended at; the start scales with 1/mu_h. ``evaluations`` counts the
+    policies evaluated over all runs, ``stop_reason`` says why the last
+    run stopped.
     """
 
     def __init__(self, params: SystemParams, config: OptimizerConfig):
         self.params = params
         self.penalty = config.penalty
-        self.tol = config.refine_tol
         self.gaps = np.full(params.battery - 1, 0.4 / params.mu_h)
         self.evaluations = 0
+        self.stop_reason = ""
 
-    def _metrics(self, taus):
+    def _evaluate(self, taus) -> _Point:
         self.evaluations += 1
-        policy = Policy(taus)
-        return policy, policy_metrics(self.params, policy, self.penalty)
+        m = policy_metrics(self.params, Policy(taus), self.penalty)
+        return _Point(taus, m.avg_penalty, bellman_levels(self.params, m))
 
-    def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> tuple[tuple[float, ...], float]:
-        """Minimize; returns (tau_1..tau_B, objective).
+    def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> _Point:
+        """Iterate to the optimum; returns the best policy evaluated.
 
-        Stops at the first evaluated policy whose objective is at most
-        stop_at and returns that policy.
+        Stops when no threshold moves more than STEP_TOL / mu_h, when the
+        objective stops falling by more than OBJECTIVE_TIE, or at the first
+        evaluated policy whose objective is at most stop_at.
         """
-        mu = self.params.mu_h
-        ngaps = self.params.battery - 1
-        bounds = [(0.0, 2.0 * UPPER_CAP_FACTOR / mu)] * ngaps
-        x0 = self.gaps
-        if tau_b is None:
-            x0 = np.concatenate(([0.75 / mu], x0))
-            bounds = [(1e-9 / mu, 4.0 / mu)] + bounds
-        elif tau_b <= 0:
+        if tau_b is not None and tau_b <= 0:
             raise ValueError("tau_b must be positive")
-
-        def thresholds(v):
-            return _build_thresholds(v[0], v[1:]) if tau_b is None else _build_thresholds(tau_b, v)
-
-        def fun(v):
-            policy, m = self._metrics(thresholds(v))
-            if m.avg_penalty <= stop_at:
-                raise _Witness(v.copy(), m.avg_penalty)
-            # tau_B moves every tau_i, gap d_k moves tau_1..tau_k
-            csum = np.cumsum(avg_penalty_gradient(self.params, policy, self.penalty, m))
-            return m.avg_penalty, np.roll(csum, 1) if tau_b is None else csum[:-1]
-
-        if len(x0) == 0:  # B = 1 at fixed tau_B: nothing to search
-            x, val = x0, self._metrics((tau_b,))[1].avg_penalty
-        else:
-            try:
-                res = minimize(
-                    fun,
-                    x0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"ftol": 1e-15, "gtol": 1e-4 * self.tol},
-                )
-                x, val = res.x, float(res.fun)
-            except _Witness as w:
-                x, val = w.x, w.value
-        self.gaps = x[len(x) - ngaps :]
-        return thresholds(x), val
+        mu = self.params.mu_h
+        taus = _build_thresholds(0.75 / mu if tau_b is None else tau_b, self.gaps)
+        best = None
+        self.stop_reason = "iteration limit"
+        for _ in range(MAX_ITERATIONS):
+            point = self._evaluate(taus)
+            tie = 0.0 if best is None else OBJECTIVE_TIE * abs(best.objective)
+            falling = best is None or point.objective < best.objective - tie
+            if falling or point.objective <= best.objective + tie:
+                best = point  # on a tie the later point, nearer the fixed point
+            if not falling:
+                self.stop_reason = "objective stopped falling"
+                break
+            if point.objective <= stop_at:
+                self.stop_reason = "witness"
+                break
+            improved = self.penalty.inverse(point.levels)
+            if tau_b is not None:
+                improved[-1] = tau_b
+            improved = np.maximum.accumulate(improved[::-1])[::-1]  # tau_i >= tau_{i+1}
+            if not np.isfinite(improved).all():
+                self.stop_reason = "non-finite thresholds"
+                break
+            if np.abs(improved - taus).max() <= STEP_TOL / mu:
+                self.stop_reason = "converged"
+                break
+            taus = tuple(improved.tolist())
+        self.gaps = np.diff(best.taus[::-1])[::-1]
+        return best
 
 
 def inner_minimize(
@@ -232,8 +254,8 @@ def inner_minimize(
 
     Returns (tau_1..tau_{B-1}, objective).
     """
-    taus, val = _Search(params, config).run(tau_b)
-    return taus[:-1], val
+    point = _Search(params, config).run(tau_b)
+    return point.taus[:-1], point.objective
 
 
 def feasible(
@@ -248,13 +270,26 @@ def feasible(
     first one. ``search`` carries the warm start from test to test.
     """
     level = tau_b + 1e-9
-    _, val = (search or _Search(params, config)).run(tau_b, stop_at=level)
-    return val <= level
+    return (search or _Search(params, config)).run(tau_b, stop_at=level).objective <= level
 
 
 def _require_identity(config: OptimizerConfig):
     if config.penalty.terms != ((1.0, 1.0),):
         raise ValueError("the bisection gap certificate holds for the identity penalty only")
+
+
+def _result(params, config, search: _Search, point: _Point, **fields) -> OptimizationResult:
+    policy = validate_policy(params, point.taus)
+    p_taus = config.penalty(np.asarray(policy.thresholds))
+    return OptimizationResult(
+        policy=policy,
+        objective=point.objective,
+        evaluations=search.evaluations,
+        fixed_point_residual=abs(float(p_taus[-1]) - point.objective),
+        stop_reason=search.stop_reason,
+        bellman_residual=float(np.abs(p_taus - point.levels).max()),
+        **fields,
+    )
 
 
 def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
@@ -279,25 +314,19 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
         else:
             lo = mid
         trace.append((lo, hi))
-    taus, val = search.run(hi)
+    point = search.run(hi)
     return _result(
-        params,
-        config,
-        taus,
-        val,
-        gap_bound=1.0 / (2.0 ** (config.q + 1) * mu),
-        trace=tuple(trace),
-        evaluations=search.evaluations,
+        params, config, search, point, gap_bound=1.0 / (2.0 ** (config.q + 1) * mu), trace=tuple(trace)
     )
 
 
 def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
-    """Joint minimization over all thresholds for any supported penalty.
+    """Policy iteration over all thresholds for any supported penalty.
 
-    Certified by the fixed point |p(tau_B) - objective| <= 10 * refine_tol.
+    Certified by the fixed point
+    |p(tau_B) - objective| <= 10 * refine_tol * max(1, objective).
     """
     search = _Search(params, config)
-    taus, val = search.run()
-    result = _result(params, config, taus, val, gap_bound=None, trace=(), evaluations=search.evaluations)
-    certified = result.fixed_point_residual <= 10.0 * config.refine_tol
+    result = _result(params, config, search, search.run(), gap_bound=None, trace=())
+    certified = result.fixed_point_residual <= 10.0 * config.refine_tol * max(1.0, result.objective)
     return replace(result, certified=certified)

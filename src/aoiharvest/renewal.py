@@ -21,7 +21,16 @@ Threshold derivatives are endpoint terms by Leibniz's rule: tau_i < tau_B
 ends piece i+1 and starts piece i, so d E[f(X)|j] / d tau_i is
 f(tau_i) Pr(N(mu tau_i) = i-j) for i >= j and 0 for i < j, and tau_B ends
 the head, so d E[f(X)|j] / d tau_B is f(tau_B) Pr(Y_{B-j} <= tau_B).
-avg_penalty_gradient combines them with d pi from the chain.
+
+The per-level Bellman conditions of the semi-Markov decision problem come
+from the relative values h of the per-renewal cost
+c_j = E[P(X)|j] - gamma E[X|j], gamma the average penalty: updating at
+battery level i < B is worth it once p(age) reaches
+gamma + mu_h (h_{i-1} - h_i), the running cost of waiting against the value
+of one more stored unit, and at level B once p(age) reaches gamma.
+bellman_levels gives these B levels. The exact gradient factors through
+them: d avg_penalty / d tau_i = w_i (p(tau_i) - level_i) / m1 with
+w_i = sum_j pi_j d E[X|j] / d tau_i >= 0.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import stationary, stationary_derivative, transition_matrix
+from .chain import relative_values, stationary, transition_matrix
 from .erlang import INF, ErlangKernel, erlang_cdf, weighted_prefix
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
@@ -107,7 +116,8 @@ def policy_metrics(
     if p is None:
         p = PenaltySpec.identity()
     cm = conditional_moments(params, policy, p)
-    pi = stationary(transition_matrix(params, policy)).pi
+    chain = transition_matrix(params, policy)
+    pi = stationary(chain).pi
     m1 = float(pi @ cm.ex)
     m2 = float(pi @ cm.ex2)
     avg_age = m2 / (2.0 * m1)
@@ -116,7 +126,13 @@ def policy_metrics(
         (float(cm.ex[j]), float(cm.ex2[j]), float(cm.epx[j])) for j in range(params.battery)
     )
     return PolicyMetrics(
-        m1=m1, m2=m2, avg_age=avg_age, avg_penalty=avg_penalty, per_state=per_state, pi=tuple(pi.tolist())
+        m1=m1,
+        m2=m2,
+        avg_age=avg_age,
+        avg_penalty=avg_penalty,
+        per_state=per_state,
+        pi=tuple(pi.tolist()),
+        transition=chain.entries,
     )
 
 
@@ -144,25 +160,29 @@ def moment_derivatives(params: SystemParams, policy: Policy, p: PenaltySpec) -> 
     return ConditionalMoments(K, K * (2.0 * taus), K * p(taus))
 
 
+def bellman_levels(params: SystemParams, metrics: PolicyMetrics) -> np.ndarray:
+    """Penalty levels at which updating pays off, per battery level 1..B.
+
+    Entry i-1 is gamma + mu_h (h_{i-1} - h_i) for i < B and gamma for i = B,
+    from metrics = policy_metrics(params, policy, p): its chain and one
+    solve for the relative values h.
+    """
+    ex, _, epx = np.asarray(metrics.per_state).T
+    gamma = metrics.avg_penalty
+    h = relative_values(metrics.transition, epx - gamma * ex)
+    return gamma + params.mu_h * np.append(h[:-1] - h[1:], 0.0)
+
+
 def avg_penalty_gradient(
     params: SystemParams, policy: Policy, p: PenaltySpec, metrics: PolicyMetrics
 ) -> np.ndarray:
     """d avg_penalty / d tau_i for i = 1..B, given policy_metrics(params, policy, p).
 
-    With N = pi . E[P(X)|.] and m1 = pi . E[X|.], avg_penalty = N / m1 and
-    d avg_penalty = (dN - avg_penalty dm1) / m1, where pi moves with
-    tau_1..tau_{B-1} through the chain and not with tau_B.
+    The adjoint form w_i (p(tau_i) - level_i) / m1 of the module docstring:
+    one solve for the relative values, on the chain that metrics holds.
     """
-    d = moment_derivatives(params, policy, p)
-    pi = np.asarray(metrics.pi)
-    ex, _, epx = np.asarray(metrics.per_state).T
-    # d C[j, i] / d tau_i is the Erlang-(1+i-j) density at tau_i, mu d E[X|j] / d tau_i
-    dcdf = params.mu_h * d.ex[:, :-1]
-    dpi = np.zeros((params.battery, params.battery))
-    dpi[:, :-1] = stationary_derivative(transition_matrix(params, policy), pi, dcdf)
-    d_num = pi @ d.epx + epx @ dpi
-    d_m1 = pi @ d.ex + ex @ dpi
-    return (d_num - metrics.avg_penalty * d_m1) / metrics.m1
+    w = np.asarray(metrics.pi) @ moment_derivatives(params, policy, p).ex
+    return w * (p(np.asarray(policy.thresholds)) - bellman_levels(params, metrics)) / metrics.m1
 
 
 def moment_derivative_check(

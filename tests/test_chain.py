@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aoiharvest.chain import stationary, transition_matrix
+from aoiharvest.chain import relative_values, stationary, transition_matrix
 from aoiharvest.erlang import ErlangKernel, erlang_cdf
 from aoiharvest.model import SystemParams, validate_policy
 
@@ -93,3 +93,16 @@ class TestStationary:
         pi = stationary(tm).pi
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(pi @ tm.entries - pi).max() <= 1e-10
+
+
+class TestRelativeValues:
+    @pytest.mark.parametrize("taus", [[0.9], [1.5, 0.72], [2.5, 1.8, 1.1, 0.6, 0.4], [1.0, 1.0, 1.0, 0.3]])
+    def test_solves_poisson_equation(self, taus):
+        params, pol = make(1.3, taus)
+        tm = transition_matrix(params, pol)
+        T, pi = tm.entries, stationary(tm).pi
+        c = np.linspace(-1.0, 2.0, len(taus))
+        c -= pi @ c  # the equation has a solution iff pi . c = 0
+        h = relative_values(T, c)
+        assert h[-1] == 0.0
+        assert np.abs(h - T @ h - c).max() <= 1e-12

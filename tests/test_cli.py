@@ -72,6 +72,12 @@ class TestEvaluate:
         payload = json.loads(target.read_text())
         assert payload["battery"] == 1
 
+    def test_unwritable_output_exit_code(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code = cli.main(["evaluate", "--mu", "1", "--battery", "1", "--thresholds", "0.9", "--output", str(target)])
+        assert code == cli.EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_ignores_grid_points_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("AOIHARVEST_GRID_POINTS", "abc")
         code, out = run(
@@ -120,6 +126,42 @@ class TestOptimize:
         )
         assert code == cli.EXIT_BUDGET
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # inf certified the unoptimized start point; nan was accepted
+            ["--battery", "4", "--mode", "penalty", "--refine-tol", "inf"],
+            ["--battery", "4", "--mode", "penalty", "--refine-tol", "nan"],
+            # past q = 50 the bisection bracket stops halving; 2000 overflowed
+            ["--battery", "2", "--q", "2000"],
+            ["--battery", "2", "--q", "51"],
+        ],
+        ids=["refine-tol-inf", "refine-tol-nan", "q-2000", "q-51"],
+    )
+    def test_bad_optimizer_config_exit_code(self, capsys, flags):
+        code = cli.main(["optimize", "--mu", "1"] + flags)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_result_outside_double_range_exit_code(self, capsys):
+        # mu = 1e-300 puts every threshold near 1e300; it printed "objective": NaN
+        code = cli.main(["optimize", "--mu", "1e-300", "--battery", "2", "--mode", "penalty"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_result_is_not_printed(self, capsys):
+        # the objective of this start point is NaN; it was printed as "objective": NaN
+        argv = ["optimize", "--mu", "0.05", "--battery", "2", "--mode", "penalty"]
+        code, out = run(capsys, argv + ["--penalty", "power", "--exponent", "200"])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+
 
 class TestSweep:
     def test_csv_shape(self, capsys):
@@ -156,6 +198,16 @@ class TestSweep:
     def test_fig6_requires_tau1(self, capsys):
         code, _ = run(capsys, ["sweep", "--fig", "6", "--mu", "1", "--points", "5"])
         assert code == cli.EXIT_VALIDATION
+
+    def test_fractional_battery_exit_code(self, capsys):
+        # it ran B = 1 silently
+        code, out = run(capsys, ["sweep", "--battery", "1.5"])
+        assert code == cli.EXIT_VALIDATION and out == ""
+
+    def test_no_points_exit_code(self, capsys):
+        # it printed a header-only CSV with exit code 0
+        code, out = run(capsys, ["sweep", "--fig", "5", "--tau2", "0.5", "--points", "0"])
+        assert code == cli.EXIT_VALIDATION and out == ""
 
 
 class TestSimulate:
@@ -215,6 +267,18 @@ class TestSimulate:
 )
 def test_penalty_only_commands_reject_search_flags(capsys, argv):
     # table1 and simulate --optimal run optimize_penalty, which reads neither flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table1", "--refine-tol", "1e-3"], ["simulate", "--mu", "1", "--battery", "1", "--optimal", "--refine-tol", "1e-3"]],
+)
+def test_commands_without_a_certificate_reject_refine_tol(capsys, argv):
+    # refine_tol sets only optimize_penalty's certificate, which neither command reports
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_VALIDATION

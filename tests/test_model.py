@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +118,32 @@ class TestPenalty:
         mid = p.antiderivative(y) - p.antiderivative(x)
         slack = 1e-9 * max(1.0, hi)
         assert lo - slack <= mid <= hi + slack
+
+
+class TestPenaltyInverse:
+    def test_single_power_closed_form(self):
+        assert PenaltySpec.identity().inverse(0.72) == 0.72
+        assert PenaltySpec.power(2.0, 3.0).inverse(12.0) == pytest.approx(2.0, rel=1e-15)
+        assert PenaltySpec.power(0.5).inverse(3.0) == pytest.approx(9.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            PenaltySpec(((0.3, 0.0), (1.0, 3.0))),
+            PenaltySpec(((1.0, 0.0), (2.0, 0.5), (0.5, 2.0))),
+            PenaltySpec(((1e-6, 40.0), (1.0, 1.0))),
+        ],
+    )
+    def test_sum_of_powers_is_a_monotone_root(self, p):
+        y = np.array([0.31, 1.0, 1.5, 10.0, 1e6])
+        x = p.inverse(y)
+        hit = y > p(0.0)
+        assert np.all(np.diff(x) >= 0) and np.all(x[~hit] == 0.0)
+        assert np.allclose(p(x[hit]), y[hit], rtol=1e-13, atol=0.0)
+
+    def test_below_the_constant_term_is_zero(self):
+        p = PenaltySpec(((0.5, 0.0), (1.0, 1.0)))
+        assert np.array_equal(p.inverse(np.array([0.0, 0.5, 0.25])), np.zeros(3))
 
 
 def test_policy_json_roundtrip(params2):

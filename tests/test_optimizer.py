@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from aoiharvest import optimizer
 from aoiharvest.model import PenaltySpec, Policy, SystemParams
 from aoiharvest.optimizer import (
     BudgetExceeded,
@@ -15,6 +21,7 @@ from aoiharvest.optimizer import (
 from aoiharvest.renewal import policy_metrics
 
 TAU_STAR_B1 = 0.901201031729666  # 2 W(1/sqrt 2)
+SRC = pathlib.Path(optimizer.__file__).resolve().parents[1]
 
 
 def cfg(**kw):
@@ -135,9 +142,9 @@ class TestOptimizePenalty:
     @pytest.mark.parametrize("battery", [4, 6])
     @pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0])
     def test_single_start_matches_multi_start(self, battery, exponent):
-        # L-BFGS-B is a local method: its one fixed start must do at least
-        # as well as the best of four seeded random starts of the same
-        # bounded search over (tau_B, gaps).
+        # The optimizer's one fixed start must do at least as well as the
+        # best of four seeded random starts of a bounded L-BFGS-B search
+        # over (tau_B, gaps), an oracle independent of policy iteration.
         params = SystemParams(1.0, battery)
         pen = PenaltySpec.identity() if exponent == 1.0 else PenaltySpec.power(exponent)
         r = optimize_penalty(params, cfg(penalty=pen))
@@ -258,3 +265,34 @@ def test_large_battery_certified():
     r12 = optimize_penalty(SystemParams(1.0, 12), config)
     assert r16.certified and r16.fixed_point_residual <= 1e-6
     assert r16.objective < r12.objective
+
+
+class TestPolicyIteration:
+    def test_battery_32_certified_within_budget(self):
+        r = optimize_penalty(SystemParams(1.0, 32), OptimizerConfig())
+        assert r.certified and r.stop_reason in ("converged", "objective stopped falling")
+        assert r.bellman_residual <= 1e-10
+        assert r.fixed_point_residual <= 1e-10
+        assert 0 < r.evaluations <= 30  # measured 10; L-BFGS-B took 592
+
+    @pytest.mark.parametrize("exponent", [10.0, 40.0])
+    def test_steep_power_penalty_certified(self, exponent):
+        # the certificate scales with the objective: 26002 at power 10, 1.9e40 at 40
+        r = optimize_penalty(SystemParams(1.0, 2), cfg(penalty=PenaltySpec.power(exponent)))
+        assert r.certified
+        assert r.fixed_point_residual <= 1e-8 * r.objective
+        if exponent == 40.0:
+            # the L-BFGS-B search, boxed at tau_B <= 4/mu, stopped at 4.64e40
+            assert r.objective < 4.64e40 and r.policy.tau_full > 4.0
+
+    def test_multi_term_penalty_meets_every_bellman_condition(self):
+        pen = PenaltySpec(((1.0, 0.0), (2.0, 0.5), (0.5, 2.0)))
+        r = optimize_penalty(SystemParams(1.3, 5), cfg(penalty=pen))
+        assert r.certified and r.bellman_residual <= 1e-9
+
+
+def test_no_scipy_optimize_at_import():
+    code = "import sys, aoiharvest.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
