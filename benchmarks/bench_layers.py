@@ -1,0 +1,153 @@
+"""Layer timings of the evaluator and its two batch callers, interleaved across source trees.
+
+    python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
+        [--rounds 10] [--out BENCH_7.json]
+
+Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
+package (a checkout's ``src``). A round runs one child process per tree,
+in alternating order from round to round, so that drift in machine speed
+falls on every tree alike. A child times, with the identity penalty at
+mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
+
+    policy_metrics_us  one policy_metrics call, per battery size
+    grid_round_ms      one round of the default 15-point grid at B = 2
+                       (optimizer._zoomed_grid, 225 vertices)
+    fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
+
+each as the best of REPEATS timings within the child. The output holds the
+median over rounds per tree, and for two or more trees each later tree's
+difference from and ratio to the first, plus the Python, numpy and scipy
+versions, the CPU count, and each tree's simulator kernel and source digest
+(sha256 over the package's .py, .pyx and .c files, as perfbench records it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from contextlib import redirect_stdout
+from pathlib import Path
+
+BATTERIES = (1, 2, 4, 16, 32, 64, 128)
+REPEATS = 3
+BLOCK_S = 0.05  # rough time per timing, to size the number of calls
+
+
+def _best(fn) -> float:
+    """Best seconds per call of REPEATS timings of about BLOCK_S each."""
+    n = max(1, int(BLOCK_S / max(timeit.timeit(fn, number=1), 1e-7)))
+    return min(timeit.repeat(fn, number=n, repeat=REPEATS)) / n
+
+
+def child(src: str) -> dict:
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from aoiharvest import cli, optimizer, simulator
+    from aoiharvest.model import PenaltySpec, Policy, SystemParams
+    from aoiharvest.renewal import policy_metrics
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
+    identity = PenaltySpec.identity()
+    out = {"kernel": simulator.KERNEL, "policy_metrics_us": {}}
+    for b in BATTERIES:
+        rng = np.random.default_rng(b)
+        policy = Policy(tuple(float(t) for t in sorted(rng.uniform(0.0, 4.0, b), reverse=True)))
+        params = SystemParams(1.0, b)
+        out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
+    params = SystemParams(1.0, 2)
+    lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
+    bounds = list(zip(lows, highs))
+
+    def grid_round():
+        optimizer._zoomed_grid(params, identity, lows, highs, bounds, 15, 1)
+
+    out["grid_round_ms"] = _best(grid_round) * 1e3
+    args = cli.build_parser().parse_args(["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5"])
+
+    def curve():
+        with redirect_stdout(io.StringIO()):
+            cli._sweep_fig(args)
+
+    out["fig_curve_ms"] = _best(curve) * 1e3
+    return out
+
+
+def _source_digest(src: str) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((Path(src) / "aoiharvest").iterdir()):
+        if path.suffix in (".py", ".pyx", ".c"):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _metrics(result: dict) -> dict:
+    flat = {f"policy_metrics_us.b{b}": v for b, v in result["policy_metrics_us"].items()}
+    flat["grid_round_ms"] = result["grid_round_ms"]
+    flat["fig_curve_ms"] = result["fig_curve_ms"]
+    return flat
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--out", default="BENCH_7.json")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child)))
+        return 0
+    trees = dict(item.split("=", 1) for item in args.src)
+    runs = {label: [] for label in trees}
+    for r in range(args.rounds):
+        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            done = subprocess.run(
+                [sys.executable, __file__, "--src", "x=x", "--child", str(Path(trees[label]).resolve())],
+                capture_output=True, text=True, check=True,
+            )
+            runs[label].append(json.loads(done.stdout))
+    import numpy as np
+    import scipy
+
+    report = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "rounds": args.rounds,
+        "repeats": REPEATS,
+        "trees": {},
+    }
+    medians = {}
+    for label, results in runs.items():
+        flat = [_metrics(res) for res in results]
+        medians[label] = {k: statistics.median(f[k] for f in flat) for k in flat[0]}
+        report["trees"][label] = {
+            "src_sha256": _source_digest(trees[label]),
+            "kernel": sorted({res["kernel"] for res in results}),
+            "median": medians[label],
+        }
+    first, *later = list(trees)
+    for label in later:
+        report["trees"][label]["vs_" + first] = {
+            k: {"diff": v - medians[first][k], "ratio": v / medians[first][k]}
+            for k, v in medians[label].items()
+        }
+    Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(report["trees"], indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

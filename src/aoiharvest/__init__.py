@@ -26,8 +26,10 @@ from .optimizer import (
     optimize_penalty,
 )
 from .renewal import (
+    BatchMetrics,
     ConditionalMoments,
     avg_penalty_gradient,
+    batch_metrics,
     bellman_levels,
     conditional_moments,
     interupdate_cdf,
@@ -39,6 +41,7 @@ from .simulator import KERNEL, SimConfig, SimReport, simulate, simulate_greedy
 
 __all__ = [
     "KERNEL",
+    "BatchMetrics",
     "ConditionalMoments",
     "OptimizationResult",
     "OptimizerConfig",
@@ -55,6 +58,7 @@ __all__ = [
     "b1_average_age",
     "b1_optimal",
     "b2_average_age",
+    "batch_metrics",
     "bellman_levels",
     "conditional_moments",
     "feasible",

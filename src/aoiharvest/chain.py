@@ -2,10 +2,13 @@
 
 Battery levels sampled immediately after each update form a DTMC on
 {0, ..., B-1}. Transition probabilities are finite differences of Erlang
-CDFs evaluated at the thresholds; notably they never involve the
+CDFs evaluated at the thresholds, Pr(Y_n <= tau) = P(n, mu tau) with P the
+regularized lower incomplete gamma; notably they never involve the
 full-battery threshold, so the stationary distribution is invariant to
-it. The relative values of a per-transition cost c solve the chain's
-Poisson equation (I - T) h = c, one more linear solve.
+it. transition_matrix and stationary also take a batch of policies: every
+array then carries a leading policy axis. The relative values of a
+per-transition cost c solve the chain's Poisson equation (I - T) h = c,
+one more linear solve.
 
 Note on the two-state case: the closed-form expression
 e^{-mu tau_1} / (1 - mu tau_1 e^{-mu tau_1}) solves the balance equation
@@ -19,11 +22,18 @@ as defined and leave the labeling question open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammainc
 
-from .erlang import ErlangKernel, erlang_cdf
+from .erlang import erlang_cdf  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import Policy, SystemParams
+
+
+# Smallest entry transition_matrix keeps: the square of anything above it is
+# a normal double.
+FLUSH = 1e-150
 
 
 class SingularSystem(RuntimeError):
@@ -48,27 +58,52 @@ class StationaryDistribution:
         self.pi.setflags(write=False)
 
 
-def transition_matrix(params: SystemParams, policy: Policy) -> TransitionMatrix:
+@dataclass(frozen=True)
+class _CdfLayout:
+    """C[j, i] = Pr(Y_{1+i-j} <= tau_i) for j <= i, 1 <= i < B; the rest is fixed."""
+
+    fixed: np.ndarray  # (B, B+1): 1 for i = 0 (tau_0 = +inf) and i < j, 0 for i = B
+    entries: np.ndarray  # flat index j (B+1) + i of each computed entry
+    taus: np.ndarray  # i - 1, the column of tau_i in a threshold vector
+    orders: np.ndarray  # 1 + i - j
+
+
+@lru_cache(maxsize=32)
+def _cdf_layout(battery: int) -> _CdfLayout:
+    j, i = np.triu_indices(battery, -1, battery - 1)  # pairs j <= (i - 1) + 1
+    fixed = np.ones((battery, battery + 1))
+    fixed[:, battery] = 0.0
+    return _CdfLayout(fixed, j * (battery + 1) + i + 1, i, (i + 2 - j).astype(float))
+
+
+def transition_matrix(params: SystemParams, policy) -> TransitionMatrix:
     """Pr(next post-update level = i | previous = j) from the Erlang CDF.
 
     Landing on level i means the inter-update time fell in
     [tau_{i+1}, tau_i), with tau_0 = +inf; level B-1 collects everything
     below tau_{B-1}. The full-battery threshold tau_B never appears.
+    policy is a Policy, or an (N, B) array of thresholds, one policy per
+    row, for N matrices at once.
     """
-    B = params.battery
-    mu = params.mu_h
-    if B == 1:
-        return TransitionMatrix(np.ones((1, 1)))
-    taus = policy.thresholds  # taus[i-1] = tau_i
-    # C[j, i] = Pr(Y_{1+i-j} <= tau_i), tau_0 = +inf: 1 for i = 0 and i < j; C[:, B] = 0
-    C = np.ones((B, B + 1))
-    C[:, B] = 0.0
-    for i in range(1, B):
-        for j in range(i + 1):
-            C[j, i] = erlang_cdf(ErlangKernel(mu, 1 + i - j), taus[i - 1])
-    T = C[:, :-1] - C[:, 1:]
-    T[(T > -1e-14) & (T < 0.0)] = 0.0
+    taus = np.asarray(policy.thresholds if isinstance(policy, Policy) else policy, dtype=float)
+    lay = _cdf_layout(params.battery)
+    C = np.empty(taus.shape[:-1] + lay.fixed.shape)
+    C[...] = lay.fixed
+    cdf = gammainc(lay.orders, params.mu_h * taus[..., lay.taus])
+    C.reshape(taus.shape[:-1] + (-1,))[..., lay.entries] = cdf
+    T = C[..., :-1] - C[..., 1:]
+    # Tiny negatives are rounding. Entries below FLUSH weigh nothing, but
+    # their products in the LU factorization of stationary go subnormal,
+    # which slowed the threaded solve at B = 128 from 0.3 ms to 110 ms.
+    T[(T > -1e-14) & (T < FLUSH)] = 0.0
     return TransitionMatrix(T)
+
+
+@lru_cache(maxsize=32)
+def _identity(battery: int) -> np.ndarray:
+    eye = np.eye(battery)
+    eye.setflags(write=False)
+    return eye
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,20 +116,20 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     """Unique probability vector with pi = pi T, by direct linear solve.
 
-    Solves (T' - I) pi = 0 with the last equation replaced by sum(pi) = 1.
+    Solves (T' - I) pi = 0 with the last equation replaced by sum(pi) = 1,
+    for each matrix of a batch.
     """
     T = matrix.entries
-    B = T.shape[0]
-    b = np.zeros(B)
-    b[-1] = 1.0
-    A = T.T - np.eye(B)
-    A[-1, :] = 1.0
-    pi = _solve(A, b)
-    pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
-    if (pi < 0).any():
-        raise SingularSystem(f"negative stationary mass: {pi}")
-    pi = pi / pi.sum()
-    resid = np.abs(pi @ T - pi).max()
+    eye = _identity(T.shape[-1])
+    A = np.swapaxes(T, -1, -2) - eye
+    A[..., -1, :] = 1.0
+    pi = _solve(A, eye[-1])
+    if np.minimum.reduce(pi, axis=None) < 0.0:
+        pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
+        if (pi < 0).any():
+            raise SingularSystem(f"negative stationary mass: {pi}")
+    pi /= np.add.reduce(pi, axis=-1, keepdims=True)
+    resid = np.maximum.reduce(np.abs(np.matmul(pi[..., None, :], T)[..., 0, :] - pi), axis=None)
     if resid > 1e-10:
         raise SingularSystem(f"stationary residual {resid:.3e} too large")
     return StationaryDistribution(pi)

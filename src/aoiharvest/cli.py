@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .optimizer import (
     grid_search,
     optimize_penalty,
 )
-from .renewal import policy_metrics
+from .renewal import batch_metrics, policy_metrics
 from .simulator import SimConfig, simulate
 
 EXIT_VALIDATION = 2
@@ -161,28 +162,33 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_fig(args) -> int:
-    """Average-age surfaces for B = 2: one curve per fixed threshold."""
+    """Average-age surfaces for B = 2: one curve per fixed threshold, one evaluator call per curve."""
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     mu = float(_parse_floats(args.mu)[0])
     params = SystemParams(mu_h=mu, battery=2)
-    rows = ["tau_1,tau_2,avg_age"]
     if args.fig == 5:
         fixed = _parse_floats(args.tau2)
         if not fixed:
             raise ValueError("--tau2 required for --fig 5")
-        for t2 in fixed:
-            for t1 in np.linspace(t2, t2 + 3.0 / mu, args.points):
-                m = policy_metrics(params, validate_policy(params, [t1, t2]))
-                rows.append(",".join([_g(t1), _g(t2), _g(m.avg_age)]))
+        curves = [
+            np.column_stack((np.linspace(t2, t2 + 3.0 / mu, args.points), np.full(args.points, t2)))
+            for t2 in fixed
+        ]
     else:
         fixed = _parse_floats(args.tau1)
         if not fixed:
             raise ValueError("--tau1 required for --fig 6")
-        for t1 in fixed:
-            for t2 in np.linspace(0.0, t1, args.points):
-                m = policy_metrics(params, validate_policy(params, [t1, t2]))
-                rows.append(",".join([_g(t1), _g(t2), _g(m.avg_age)]))
+        curves = [
+            np.column_stack((np.full(args.points, t1), np.linspace(0.0, t1, args.points)))
+            for t1 in fixed
+        ]
+    rows = ["tau_1,tau_2,avg_age"]
+    for taus in curves:
+        for row in taus:
+            validate_policy(params, row)
+        ages = batch_metrics(params, taus).avg_age
+        rows += [",".join([_g(t1), _g(t2), _g(age)]) for (t1, t2), age in zip(taus, ages)]
     _out(args, "\n".join(rows))
     return 0
 
@@ -312,9 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -1,19 +1,32 @@
 """Erlang arrival-time distribution and its weighted interval integrals.
 
 Everything the analytic evaluator computes reduces to integrals of the
-form  int_a^b x^d * Pr(Y_i > x) dx  where Y_i is the waiting time for i
-Poisson arrivals. The survival function is a finite sum of terms
-x^v e^{-mu x}, so these integrals have closed-form antiderivatives; no
-truncation or quadrature is ever used. Orders here stay small (at most
-battery size + 1), so plain summation is numerically safe.
+form  int_a^b p(x) Pr(Y_k > x) dx,  where Y_k is the waiting time for k
+Poisson arrivals at rate mu and p is a sum of powers. The survival
+function is the Poisson sum  Pr(Y_k > x) = sum_{v<k} e^{-mu x} (mu x)^v / v!,
+and each of its terms integrates to a difference of regularized incomplete
+gammas:
+
+    mu^v / v! int_a^b x^(e+v) e^{-mu x} dx
+        = poch(v+1, e) / mu^(e+1) * [Q(e+v+1, mu a) - Q(e+v+1, mu b)],
+
+with Q = 1 - P the regularized upper gamma (the Poisson CDF for integer
+e) and poch(v+1, e) = Gamma(e+v+1) / v!. threshold_integrals takes P and Q
+once each over the table of thresholds and orders, for every exponent, and
+differences each piece between two thresholds on its own: in upper tails Q
+once mu a >= e+v+1, where P rounds toward 1, and in lower tails P below
+that. Adding up whole tails instead (telescoping) cancels digits the
+accuracy contract needs. No truncation or quadrature is ever used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from scipy.special import gammainc, gammaincc, gammaln
+import numpy as np
+from scipy.special import gammainc, gammaincc, poch
 
 from .model import PenaltySpec
 
@@ -64,38 +77,90 @@ def erlang_cdf(k: ErlangKernel, x: float) -> float:
     return 1.0 - erlang_survival(k, x)
 
 
-def _poly_exp_antideriv(n: int, mu: float, x: float) -> float:
-    """Antiderivative of x^n e^{-mu x}: -e^{-mu x} sum_k (n!/k!) x^k / mu^(n+1-k).
+@lru_cache(maxsize=32)
+def piece_orders(battery: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piece m and order v of each entry of threshold_integrals' last axis.
 
-    Vanishes at x = +inf (every term decays).
+    Every piece m = 1..B with every order v < m, sorted by the shortfall
+    m - v (then by v): a start state j <= B - 1 sees the term v on piece m
+    exactly when m - v > j.
     """
-    if x == INF:
-        return 0.0
-    coeff = 1.0 / mu  # n!/(k!) / mu^(n+1-k) at k = n
-    total = coeff * x**n
-    for kk in range(n - 1, -1, -1):
-        coeff *= (kk + 1) / mu
-        total += coeff * x**kk
-    return -math.exp(-mu * x) * total
+    d, v = np.divmod(np.arange(battery * battery), battery)
+    d += 1
+    keep = v <= battery - d
+    m, v = v[keep] + d[keep], v[keep]
+    m.setflags(write=False)
+    v.setflags(write=False)
+    return m, v
 
 
-def _power_exp_integral(s: float, mu: float, a: float, b: float) -> float:
-    """int_a^b x^s e^{-mu x} dx for real s > -1.
+@dataclass(frozen=True)
+class _Layout:
+    """Index arrays of threshold_integrals for one battery size and term list.
 
-    Exact finite-sum antiderivative for integer s; otherwise a difference
-    of regularized incomplete gammas: the lower ones P below the mode, the
-    upper ones Q = 1 - P past it, where every P rounds toward 1.
+    The gamma table holds, for each point k of (inf, tau_1..tau_B) and each
+    distinct exponent, the orders v <= min(k, B-1) that the pieces ending
+    there need; piece m runs from tau_m (lo) to tau_{m-1} (hi).
     """
-    if s >= 0 and float(s).is_integer():
-        n = int(s)
-        return _poly_exp_antideriv(n, mu, b) - _poly_exp_antideriv(n, mu, a)
-    # int_0^x t^s e^{-mu t} dt = Gamma(s+1)/mu^(s+1) * P(s+1, mu x)
-    scale = math.exp(gammaln(s + 1.0) - (s + 1.0) * math.log(mu))
-    if mu * a >= s + 1.0:
-        tail = 0.0 if b == INF else gammaincc(s + 1.0, mu * b)
-        return scale * (gammaincc(s + 1.0, mu * a) - tail)
-    hi = 1.0 if b == INF else gammainc(s + 1.0, mu * b)
-    return scale * (hi - gammainc(s + 1.0, mu * a))
+
+    column: np.ndarray  # (L,) threshold column of each table entry; entry 0 is tau_0
+    s: np.ndarray  # (U, L) shape parameter e + v + 1 per distinct exponent
+    lo: np.ndarray  # (R, M) flat (exponent, entry) of every piece's lo
+    ends: np.ndarray  # (4, R, M) into the stacked (Q, P) tables: Q at lo, Q at hi, P at lo, P at hi
+    coef: np.ndarray  # (R, M) c * poch(v+1, e)
+    power: np.ndarray  # (R, 1) e + 1
+
+
+@lru_cache(maxsize=32)
+def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
+    counts = np.minimum(np.arange(battery + 1), battery - 1) + 1  # orders tabled at point k
+    point = np.repeat(np.arange(battery + 1), counts)
+    start = np.cumsum(counts) - counts  # table entry of (k, 0)
+    order = np.arange(len(point)) - start[point]
+    m, v = piece_orders(battery)
+    distinct = sorted({float(e) for _, e in terms})
+    rows = np.array([[distinct.index(float(e))] for _, e in terms])
+    lo = rows * len(point) + start[m] + v
+    hi = rows * len(point) + start[m - 1] + v
+    table = len(distinct) * len(point)
+    c, e = np.asarray(terms, dtype=float).T[:, :, None]
+    return _Layout(
+        column=np.maximum(point - 1, 0),
+        s=np.asarray(distinct)[:, None] + order + 1.0,
+        lo=lo,
+        ends=np.stack((lo, hi, lo + table, hi + table)),
+        coef=c * poch(v + 1.0, e),
+        power=e + 1.0,
+    )
+
+
+def threshold_integrals(mu: float, taus: np.ndarray, terms) -> np.ndarray:
+    """Every Poisson term's integral over every piece between thresholds.
+
+    taus is an (N, B) array of non-increasing thresholds, one policy per
+    row; with tau_0 = inf, piece m is [tau_m, tau_{m-1}). terms is a tuple
+    of (c, e) pairs. Returns J of shape (N, R, M), R = len(terms) and
+    M = B(B+1)/2, with
+
+        J[n, r, i] = c_r mu^v / v! int_{piece m} x^(e_r + v) e^{-mu x} dx
+
+    for the piece m and order v of entry i (piece_orders(B)), each entry
+    clamped at zero.
+    """
+    N = len(taus)
+    lay = _layout(taus.shape[1], tuple(terms))
+    z = mu * taus[:, lay.column]
+    z[:, 0] = INF
+    z = z[:, None, :]
+    table = np.empty((N, 2) + lay.s.shape)
+    gammaincc(lay.s, z, out=table[:, 0])
+    gammainc(lay.s, z, out=table[:, 1])
+    q_lo, q_hi, p_lo, p_hi = table.reshape(N, -1)[:, lay.ends].swapaxes(0, 1)
+    # upper tails past the mode, lower tails before it
+    d = np.where((z >= lay.s).reshape(N, -1)[:, lay.lo], q_lo - q_hi, p_hi - p_lo)
+    np.maximum(d, 0.0, out=d)
+    d *= lay.coef / mu**lay.power
+    return d
 
 
 def _check_interval(a: float, b: float):
@@ -103,23 +168,13 @@ def _check_interval(a: float, b: float):
         raise InvalidInterval(f"need 0 <= a <= b, got a={a}, b={b}")
 
 
-def weighted_prefix(mu: float, a: float, b: float, terms, n: int) -> list[float]:
-    """[int_a^b p(x) Pr(Y_k > x) dx for k = 0..n], p(x) = sum c * x^e over terms.
-
-    One running sum over the Poisson terms of the survival function serves
-    every order up to n; each entry is clamped at zero, the running total
-    is not. b may be math.inf.
-    """
-    row = [0.0]
-    total = 0.0
-    fact = 1.0  # mu^v / v!
-    for v in range(n):
-        if v > 0:
-            fact *= mu / v
-        for c, e in terms:
-            total += c * fact * _power_exp_integral(e + v, mu, a, b)
-        row.append(max(total, 0.0))
-    return row
+def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> float:
+    """int_a^b p(x) Pr(Y_order > x) dx, from the last piece [a, b) of the
+    thresholds (b, ..., b, a), order + 1 of them."""
+    taus = np.full((1, order + 1), float(b))
+    taus[0, -1] = a
+    m, v = piece_orders(order + 1)
+    return float(threshold_integrals(mu, taus, terms)[0][:, (m == order + 1) & (v < order)].sum())
 
 
 def survival_weighted_integral(
@@ -135,7 +190,7 @@ def survival_weighted_integral(
         raise ValueError(f"weight_degree must be a non-negative integer, got {weight_degree!r}")
     if k.order <= 0 or a == b:
         return 0.0
-    return weighted_prefix(k.rate, a, b, ((1.0, weight_degree),), k.order)[-1]
+    return _interval_integral(k.rate, a, b, ((1.0, float(weight_degree)),), k.order)
 
 
 def penalty_weighted_integral(k: ErlangKernel, a: float, b: float, p: PenaltySpec) -> float:
@@ -143,4 +198,4 @@ def penalty_weighted_integral(k: ErlangKernel, a: float, b: float, p: PenaltySpe
     _check_interval(a, b)
     if k.order <= 0 or a == b:
         return 0.0
-    return weighted_prefix(k.rate, a, b, p.terms, k.order)[-1]
+    return _interval_integral(k.rate, a, b, p.terms, k.order)

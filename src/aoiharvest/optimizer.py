@@ -33,14 +33,13 @@ tau_i = tau_{i+1} + d_i, is the oracle both are checked against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import PenaltySpec, Policy, SystemParams, validate_policy
-from .renewal import bellman_levels, policy_metrics
+from .renewal import batch_metrics, bellman_levels, policy_metrics
 
 # Largest gap on the grid oracle's axes, in units of 1/mu_h.
 UPPER_CAP_FACTOR = 10.0
@@ -49,6 +48,9 @@ UPPER_CAP_FACTOR = 10.0
 # see steps wander instead of shrink, and far below any reported digit.
 STEP_TOL = 1e-10
 MAX_ITERATIONS = 100
+# Grid vertices per evaluator call: one call holds a round of the default
+# 15-point grid up to B = 3, and memory stays bounded for any grid size.
+GRID_BATCH = 4096
 # Objectives closer than this, relative, are equal: the evaluator's rounding
 # grows with B (3e-14 at B = 64), while a step whose Bellman residual is
 # still 1e-7 lowers the objective by about 1e-14 more.
@@ -111,35 +113,39 @@ def _build_thresholds(tau_b: float, gaps) -> tuple[float, ...]:
     return tuple(reversed(taus))
 
 
-def _objective(params: SystemParams, penalty: PenaltySpec, taus) -> float:
-    return policy_metrics(params, Policy(taus), penalty).avg_penalty
-
-
 def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
     """Deterministic multi-round grid refinement over (tau_b, gaps).
 
-    Each round lays a uniform grid per dimension, keeps the best vertex
-    (ties broken by lexicographically smallest threshold vector), and
-    shrinks every dimension to one grid step around it, clipped to the
-    outer bounds.
+    Each round evaluates its points^ndim vertices in batches of at most
+    GRID_BATCH, keeps the best vertex (ties broken by lexicographically
+    smallest threshold vector), and shrinks every dimension to one grid
+    step around it, clipped to the outer bounds.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     blo = np.asarray([b[0] for b in bounds])
     bhi = np.asarray([b[1] for b in bounds])
     ndim = len(lows)
-    if points**ndim > 10**8:
+    total = points**ndim
+    if total > 10**8:
         raise BudgetExceeded(f"{points}^{ndim} grid combinations exceed the budget")
     best_val = math.inf
     best_taus = None
     best_vec = None
     for _ in range(rounds):
         axes = [np.linspace(lows[d], highs[d], points) for d in range(ndim)]
-        for vec in itertools.product(*axes):
-            taus = _build_thresholds(vec[0], vec[1:])
-            val = _objective(params, penalty, taus)
-            if val < best_val or (val == best_val and taus < best_taus):
-                best_val, best_taus, best_vec = val, taus, np.asarray(vec)
+        for start in range(0, total, GRID_BATCH):
+            # vertices in itertools.product order: the last axis varies fastest
+            index = np.unravel_index(np.arange(start, min(start + GRID_BATCH, total)), (points,) * ndim)
+            vecs = np.stack([axes[d][index[d]] for d in range(ndim)], axis=1)
+            # tau_B = vec[0], then tau_i = tau_{i+1} + gap_i upward, summed in that order
+            taus = np.add.accumulate(vecs[:, [0, *range(ndim - 1, 0, -1)]], axis=1)[:, ::-1]
+            vals = batch_metrics(params, taus, penalty).avg_penalty
+            ties = np.flatnonzero(vals == vals.min())
+            k = min(ties, key=lambda i: taus[i].tolist())
+            val, cand = float(vals[k]), tuple(taus[k].tolist())
+            if val < best_val or (val == best_val and cand < best_taus):
+                best_val, best_taus, best_vec = val, cand, vecs[k]
         step = (highs - lows) / (points - 1)
         lows = np.maximum(best_vec - step, blo)
         highs = np.minimum(best_vec + step, bhi)

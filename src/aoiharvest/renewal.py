@@ -10,12 +10,17 @@ survival function over those pieces (which handles the atoms for free):
     E[P(X) | j] = int p(x) (1 - F_j),
 
 each piece in closed form via the erlang module. Piece [tau_m, tau_{m-1})
-carries Pr(Y_{m-j} > x) from start state j, so one prefix row per piece
-(its integral for every Erlang order 0..m) serves every start state: B(B+1)/2
-power-exponential integrals per moment instead of one Erlang sum per state
-and piece. Long-run averages are stationary mixtures of the per-state
-moments; the average penalty is the renewal-reward ratio E[P(X)] / E[X]
-(for identity penalty this is the classic E[X^2] / 2 E[X] average age).
+carries Pr(Y_{m-j} > x) from start state j, the sum of the Poisson terms
+v < m-j; erlang.threshold_integrals gives every term's integral over every
+piece from one table of incomplete gammas at the thresholds. Start state j
+thus collects exactly the terms whose shortfall m - v exceeds j: one sum
+per shortfall, then a running sum from the largest shortfall down, gives
+every state at once. That is O(B^2) numpy work with no loop over states or
+pieces. Every array carries a leading policy axis, so one call evaluates a
+batch of policies (batch_metrics); policy_metrics is the batch of one.
+Long-run averages are stationary mixtures of the per-state moments; the
+average penalty is the renewal-reward ratio E[P(X)] / E[X] (for identity
+penalty this is the classic E[X^2] / 2 E[X] average age).
 
 Threshold derivatives are endpoint terms by Leibniz's rule: tau_i < tau_B
 ends piece i+1 and starts piece i, so d E[f(X)|j] / d tau_i is
@@ -36,11 +41,12 @@ w_i = sum_j pi_j d E[X|j] / d tau_i >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .chain import relative_values, stationary, transition_matrix
-from .erlang import INF, ErlangKernel, erlang_cdf, weighted_prefix
+from .erlang import ErlangKernel, erlang_cdf, piece_orders, threshold_integrals
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
 
@@ -79,60 +85,118 @@ def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> f
     raise AssertionError("unreachable: pieces cover [tau_B, inf)")
 
 
+@lru_cache(maxsize=32)
+def _sums(battery: int, terms: tuple[tuple[float, float], ...]):
+    """Shortfall starts, and c / (e+1) and e per term, for _moments.
+
+    starts[d-1] is the first entry of shortfall d = m - v among
+    threshold_integrals' entries. A term c x^e integrates to
+    tau * c/(e+1) * tau^e on [0, tau): the split keeps x^1 and x^2 exact,
+    where numpy's array power rounds tau^2 off by an ulp.
+    """
+    m, v = piece_orders(battery)
+    c, e = np.asarray(terms, dtype=float).T[:, :, None]
+    return np.flatnonzero(v == 0), c / (e + 1.0), e
+
+
+def _moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> np.ndarray:
+    """(N, 3, B) array of E[X|j], E[X^2|j], E[P(X)|j] for an (N, B) batch of policies.
+
+    State j collects the terms of shortfall m - v > j: one sum per
+    shortfall, then a running sum from the largest shortfall down.
+    """
+    terms = ((1.0, 0.0), (2.0, 1.0), *p.terms)
+    starts, scale, power = _sums(taus.shape[1], terms)
+    per_shortfall = np.add.reduceat(threshold_integrals(mu, taus, terms), starts, axis=-1)
+    rows = np.add.accumulate(per_shortfall[..., ::-1], axis=-1)[..., ::-1]
+    tau_b = taus[:, -1, None, None]
+    rows += tau_b * (scale * tau_b**power)  # survival is 1 on [0, tau_B)
+    if len(terms) > 3:
+        rows = np.concatenate((rows[:, :2], rows[:, 2:].sum(axis=1, keepdims=True)), axis=1)
+    return rows
+
+
 def conditional_moments(
     params: SystemParams, policy: Policy, p: PenaltySpec
 ) -> ConditionalMoments:
     """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
-    B = params.battery
-    mu = params.mu_h
-    tau_b = policy.tau_full
-    tau = (INF, *policy.thresholds)  # tau[m] = tau_m, tau_0 = +inf
-
-    def rows(terms):
-        # rows(terms)[m-1][k] = int over piece m of p(x) Pr(Y_k > x)
-        return [weighted_prefix(mu, tau[m], tau[m - 1], terms, m) for m in range(1, B + 1)]
-
-    r1, r2, rp = rows(((1.0, 0),)), rows(((1.0, 1),)), rows(p.terms)
-    ex = np.empty(B)
-    ex2 = np.empty(B)
-    epx = np.empty(B)
-    for j in range(B):
-        # survival is 1 on [0, tau_B); pieces m <= j carry zero survival
-        e1 = tau_b
-        e2 = tau_b * tau_b
-        ep = p.antiderivative(tau_b)
-        for m in range(B, j, -1):
-            e1 += r1[m - 1][m - j]
-            e2 += 2.0 * r2[m - 1][m - j]
-            ep += rp[m - 1][m - j]
-        ex[j], ex2[j], epx[j] = e1, e2, ep
+    ex, ex2, epx = _moments(params.mu_h, np.asarray([policy.thresholds], dtype=float), p)[0]
     return ConditionalMoments(ex, ex2, epx)
+
+
+@dataclass(frozen=True)
+class BatchMetrics:
+    """policy_metrics of N policies; every field has a leading policy axis.
+
+    moments[n, :, j] = (E[X|j], E[X^2|j], E[P(X)|j]) of policy n.
+    """
+
+    m1: np.ndarray
+    m2: np.ndarray
+    avg_age: np.ndarray
+    avg_penalty: np.ndarray
+    moments: np.ndarray
+    pi: np.ndarray
+    transition: np.ndarray
+
+
+_RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
+
+
+def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
+    """Moments, transition matrices, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
+
+    A moment outside double range makes an average non-finite (m2 >= m1^2),
+    which raises OverflowError; no floating-point warning is printed.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        moments = _moments(params.mu_h, taus, p)
+        chain = transition_matrix(params, taus)
+        pi = stationary(chain).pi
+        weighted = np.add.reduce(moments * pi[:, None, :], axis=-1)
+        averages = weighted[:, 1:] / (weighted[:, :1] * _RATIO)
+    if not np.logical_and.reduce(np.isfinite(averages), axis=None):
+        raise OverflowError("policy metrics outside double range")
+    return moments, chain.entries, pi, weighted, averages
+
+
+def batch_metrics(
+    params: SystemParams, thresholds, p: PenaltySpec | None = None
+) -> BatchMetrics:
+    """Long-run metrics of an (N, B) array of monotone thresholds, one policy per row.
+
+    The rows are not validated. Each policy's numbers are bitwise those
+    policy_metrics gives for it alone.
+    """
+    taus = np.asarray(thresholds, dtype=float)
+    moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
+    return BatchMetrics(
+        m1=weighted[:, 0],
+        m2=weighted[:, 1],
+        avg_age=averages[:, 0],
+        avg_penalty=averages[:, 1],
+        moments=moments,
+        pi=pi,
+        transition=T,
+    )
 
 
 def policy_metrics(
     params: SystemParams, policy: Policy, p: PenaltySpec | None = None
 ) -> PolicyMetrics:
-    """Long-run average age and age-penalty of a monotone threshold policy."""
-    if p is None:
-        p = PenaltySpec.identity()
-    cm = conditional_moments(params, policy, p)
-    chain = transition_matrix(params, policy)
-    pi = stationary(chain).pi
-    m1 = float(pi @ cm.ex)
-    m2 = float(pi @ cm.ex2)
-    avg_age = m2 / (2.0 * m1)
-    avg_penalty = float(pi @ cm.epx) / m1
-    per_state = tuple(
-        (float(cm.ex[j]), float(cm.ex2[j]), float(cm.epx[j])) for j in range(params.battery)
-    )
+    """Long-run average age and age-penalty of a monotone threshold policy: the batch of one."""
+    taus = np.array([policy.thresholds], dtype=float)
+    moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
+    m1, m2, _ = weighted[0].tolist()
+    avg_age, avg_penalty = averages[0].tolist()
     return PolicyMetrics(
         m1=m1,
         m2=m2,
         avg_age=avg_age,
         avg_penalty=avg_penalty,
-        per_state=per_state,
-        pi=tuple(pi.tolist()),
-        transition=chain.entries,
+        per_state=tuple(zip(*moments[0].tolist())),
+        pi=tuple(pi[0].tolist()),
+        transition=T[0],
     )
 
 
@@ -144,19 +208,25 @@ def _poisson_rows(z: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(steps, axis=1)
 
 
+def _ex_derivatives(params: SystemParams, taus: np.ndarray) -> np.ndarray:
+    """K[j, i-1] = d E[X|j] / d tau_i, the endpoint terms of the module docstring."""
+    B = params.battery
+    P = _poisson_rows(params.mu_h * taus, B)  # P[i-1, v] = Pr(N(mu tau_i) = v)
+    lag = np.arange(1, B + 1) - np.arange(B)[:, None]  # lag[j, i-1] = i - j
+    K = np.where(lag >= 0, P[np.arange(B), lag % B], 0.0)
+    # Pr(Y_{B-j} <= tau_B) = 1 - Pr(N(mu tau_B) < B - j)
+    K[:, -1] = np.maximum(1.0 - np.cumsum(P[-1])[::-1], 0.0)
+    return K
+
+
 def moment_derivatives(params: SystemParams, policy: Policy, p: PenaltySpec) -> ConditionalMoments:
     """Exact threshold derivatives of the conditional moments.
 
     Each field is a B x B array whose entry [j, i-1] is the derivative of
     the matching ConditionalMoments entry j in tau_i.
     """
-    B = params.battery
     taus = np.asarray(policy.thresholds)
-    P = _poisson_rows(params.mu_h * taus, B)  # P[i-1, v] = Pr(N(mu tau_i) = v)
-    lag = np.arange(1, B + 1) - np.arange(B)[:, None]  # lag[j, i-1] = i - j
-    K = np.where(lag >= 0, P[np.arange(B), lag % B], 0.0)
-    # Pr(Y_{B-j} <= tau_B) = 1 - Pr(N(mu tau_B) < B - j)
-    K[:, -1] = np.maximum(1.0 - np.cumsum(P[-1])[::-1], 0.0)
+    K = _ex_derivatives(params, taus)
     return ConditionalMoments(K, K * (2.0 * taus), K * p(taus))
 
 
@@ -181,8 +251,9 @@ def avg_penalty_gradient(
     The adjoint form w_i (p(tau_i) - level_i) / m1 of the module docstring:
     one solve for the relative values, on the chain that metrics holds.
     """
-    w = np.asarray(metrics.pi) @ moment_derivatives(params, policy, p).ex
-    return w * (p(np.asarray(policy.thresholds)) - bellman_levels(params, metrics)) / metrics.m1
+    taus = np.asarray(policy.thresholds)
+    w = np.asarray(metrics.pi) @ _ex_derivatives(params, taus)
+    return w * (p(taus) - bellman_levels(params, metrics)) / metrics.m1
 
 
 def moment_derivative_check(

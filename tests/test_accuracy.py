@@ -4,7 +4,10 @@ The oracle is ``perfbench/oracle.py``, loaded by path: it integrates the
 survival function piecewise with mpmath's incomplete gamma function and
 solves the battery chain with mpmath's LU solver, sharing no code with the
 package. Bounds: 1e-10 relative on m1, m2, both averages and every
-per-state moment; 1e-12 absolute on the stationary vector.
+per-state moment; 1e-12 absolute on the stationary vector. The B = 32
+policy takes the oracle several seconds per penalty. On small policies
+with ties and near-zero pieces every per-state moment is also held to
+1e-12 relative.
 """
 
 import importlib.util
@@ -15,7 +18,7 @@ import pytest
 
 from aoiharvest.chain import stationary, transition_matrix
 from aoiharvest.model import PenaltySpec, SystemParams, validate_policy
-from aoiharvest.renewal import policy_metrics
+from aoiharvest.renewal import conditional_moments, policy_metrics
 
 ORACLE_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 REL_TOL = 1e-10
@@ -43,10 +46,11 @@ CASES = [
     (0.6, seeded_policy(16, 0.6, 16)),
     # tiny per-state moments on the short pieces next to tau_B
     (1.0, [1.5, 0.01, 0.01]),
+    (1.4, seeded_policy(32, 1.4, 32)),
 ]
 
 
-@pytest.mark.parametrize("mu,taus", CASES, ids=["B8", "B16", "B3-short"])
+@pytest.mark.parametrize("mu,taus", CASES, ids=["B8", "B16", "B3-short", "B32"])
 @pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0], ids=["id", "pow0.5", "pow2"])
 def test_matches_mpmath(mu, taus, exponent):
     ref = load_oracle().policy_metrics(mu, taus, exponent)
@@ -60,3 +64,26 @@ def test_matches_mpmath(mu, taus, exponent):
             assert rel(x, r) <= REL_TOL, f"state {j}"
     pi = stationary(transition_matrix(params, policy)).pi
     assert max(abs(x - r) for x, r in zip(pi, ref["stationary"])) <= PI_TOL
+
+
+@pytest.mark.parametrize(
+    "mu,taus",
+    [
+        (1.0, [0.9]),
+        (1.0, [1.5, 0.72]),
+        (0.7, [2.1, 1.4, 0.9]),
+        (1.0, [1.5, 0.01, 0.01]),
+        (2.0, [1.2, 0.9, 0.9, 0.4, 0.0]),
+        (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
+        (0.4, [9.0, 7.5, 7.5, 6.0, 4.4, 3.1, 1.0, 0.0]),
+    ],
+)
+@pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0], ids=["id", "pow0.5", "pow2"])
+def test_per_state_moments(mu, taus, exponent):
+    # tighter than the contract: 1e-12 relative on every conditional moment
+    ref = load_oracle().policy_metrics(mu, taus, exponent)["per_state"]
+    params = SystemParams(mu_h=mu, battery=len(taus))
+    cm = conditional_moments(params, validate_policy(params, taus), PenaltySpec.power(exponent))
+    for j, ref_row in enumerate(ref):
+        for x, r in zip((cm.ex[j], cm.ex2[j], cm.epx[j]), ref_row):
+            assert rel(x, r) <= 1e-12, f"state {j}"

@@ -44,9 +44,9 @@ class TestTransitionMatrix:
         "mu,taus",
         [(1.0, [1.5, 0.72]), (0.8, [2.0, 1.0, 1.0, 0.0]), (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2])],
     )
-    def test_entries_are_cdf_differences_bitwise(self, mu, taus):
-        # T[j, i] = Pr(Y_{1+i-j} <= tau_i) - Pr(Y_{2+i-j} <= tau_{i+1}), tau_0 = inf;
-        # level B-1 takes the first term alone, and tiny negatives clamp to 0
+    def test_entries_are_cdf_differences(self, mu, taus):
+        # T[j, i] = Pr(Y_{1+i-j} <= tau_i) - Pr(Y_{2+i-j} <= tau_{i+1}), tau_0 = inf,
+        # level B-1 taking the first term alone, against the scalar Erlang CDF
         params, pol = make(mu, taus)
         B = params.battery
         tau = [math.inf] + taus
@@ -56,9 +56,18 @@ class TestTransitionMatrix:
                 want = erlang_cdf(ErlangKernel(mu, 1 + i - j), tau[i])
                 if i < B - 1:
                     want -= erlang_cdf(ErlangKernel(mu, 2 + i - j), tau[i + 1])
-                    if -1e-14 < want < 0.0:
-                        want = 0.0
-                assert T[j, i] == want
+                assert abs(T[j, i] - want) <= 1e-15
+
+    def test_batch_rows_are_single_matrices(self):
+        params = SystemParams(mu_h=0.9, battery=4)
+        taus = np.array([[3.0, 2.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0], [4.0, 0.3, 0.2, 0.0]])
+        T = transition_matrix(params, taus).entries
+        pi = stationary(transition_matrix(params, taus)).pi
+        assert T.shape == (3, 4, 4) and pi.shape == (3, 4)
+        for n, row in enumerate(taus):
+            tm = transition_matrix(params, validate_policy(params, row))
+            assert np.array_equal(T[n], tm.entries)
+            assert np.array_equal(pi[n], stationary(tm).pi)
 
     def test_tau_full_invariance_bitwise(self):
         params, base = make(1.0, [1.5, 1.0, 0.72])

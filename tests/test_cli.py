@@ -6,6 +6,7 @@ formatting are exercised exactly as a shell user would see them.
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -18,6 +19,13 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_without_warnings(argv):
+    """cli.main(argv) with every warning turned into an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(argv)
 
 
 class TestEvaluate:
@@ -144,23 +152,23 @@ class TestOptimize:
         assert code == cli.EXIT_VALIDATION
         assert captured.out == "" and "Traceback" not in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_result_outside_double_range_exit_code(self, capsys):
-        # mu = 1e-300 puts every threshold near 1e300; it printed "objective": NaN
-        code = cli.main(["optimize", "--mu", "1e-300", "--battery", "2", "--mode", "penalty"])
+        # mu = 1e-300 puts every threshold near 1e300; it printed "objective": NaN,
+        # and numpy overflow warnings reached stderr ahead of the error line
+        code = run_without_warnings(["optimize", "--mu", "1e-300", "--battery", "2", "--mode", "penalty"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_VALIDATION
-        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith("error: OverflowError") and captured.err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_result_is_not_printed(self, capsys):
         # the objective of this start point is NaN; it was printed as "objective": NaN
         argv = ["optimize", "--mu", "0.05", "--battery", "2", "--mode", "penalty"]
-        code, out = run(capsys, argv + ["--penalty", "power", "--exponent", "200"])
+        code = run_without_warnings(argv + ["--penalty", "power", "--exponent", "200"])
+        captured = capsys.readouterr()
         assert code == cli.EXIT_VALIDATION
-        assert out == ""
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSweep:
@@ -300,3 +308,39 @@ class TestTable1:
             assert taus == sorted(taus, reverse=True)
             ages.append(float(line.split()[-3]))
         assert ages == sorted(ages, reverse=True)
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of one cli.main call, argparse rejections included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+INTERLEAVED = [
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1.5,0.72"],
+    ["optimize", "--mu", "1.3", "--battery", "2", "--mode", "penalty", "--penalty", "power", "--exponent", "2"],
+    ["optimize", "--mu", "1", "--battery", "2", "--mode", "bogus"],  # argparse rejects it
+    ["sweep", "--fig", "6", "--mu", "0.8", "--tau1", "1.4", "--points", "5"],
+    ["evaluate", "--mu", "0.7", "--battery", "3", "--thresholds", "2,1,0.5", "--penalty", "power"],
+    ["optimize", "--mu", "1", "--battery", "2", "--grid-points", "9", "--mode", "grid"],
+    ["table1", "--q", "3"],  # argparse rejects it
+    ["sweep", "--mu", "1,2", "--battery", "1,2"],
+]
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # main builds its parser once per process; interleaving subcommands, their
+    # defaults and argparse errors must give what a freshly built parser gives
+    fresh = []
+    for argv in INTERLEAVED:
+        cli._parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    cli._parser.cache_clear()
+    cached = [call(capsys, argv) for argv in INTERLEAVED + INTERLEAVED]
+    assert cli._parser.cache_info().misses == 1
+    assert cached == fresh + fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]

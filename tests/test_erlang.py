@@ -11,12 +11,12 @@ from aoiharvest.erlang import (
     ErlangKernel,
     InvalidInterval,
     NegativeArgument,
-    _power_exp_integral,
     erlang_cdf,
     erlang_survival,
     penalty_weighted_integral,
+    piece_orders,
     survival_weighted_integral,
-    weighted_prefix,
+    threshold_integrals,
 )
 from aoiharvest.model import PenaltySpec
 
@@ -115,21 +115,37 @@ class TestSurvivalWeightedIntegral:
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def piece_terms(mu, a, b, terms, orders):
+    """threshold_integrals' terms of orders v < `orders` on [a, b): the last
+    piece of the thresholds (b, ..., b, a), orders + 1 of them. Row r is term r."""
+    m, v = piece_orders(orders + 1)
+    taus = np.array([[b] * orders + [a]], dtype=float)
+    J = threshold_integrals(mu, taus, terms)[0]
+    last = m == orders + 1
+    out = np.zeros((len(terms), orders + 1))
+    out[:, v[last]] = J[:, last]
+    return out[:, :orders]
+
+
 class TestWeightedPrefix:
+    """Prefix sums over the orders of one piece: sum_{v<k} of threshold_integrals'
+    terms is int_a^b p(x) Pr(Y_k > x) dx."""
+
     @pytest.mark.parametrize("a,b", [(0.0, 0.8), (0.4, 2.5), (1.3, INF)])
     @pytest.mark.parametrize(
         "p", [PenaltySpec.identity(), PenaltySpec.power(0.5), PenaltySpec.power(2.0, 3.0)]
     )
     def test_entry_k_matches_quadrature_of_order_k(self, a, b, p):
-        row = weighted_prefix(1.3, a, b, p.terms, 6)
-        assert len(row) == 7 and row[0] == 0.0
+        row = np.cumsum(piece_terms(1.3, a, b, p.terms, 6).sum(axis=0))
         for k in range(1, 7):
             want = quad_survival_integral(1.3, k, a, b, p)
-            assert row[k] == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert row[k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_empty_interval_gives_exact_zeros(self):
-        # tied thresholds make empty pieces, whose rows renewal adds unconditionally
-        assert weighted_prefix(1.3, 0.7, 0.7, PenaltySpec.power(0.5).terms, 6) == [0.0] * 7
+        # tied thresholds make empty pieces, which renewal adds unconditionally
+        m, _ = piece_orders(6)
+        J = threshold_integrals(1.3, np.array([[2.0, 0.7, 0.7, 0.7, 0.7, 0.7]]), PenaltySpec.power(0.5).terms)
+        assert np.all(J[0][:, m > 2] == 0.0) and np.all(J[0][:, m <= 2] > 0.0)
 
 
 class TestPenaltyWeightedIntegral:
@@ -154,40 +170,47 @@ class TestPenaltyWeightedIntegral:
 
 
 class TestPowerExpIntegral:
-    """int_a^b x^s e^{-mu x} dx for fractional s against mpmath at 40 digits.
+    """mu^v/v! int_a^b x^(e+v) e^{-mu x} dx, one term of threshold_integrals,
+    against mpmath at 40 digits.
 
-    Domain: s in {0.25, 0.5, 1.5, 2.5, 3.5, 5.5}, mu in [1e-3, 10]
-    (log-uniform), mu*a in [0, 60] and mu*(b - a) in [1e-3, 30]
-    (log-uniform), plus b = inf; bound 1e-10 relative. Far past the mode
-    both regularized lower incomplete gammas round to 1, so differencing
-    them loses every digit there.
+    Domain: e in {0.25, 0.5, 1.5, 2.5, 3.5, 5.5} and the integers 0..2,
+    orders v in 0..7, mu in [1e-3, 10] (log-uniform), mu*a in [0, 60] and
+    mu*(b - a) in [1e-3, 30] (log-uniform), plus b = inf; bound 1e-10
+    relative. Far past the mode both regularized lower incomplete gammas
+    round to 1, so differencing them loses every digit there.
     """
 
-    EXPONENTS = (0.25, 0.5, 1.5, 2.5, 3.5, 5.5)
+    EXPONENTS = (0.25, 0.5, 1.5, 2.5, 3.5, 5.5, 0.0, 1.0, 2.0)
 
     @staticmethod
-    def reference(s, mu, a, b):
+    def reference(e, v, mu, a, b):
         with mpmath.workdps(40):
-            upper = mpmath.inf if b == INF else mpmath.mpf(mu) * mpmath.mpf(b)
-            val = mpmath.gammainc(s + 1, mpmath.mpf(mu) * mpmath.mpf(a), upper)
-            return float(val / mpmath.mpf(mu) ** (s + 1))
+            mu = mpmath.mpf(mu)
+            upper = mpmath.inf if b == INF else mu * mpmath.mpf(b)
+            val = mpmath.gammainc(e + v + 1, mu * mpmath.mpf(a), upper)
+            return float(val * mu**v / mpmath.factorial(v) / mu ** (e + v + 1))
+
+    @staticmethod
+    def term(e, v, mu, a, b):
+        return piece_terms(mu, a, b, ((1.0, e),), v + 1)[0, v]
 
     def test_far_tail_keeps_precision(self):
-        assert _power_exp_integral(0.5, 1.0, 40.0, 41.0) == pytest.approx(
-            self.reference(0.5, 1.0, 40.0, 41.0), rel=1e-10, abs=0.0
+        assert self.term(0.5, 0, 1.0, 40.0, 41.0) == pytest.approx(
+            self.reference(0.5, 0, 1.0, 40.0, 41.0), rel=1e-10, abs=0.0
         )
 
     def test_matches_mpmath_on_domain(self):
         rng = np.random.default_rng(20261018)
         worst = 0.0
         for _ in range(600):
-            s = float(rng.choice(self.EXPONENTS))
+            e = float(rng.choice(self.EXPONENTS))
+            v = int(rng.integers(0, 8))
             mu = float(10 ** rng.uniform(-3.0, 1.0))
             a = float(rng.uniform(0.0, 60.0)) / mu
             if rng.random() < 0.1:
                 b = INF
             else:
                 b = a + float(10 ** rng.uniform(-3.0, math.log10(30.0))) / mu
-            want = self.reference(s, mu, a, b)
-            worst = max(worst, abs(_power_exp_integral(s, mu, a, b) - want) / want)
+            want = self.reference(e, v, mu, a, b)
+            worst = max(worst, abs(self.term(e, v, mu, a, b) - want) / want)
         assert worst <= 1e-10

@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from aoiharvest.erlang import ErlangKernel, penalty_weighted_integral, survival_weighted_integral
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
     StepBreaksMonotonicity,
     avg_penalty_gradient,
+    batch_metrics,
     conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
@@ -82,46 +83,39 @@ class TestConditionalMoments:
         assert np.all(cm.ex2 >= cm.ex**2)
 
 
-def per_piece_moments(params, policy, p):
-    """One integral per start state and piece: the head on [0, tau_B), then
-    pieces m = B..1, [tau_m, tau_{m-1}) with tau_0 = inf, skipping m <= j."""
-    B, mu = params.battery, params.mu_h
-    tau = [math.inf] + list(policy.thresholds)
-    out = []
-    for j in range(B):
-        e1, e2, ep = tau[B], tau[B] * tau[B], p.antiderivative(tau[B])
-        for m in range(B, j, -1):
-            k = ErlangKernel(mu, m - j)
-            e1 += survival_weighted_integral(k, tau[m], tau[m - 1], 0)
-            e2 += 2.0 * survival_weighted_integral(k, tau[m], tau[m - 1], 1)
-            ep += penalty_weighted_integral(k, tau[m], tau[m - 1], p)
-        out.append((e1, e2, ep))
-    return out
+class TestOverflow:
+    def test_outside_double_range_raises_without_warnings(self):
+        params, pol = make(1e-300, [1e300, 1e299])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                policy_metrics(params, pol)
 
 
-class TestPrefixRows:
-    """The per-piece prefix rows give exactly the per-state, per-piece sums."""
+class TestBatch:
+    def test_grid_round_matches_single_evaluations_bitwise(self):
+        # one round of the B = 2 grid: every vertex in one call, bitwise the
+        # avg_penalty that policy_metrics gives each vertex alone
+        params = SystemParams(mu_h=1.3, battery=2)
+        axes = np.linspace(0.5 / 1.3, 1 / 1.3, 15), np.linspace(0, 10 / 1.3, 15)
+        tau_b, gap = np.meshgrid(*axes, indexing="ij")
+        taus = np.column_stack(((tau_b + gap).ravel(), tau_b.ravel()))
+        for p in (IDENT, PenaltySpec.power(0.5), PenaltySpec(((1.0, 1.0), (0.5, 2.5)))):
+            got = batch_metrics(params, taus, p).avg_penalty
+            want = [policy_metrics(params, Policy(tuple(row)), p).avg_penalty for row in taus.tolist()]
+            assert got.tolist() == want
 
-    @pytest.mark.parametrize(
-        "mu,taus",
-        [
-            (1.0, [0.9]),
-            (1.0, [1.5, 0.72]),
-            (0.7, [2.1, 1.4, 0.9]),
-            (1.0, [1.5, 0.01, 0.01]),
-            (2.0, [1.2, 0.9, 0.9, 0.4, 0.0]),
-            (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
-            (0.4, [9.0, 7.5, 7.5, 6.0, 4.4, 3.1, 1.0, 0.0]),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "p", [IDENT, PenaltySpec.power(0.5), PenaltySpec.power(2.0)], ids=["id", "pow0.5", "pow2"]
-    )
-    def test_bitwise_equal_to_per_piece_sums(self, mu, taus, p):
-        params, pol = make(mu, taus)
-        cm = conditional_moments(params, pol, p)
-        want = per_piece_moments(params, pol, p)
-        assert [(cm.ex[j], cm.ex2[j], cm.epx[j]) for j in range(params.battery)] == want
+    def test_fields_match_policy_metrics(self):
+        params = SystemParams(mu_h=0.8, battery=3)
+        taus = [[3.0, 2.0, 0.5], [1.0, 1.0, 1.0], [2.5, 0.4, 0.0]]
+        b = batch_metrics(params, taus, PenaltySpec.power(2.0))
+        for n, row in enumerate(taus):
+            m = policy_metrics(params, Policy(tuple(row)), PenaltySpec.power(2.0))
+            got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
+            assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
+            assert tuple(zip(*b.moments[n].tolist())) == m.per_state
+            assert tuple(b.pi[n].tolist()) == m.pi
+            assert np.array_equal(b.transition[n], m.transition)
 
 
 class TestPolicyMetrics:
