@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
-from aoiharvest.chain import relative_values, stationary, transition_matrix
+from aoiharvest.chain import FLUSH, relative_values, stationary, transition_matrix
 from aoiharvest.erlang import ErlangKernel, erlang_cdf
 from aoiharvest.model import SystemParams, validate_policy
 
@@ -57,6 +58,31 @@ class TestTransitionMatrix:
                 if i < B - 1:
                     want -= erlang_cdf(ErlangKernel(mu, 2 + i - j), tau[i + 1])
                 assert abs(T[j, i] - want) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "mu,taus",
+        [(1.0, [1.5, 0.72]), (0.8, [2.0, 1.0, 1.0, 0.0]), (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2])],
+    )
+    def test_entries_are_cdf_differences_bitwise(self, mu, taus):
+        # the same differences one entry at a time, Pr(Y_n <= tau) = P(n, mu tau)
+        # for n >= 1 and 1 for n <= 0; tiny negatives and entries below FLUSH
+        # go to 0
+        params, pol = make(mu, taus)
+        B = params.battery
+        tau = [math.inf] + taus
+
+        def cdf(n, t):
+            return float(gammainc(n, mu * t)) if n >= 1 else 1.0
+
+        T = transition_matrix(params, pol).entries
+        for j in range(B):
+            for i in range(B):
+                want = cdf(1 + i - j, tau[i])
+                if i < B - 1:
+                    want -= cdf(2 + i - j, tau[i + 1])
+                if -1e-14 < want < FLUSH:
+                    want = 0.0
+                assert T[j, i] == want
 
     def test_batch_rows_are_single_matrices(self):
         params = SystemParams(mu_h=0.9, battery=4)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc, poch
 
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
@@ -81,6 +82,63 @@ class TestConditionalMoments:
         cm = conditional_moments(params, pol, IDENT)
         assert np.all(cm.ex >= pol.tau_full)
         assert np.all(cm.ex2 >= cm.ex**2)
+
+
+def per_piece_moments(params, policy, p):
+    """Every piece's Poisson terms one at a time, summed per start state.
+
+    Term v of piece m = [tau_m, tau_{m-1}), tau_0 = inf, is
+    c mu^v / v! int x^(e+v) e^{-mu x} dx, from one pair of incomplete gammas
+    at its ends; it has shortfall d = m - v. State j takes the shortfalls
+    d > j from d = B down, each one's v = 0 term plus the sum of the rest
+    (as numpy adds a short run), then the head on [0, tau_B). The powers of
+    mu and tau_B are taken as arrays, as in the evaluator.
+    """
+    B, mu = params.battery, params.mu_h
+    tau = [math.inf] + list(policy.thresholds)
+    terms = ((1.0, 0.0), (2.0, 1.0), *p.terms)
+    exps = np.array([e for _, e in terms])
+    out = []
+    for (c, e), mu_pow, tau_pow in zip(terms, mu ** (exps + 1.0), tau[B] ** exps):
+
+        def term(m, v):
+            s, lo, hi = e + v + 1.0, mu * tau[m], mu * tau[m - 1]
+            d = gammaincc(s, lo) - gammaincc(s, hi) if lo >= s else gammainc(s, hi) - gammainc(s, lo)
+            return max(d, 0.0) * (c * poch(v + 1.0, e) / mu_pow)
+
+        head = tau[B] * (c / (e + 1.0) * tau_pow)
+        row, acc = [0.0] * B, 0.0
+        for d in range(B, 0, -1):
+            first, *rest = [term(d + v, v) for v in range(B - d + 1)]
+            acc += first + sum(rest)
+            row[d - 1] = acc + head
+        out.append(row)
+    return list(zip(*out))
+
+
+class TestPrefixRows:
+    """The batched term table gives exactly the per-piece, per-term sums."""
+
+    @pytest.mark.parametrize(
+        "mu,taus",
+        [
+            (1.0, [0.9]),
+            (1.0, [1.5, 0.72]),
+            (0.7, [2.1, 1.4, 0.9]),
+            (1.0, [1.5, 0.01, 0.01]),
+            (2.0, [1.2, 0.9, 0.9, 0.4, 0.0]),
+            (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
+            (0.4, [9.0, 7.5, 7.5, 6.0, 4.4, 3.1, 1.0, 0.0]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "p", [IDENT, PenaltySpec.power(0.5), PenaltySpec.power(2.0)], ids=["id", "pow0.5", "pow2"]
+    )
+    def test_bitwise_equal_to_per_piece_sums(self, mu, taus, p):
+        params, pol = make(mu, taus)
+        cm = conditional_moments(params, pol, p)
+        want = per_piece_moments(params, pol, p)
+        assert [(cm.ex[j], cm.ex2[j], cm.epx[j]) for j in range(params.battery)] == want
 
 
 class TestOverflow:
