@@ -3,12 +3,13 @@
 Battery levels sampled immediately after each update form a DTMC on
 {0, ..., B-1}. Transition probabilities are finite differences of Erlang
 CDFs evaluated at the thresholds, Pr(Y_n <= tau) = P(n, mu tau) with P the
-regularized lower incomplete gamma; notably they never involve the
-full-battery threshold, so the stationary distribution is invariant to
-it. transition_matrix and stationary also take a batch of policies: every
-array then carries a leading policy axis. The relative values of a
-per-transition cost c solve the chain's Poisson equation (I - T) h = c,
-one more linear solve.
+regularized lower incomplete gamma, read from erlang's table of incomplete
+gammas at the thresholds (renewal reads its moments from the same table).
+They never involve the full-battery threshold, so the stationary
+distribution is invariant to it. transition_matrix and stationary also
+take a batch of policies: every array then carries a leading policy axis.
+The relative values of a per-transition cost c solve the chain's Poisson
+equation (I - T) h = c, one more linear solve.
 
 Note on the two-state case: the closed-form expression
 e^{-mu tau_1} / (1 - mu tau_1 e^{-mu tau_1}) solves the balance equation
@@ -25,15 +26,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 from .erlang import erlang_cdf  # noqa: F401  (patched by perfbench/tracer.py)
+from .erlang import gamma_table, threshold_cdfs
 from .model import Policy, SystemParams
 
 
-# Smallest entry transition_matrix keeps: the square of anything above it is
-# a normal double.
+# Smallest entry transition_from_cdfs keeps: the square of anything above
+# it is a normal double.
 FLUSH = 1e-150
+
+_CDF_TERMS = ((1.0, 0.0),)  # the exponent-0 table holds the CDFs
 
 
 class SingularSystem(RuntimeError):
@@ -58,22 +61,14 @@ class StationaryDistribution:
         self.pi.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class _CdfLayout:
-    """C[j, i] = Pr(Y_{1+i-j} <= tau_i) for j <= i, 1 <= i < B; the rest is fixed."""
-
-    fixed: np.ndarray  # (B, B+1): 1 for i = 0 (tau_0 = +inf) and i < j, 0 for i = B
-    entries: np.ndarray  # flat index j (B+1) + i of each computed entry
-    taus: np.ndarray  # i - 1, the column of tau_i in a threshold vector
-    orders: np.ndarray  # 1 + i - j
-
-
-@lru_cache(maxsize=32)
-def _cdf_layout(battery: int) -> _CdfLayout:
-    j, i = np.triu_indices(battery, -1, battery - 1)  # pairs j <= (i - 1) + 1
-    fixed = np.ones((battery, battery + 1))
-    fixed[:, battery] = 0.0
-    return _CdfLayout(fixed, j * (battery + 1) + i + 1, i, (i + 2 - j).astype(float))
+def transition_from_cdfs(cdfs: np.ndarray) -> TransitionMatrix:
+    """Transition matrices from erlang.threshold_cdfs' C, T[j, i] = C[j, i] - C[j, i+1]."""
+    T = cdfs[..., :-1] - cdfs[..., 1:]
+    # Tiny negatives are rounding. Entries below FLUSH weigh nothing, but
+    # their products in the LU factorization of stationary go subnormal,
+    # which slowed the threaded solve at B = 128 from 0.3 ms to 110 ms.
+    T[(T > -1e-14) & (T < FLUSH)] = 0.0
+    return TransitionMatrix(T)
 
 
 def transition_matrix(params: SystemParams, policy) -> TransitionMatrix:
@@ -86,17 +81,9 @@ def transition_matrix(params: SystemParams, policy) -> TransitionMatrix:
     row, for N matrices at once.
     """
     taus = np.asarray(policy.thresholds if isinstance(policy, Policy) else policy, dtype=float)
-    lay = _cdf_layout(params.battery)
-    C = np.empty(taus.shape[:-1] + lay.fixed.shape)
-    C[...] = lay.fixed
-    cdf = gammainc(lay.orders, params.mu_h * taus[..., lay.taus])
-    C.reshape(taus.shape[:-1] + (-1,))[..., lay.entries] = cdf
-    T = C[..., :-1] - C[..., 1:]
-    # Tiny negatives are rounding. Entries below FLUSH weigh nothing, but
-    # their products in the LU factorization of stationary go subnormal,
-    # which slowed the threaded solve at B = 128 from 0.3 ms to 110 ms.
-    T[(T > -1e-14) & (T < FLUSH)] = 0.0
-    return TransitionMatrix(T)
+    B = params.battery
+    table = gamma_table(params.mu_h, taus.reshape(-1, B), _CDF_TERMS)
+    return transition_from_cdfs(threshold_cdfs(table).reshape(taus.shape[:-1] + (B, B + 1)))
 
 
 @lru_cache(maxsize=32)
@@ -121,9 +108,11 @@ def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     """
     T = matrix.entries
     eye = _identity(T.shape[-1])
-    A = np.swapaxes(T, -1, -2) - eye
+    A = T.swapaxes(-1, -2) - eye
     A[..., -1, :] = 1.0
-    pi = _solve(A, eye[-1])
+    # b is a column per matrix (b.ndim == A.ndim), which NumPy 1.x and 2
+    # both read as matrices; NumPy 1.x rejects a 1-D b against a stacked A.
+    pi = _solve(A, eye[-1].reshape((1,) * (A.ndim - 2) + (-1, 1)))[..., 0]
     if np.minimum.reduce(pi, axis=None) < 0.0:
         pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
         if (pi < 0).any():

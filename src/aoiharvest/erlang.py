@@ -11,12 +11,15 @@ gammas:
         = poch(v+1, e) / mu^(e+1) * [Q(e+v+1, mu a) - Q(e+v+1, mu b)],
 
 with Q = 1 - P the regularized upper gamma (the Poisson CDF for integer
-e) and poch(v+1, e) = Gamma(e+v+1) / v!. threshold_integrals takes P and Q
-once each over the table of thresholds and orders, for every exponent, and
-differences each piece between two thresholds on its own: in upper tails Q
-once mu a >= e+v+1, where P rounds toward 1, and in lower tails P below
-that. Adding up whole tails instead (telescoping) cancels digits the
-accuracy contract needs. No truncation or quadrature is ever used.
+e) and poch(v+1, e) = Gamma(e+v+1) / v!. gamma_table takes P and Q once
+each over the table of thresholds and orders, for every exponent.
+threshold_integrals differences each piece between two thresholds on its
+own: in upper tails Q once mu a >= e+v+1, where P rounds toward 1, and in
+lower tails P below that. Adding up whole tails instead (telescoping)
+cancels digits the accuracy contract needs. No truncation or quadrature is
+ever used. The same table's exponent-0 entries are the Erlang CDFs at the
+thresholds, Pr(Y_n <= tau) = P(n, mu tau), which threshold_cdfs gathers
+for the battery chain.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, poch
@@ -79,15 +83,15 @@ def erlang_cdf(k: ErlangKernel, x: float) -> float:
 
 @lru_cache(maxsize=32)
 def piece_orders(battery: int) -> tuple[np.ndarray, np.ndarray]:
-    """Piece m and order v of each entry of threshold_integrals' last axis.
+    """Piece m and order v of the Poisson terms in threshold_integrals.
 
-    Every piece m = 1..B with every order v < m, sorted by the shortfall
-    m - v (then by v): a start state j <= B - 1 sees the term v on piece m
-    exactly when m - v > j.
+    Every piece m = 1..B with every order v < m, sorted by descending
+    shortfall m - v (then by v): a start state j <= B - 1 sees the term v
+    on piece m exactly when m - v > j.
     """
-    d, v = np.divmod(np.arange(battery * battery), battery)
-    d += 1
-    keep = v <= battery - d
+    k, v = np.divmod(np.arange(battery * battery), battery)
+    d = battery - k
+    keep = v + d <= battery
     m, v = v[keep] + d[keep], v[keep]
     m.setflags(write=False)
     v.setflags(write=False)
@@ -96,19 +100,25 @@ def piece_orders(battery: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Index arrays of threshold_integrals for one battery size and term list.
+    """Index arrays of a gamma table for one battery size and term list.
 
-    The gamma table holds, for each point k of (inf, tau_1..tau_B) and each
-    distinct exponent, the orders v <= min(k, B-1) that the pieces ending
-    there need; piece m runs from tau_m (lo) to tau_{m-1} (hi).
+    The table holds Q and P, for each distinct exponent (0 among them) and
+    each point k of (inf, tau_1..tau_B), at the orders v <= min(k, B-1)
+    that the pieces ending there need; piece m runs from tau_m (lo) to
+    tau_{m-1} (hi). Flat indices address the table as (Q, P) blocks. The
+    integrals' column 0, the head, repeats piece 1 until it is overwritten.
     """
 
     column: np.ndarray  # (L,) threshold column of each table entry; entry 0 is tau_0
     s: np.ndarray  # (U, L) shape parameter e + v + 1 per distinct exponent
-    lo: np.ndarray  # (R, M) flat (exponent, entry) of every piece's lo
-    ends: np.ndarray  # (4, R, M) into the stacked (Q, P) tables: Q at lo, Q at hi, P at lo, P at hi
-    coef: np.ndarray  # (R, M) c * poch(v+1, e)
+    pairs: np.ndarray  # (2, 2, R, 1+M) flat: (Q at lo, P at hi) minus (Q at hi, P at lo)
+    lo: np.ndarray  # (1, 1+M) table entry of every piece's lo
+    lo_s: np.ndarray  # (R, 1+M) shape parameter at lo
+    coef: np.ndarray  # (R, 1+M) c * poch(v+1, e)
     power: np.ndarray  # (R, 1) e + 1
+    head_scale: np.ndarray  # (R,) c / (e+1)
+    head_power: np.ndarray  # (R,) e
+    cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= tau_i), then 0
 
 
 @lru_cache(maxsize=32)
@@ -118,49 +128,95 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     start = np.cumsum(counts) - counts  # table entry of (k, 0)
     order = np.arange(len(point)) - start[point]
     m, v = piece_orders(battery)
-    distinct = sorted({float(e) for _, e in terms})
-    rows = np.array([[distinct.index(float(e))] for _, e in terms])
-    lo = rows * len(point) + start[m] + v
-    hi = rows * len(point) + start[m - 1] + v
-    table = len(distinct) * len(point)
+    m, v = np.append(1, m), np.append(0, v)  # the head's column, overwritten
+    distinct = sorted({0.0, *(float(e) for _, e in terms)})
+    width = len(point)
+    rows = np.array([[distinct.index(float(e))] for _, e in terms]) * width
+    lo = rows + start[m] + v
+    hi = rows + start[m - 1] + v
+    p_block = len(distinct) * width
     c, e = np.asarray(terms, dtype=float).T[:, :, None]
+    # C[j, i] for i < B: P(1+i-j, mu tau_i) of exponent 0, and P(1, inf) = 1
+    # where the order is <= 0 or tau_i = tau_0; C[j, B] = Q(1, inf) = 0.
+    zero = distinct.index(0.0) * width
+    j, i = np.indices((battery, battery + 1))
+    cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + zero + p_block
+    cdf[:, battery] = zero
     return _Layout(
         column=np.maximum(point - 1, 0),
         s=np.asarray(distinct)[:, None] + order + 1.0,
-        lo=lo,
-        ends=np.stack((lo, hi, lo + table, hi + table)),
+        pairs=np.stack(((lo, hi + p_block), (hi, lo + p_block))),
+        lo=(start[m] + v)[None],
+        lo_s=e + v + 1.0,
         coef=c * poch(v + 1.0, e),
         power=e + 1.0,
+        head_scale=(c / (e + 1.0))[:, 0],
+        head_power=e[:, 0],
+        cdf=cdf,
     )
 
 
-def threshold_integrals(mu: float, taus: np.ndarray, terms) -> np.ndarray:
-    """Every Poisson term's integral over every piece between thresholds.
+class GammaTable(NamedTuple):
+    """Regularized incomplete gammas at the thresholds of a batch of policies."""
+
+    values: np.ndarray  # (N, 2, U, L): Q, then P, at s = layout.s and z
+    z: np.ndarray  # (N, L) mu times the threshold of each table entry
+    taus: np.ndarray  # (N, B) the thresholds
+    mu: float
+    layout: _Layout
+
+
+def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
+    """Q(s, mu tau) and P(s, mu tau) at every threshold, for the given terms.
 
     taus is an (N, B) array of non-increasing thresholds, one policy per
-    row; with tau_0 = inf, piece m is [tau_m, tau_{m-1}). terms is a tuple
-    of (c, e) pairs. Returns J of shape (N, R, M), R = len(terms) and
-    M = B(B+1)/2, with
-
-        J[n, r, i] = c_r mu^v / v! int_{piece m} x^(e_r + v) e^{-mu x} dx
-
-    for the piece m and order v of entry i (piece_orders(B)), each entry
-    clamped at zero.
+    row, and terms a tuple of (c, e) pairs. gammaincc and gammainc run once
+    each over the whole table; threshold_integrals and threshold_cdfs read
+    from it.
     """
-    N = len(taus)
     lay = _layout(taus.shape[1], tuple(terms))
-    z = mu * taus[:, lay.column]
+    z = mu * taus.take(lay.column, axis=-1)
     z[:, 0] = INF
-    z = z[:, None, :]
-    table = np.empty((N, 2) + lay.s.shape)
-    gammaincc(lay.s, z, out=table[:, 0])
-    gammainc(lay.s, z, out=table[:, 1])
-    q_lo, q_hi, p_lo, p_hi = table.reshape(N, -1)[:, lay.ends].swapaxes(0, 1)
-    # upper tails past the mode, lower tails before it
-    d = np.where((z >= lay.s).reshape(N, -1)[:, lay.lo], q_lo - q_hi, p_hi - p_lo)
+    values = np.empty((len(z), 2) + lay.s.shape)
+    per_exponent = z[:, None, :]
+    gammaincc(lay.s, per_exponent, out=values[:, 0])
+    gammainc(lay.s, per_exponent, out=values[:, 1])
+    return GammaTable(values, z, taus, mu, lay)
+
+
+def threshold_integrals(table: GammaTable) -> np.ndarray:
+    """Every integral the conditional moments add up, for every term.
+
+    With tau_0 = inf, piece m is [tau_m, tau_{m-1}). Returns J of shape
+    (N, R, 1 + M), R the number of terms and M = B(B+1)/2. Column 0 is the
+    head [0, tau_B), where every start state's survival is 1:
+
+        J[n, r, 0] = c_r int_0^{tau_B} x^e_r dx,
+
+    computed as tau_B * (c_r / (e_r+1) * tau_B^e_r), which keeps x and x^2
+    exact. Column 1 + i is the Poisson term v on piece m of entry i of
+    piece_orders(B), clamped at zero:
+
+        J[n, r, 1 + i] = c_r mu^v / v! int_{piece m} x^(e_r + v) e^{-mu x} dx.
+    """
+    values, z, taus, mu, lay = table
+    ends = values.reshape(len(z), -1).take(lay.pairs, axis=-1)
+    diff = ends[:, 0] - ends[:, 1]
+    d = diff[:, 1]  # lower tails before the mode, upper tails past it
+    np.copyto(d, diff[:, 0], where=z.take(lay.lo, axis=-1) >= lay.lo_s)
     np.maximum(d, 0.0, out=d)
     d *= lay.coef / mu**lay.power
+    tau_b = taus[:, -1:]
+    d[..., 0] = tau_b * (lay.head_scale * tau_b**lay.head_power)
     return d
+
+
+def threshold_cdfs(table: GammaTable) -> np.ndarray:
+    """C[n, j, i] = Pr(Y_{1+i-j} <= tau_i) for i < B, with tau_0 = inf, and C[n, j, B] = 0.
+
+    Shape (N, B, B+1): the exponent-0 entries of the table, gathered.
+    """
+    return table.values.reshape(len(table.z), -1).take(table.layout.cdf, axis=-1)
 
 
 def _check_interval(a: float, b: float):
@@ -174,7 +230,8 @@ def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> floa
     taus = np.full((1, order + 1), float(b))
     taus[0, -1] = a
     m, v = piece_orders(order + 1)
-    return float(threshold_integrals(mu, taus, terms)[0][:, (m == order + 1) & (v < order)].sum())
+    J = threshold_integrals(gamma_table(mu, taus, terms))[0, :, 1:]
+    return float(J[:, (m == order + 1) & (v < order)].sum())
 
 
 def survival_weighted_integral(

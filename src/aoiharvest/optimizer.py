@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import PenaltySpec, Policy, SystemParams, validate_policy
-from .renewal import batch_metrics, bellman_levels, policy_metrics
+from .renewal import avg_penalties, bellman_levels, policy_metrics
 
 # Largest gap on the grid oracle's axes, in units of 1/mu_h.
 UPPER_CAP_FACTOR = 10.0
@@ -118,8 +118,9 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
 
     Each round evaluates its points^ndim vertices in batches of at most
     GRID_BATCH, keeps the best vertex (ties broken by lexicographically
-    smallest threshold vector), and shrinks every dimension to one grid
-    step around it, clipped to the outer bounds.
+    smallest threshold vector; vertices whose objective leaves double range
+    are passed over), and shrinks every dimension to one grid step around
+    it, clipped to the outer bounds.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -140,12 +141,16 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
             vecs = np.stack([axes[d][index[d]] for d in range(ndim)], axis=1)
             # tau_B = vec[0], then tau_i = tau_{i+1} + gap_i upward, summed in that order
             taus = np.add.accumulate(vecs[:, [0, *range(ndim - 1, 0, -1)]], axis=1)[:, ::-1]
-            vals = batch_metrics(params, taus, penalty).avg_penalty
+            vals = avg_penalties(params, taus, penalty)
+            if vals.min() == math.inf:
+                continue  # no vertex of this batch has a finite objective
             ties = np.flatnonzero(vals == vals.min())
             k = min(ties, key=lambda i: taus[i].tolist())
             val, cand = float(vals[k]), tuple(taus[k].tolist())
             if val < best_val or (val == best_val and cand < best_taus):
                 best_val, best_taus, best_vec = val, cand, vecs[k]
+        if best_vec is None:
+            raise OverflowError("policy metrics outside double range at every grid vertex")
         step = (highs - lows) / (points - 1)
         lows = np.maximum(best_vec - step, blo)
         highs = np.minimum(best_vec + step, bhi)

@@ -9,13 +9,16 @@ survival function over those pieces (which handles the atoms for free):
     E[X^2 | j]  = int 2x (1 - F_j),
     E[P(X) | j] = int p(x) (1 - F_j),
 
-each piece in closed form via the erlang module. Piece [tau_m, tau_{m-1})
-carries Pr(Y_{m-j} > x) from start state j, the sum of the Poisson terms
-v < m-j; erlang.threshold_integrals gives every term's integral over every
-piece from one table of incomplete gammas at the thresholds. Start state j
-thus collects exactly the terms whose shortfall m - v exceeds j: one sum
-per shortfall, then a running sum from the largest shortfall down, gives
-every state at once. That is O(B^2) numpy work with no loop over states or
+each piece in closed form via the erlang module. Survival is 1 on the
+head [0, tau_B), and piece [tau_m, tau_{m-1}) carries Pr(Y_{m-j} > x) from
+start state j, the sum of the Poisson terms v < m-j.
+erlang.threshold_integrals gives the head and every term's integral over
+every piece from one table of incomplete gammas at the thresholds, the
+table whose exponent-0 entries also give the battery chain
+(erlang.threshold_cdfs). Start state j thus collects the head and exactly
+the terms whose shortfall m - v exceeds j: with the terms in descending
+shortfall, one running sum, read where each state's terms end, gives every
+state at once. That is O(B^2) numpy work with no loop over states or
 pieces. Every array carries a leading policy axis, so one call evaluates a
 batch of policies (batch_metrics); policy_metrics is the batch of one.
 Long-run averages are stationary mixtures of the per-state moments; the
@@ -40,13 +43,16 @@ w_i = sum_j pi_j d E[X|j] / d tau_i >= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import relative_values, stationary, transition_matrix
-from .erlang import ErlangKernel, erlang_cdf, piece_orders, threshold_integrals
+from .chain import relative_values, stationary, transition_from_cdfs
+from .chain import transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
+from .erlang import ErlangKernel, GammaTable, erlang_cdf, gamma_table
+from .erlang import threshold_cdfs, threshold_integrals
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
 
@@ -85,32 +91,35 @@ def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> f
     raise AssertionError("unreachable: pieces cover [tau_B, inf)")
 
 
+def _terms(p: PenaltySpec) -> tuple[tuple[float, float], ...]:
+    """The integrands of E[X], E[X^2] and E[P(X)]: 1, 2x and p's terms."""
+    return ((1.0, 0.0), (2.0, 1.0), *p.terms)
+
+
 @lru_cache(maxsize=32)
-def _sums(battery: int, terms: tuple[tuple[float, float], ...]):
-    """Shortfall starts, and c / (e+1) and e per term, for _moments.
+def _state_ends(battery: int) -> np.ndarray:
+    """Column of threshold_integrals' running sum that ends each start state's terms.
 
-    starts[d-1] is the first entry of shortfall d = m - v among
-    threshold_integrals' entries. A term c x^e integrates to
-    tau * c/(e+1) * tau^e on [0, tau): the split keeps x^1 and x^2 exact,
-    where numpy's array power rounds tau^2 off by an ulp.
+    State j adds the head and the Poisson terms of shortfall m - v > j, which
+    come first in piece_orders' descending-shortfall order: shortfall d has
+    B - d + 1 terms, so (B-j)(B-j+1)/2 of them.
     """
-    m, v = piece_orders(battery)
-    c, e = np.asarray(terms, dtype=float).T[:, :, None]
-    return np.flatnonzero(v == 0), c / (e + 1.0), e
+    k = battery - np.arange(battery)
+    ends = k * (k + 1) // 2
+    ends.setflags(write=False)
+    return ends
 
 
-def _moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> np.ndarray:
+def _moments(table: GammaTable, terms) -> np.ndarray:
     """(N, 3, B) array of E[X|j], E[X^2|j], E[P(X)|j] for an (N, B) batch of policies.
 
-    State j collects the terms of shortfall m - v > j: one sum per
-    shortfall, then a running sum from the largest shortfall down.
+    table = gamma_table(mu, taus, terms), terms = _terms(p). One running
+    sum along each term's row of threshold_integrals, the head first and
+    then the Poisson terms from the largest shortfall down, read at the
+    end of each state's terms.
     """
-    terms = ((1.0, 0.0), (2.0, 1.0), *p.terms)
-    starts, scale, power = _sums(taus.shape[1], terms)
-    per_shortfall = np.add.reduceat(threshold_integrals(mu, taus, terms), starts, axis=-1)
-    rows = np.add.accumulate(per_shortfall[..., ::-1], axis=-1)[..., ::-1]
-    tau_b = taus[:, -1, None, None]
-    rows += tau_b * (scale * tau_b**power)  # survival is 1 on [0, tau_B)
+    ends = _state_ends(table.taus.shape[1])
+    rows = np.add.accumulate(threshold_integrals(table), axis=-1).take(ends, axis=-1)
     if len(terms) > 3:
         rows = np.concatenate((rows[:, :2], rows[:, 2:].sum(axis=1, keepdims=True)), axis=1)
     return rows
@@ -120,7 +129,9 @@ def conditional_moments(
     params: SystemParams, policy: Policy, p: PenaltySpec
 ) -> ConditionalMoments:
     """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
-    ex, ex2, epx = _moments(params.mu_h, np.asarray([policy.thresholds], dtype=float), p)[0]
+    taus = np.asarray([policy.thresholds], dtype=float)
+    terms = _terms(p)
+    ex, ex2, epx = _moments(gamma_table(params.mu_h, taus, terms), terms)[0]
     return ConditionalMoments(ex, ex2, epx)
 
 
@@ -141,23 +152,34 @@ class BatchMetrics:
 
 
 _RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
+_RANGE_ERROR = "policy metrics outside double range"
 
 
 def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
     """Moments, transition matrices, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
 
-    A moment outside double range makes an average non-finite (m2 >= m1^2),
-    which raises OverflowError; no floating-point warning is printed.
+    A moment outside double range makes an average inf or NaN (m2 >= m1^2);
+    no floating-point warning is printed.
     """
+    terms = _terms(p)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        moments = _moments(params.mu_h, taus, p)
-        chain = transition_matrix(params, taus)
+        table = gamma_table(params.mu_h, taus, terms)
+        moments = _moments(table, terms)
+        chain = transition_from_cdfs(threshold_cdfs(table))
         pi = stationary(chain).pi
         weighted = np.add.reduce(moments * pi[:, None, :], axis=-1)
         averages = weighted[:, 1:] / (weighted[:, :1] * _RATIO)
-    if not np.logical_and.reduce(np.isfinite(averages), axis=None):
-        raise OverflowError("policy metrics outside double range")
     return moments, chain.entries, pi, weighted, averages
+
+
+def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarray:
+    """avg_penalty of each row of an (N, B) array of monotone thresholds.
+
+    Unlike batch_metrics this does not raise when a policy's metrics leave
+    double range: its entry is inf, so a search can pass over it.
+    """
+    averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[4]
+    return np.where(np.isfinite(averages[:, 1]), averages[:, 1], np.inf)
 
 
 def batch_metrics(
@@ -166,10 +188,13 @@ def batch_metrics(
     """Long-run metrics of an (N, B) array of monotone thresholds, one policy per row.
 
     The rows are not validated. Each policy's numbers are bitwise those
-    policy_metrics gives for it alone.
+    policy_metrics gives for it alone. Raises OverflowError when any of
+    them is outside double range.
     """
     taus = np.asarray(thresholds, dtype=float)
     moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
+    if not np.logical_and.reduce(np.isfinite(averages), axis=None):
+        raise OverflowError(_RANGE_ERROR)
     return BatchMetrics(
         m1=weighted[:, 0],
         m2=weighted[:, 1],
@@ -189,6 +214,8 @@ def policy_metrics(
     moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
     m1, m2, _ = weighted[0].tolist()
     avg_age, avg_penalty = averages[0].tolist()
+    if not (math.isfinite(avg_age) and math.isfinite(avg_penalty)):
+        raise OverflowError(_RANGE_ERROR)
     return PolicyMetrics(
         m1=m1,
         m2=m2,

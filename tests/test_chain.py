@@ -129,6 +129,25 @@ class TestStationary:
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(pi @ tm.entries - pi).max() <= 1e-10
 
+    def test_solve_reads_the_same_under_numpy_1_and_2(self, monkeypatch):
+        # NumPy 1.x reads a stacked b as vectors when b.ndim == A.ndim - 1,
+        # NumPy 2 only when b.ndim == 1: every solve must be one both agree on
+        solve = np.linalg.solve
+        calls = []
+
+        def checked(a, b):
+            calls.append((a.ndim, b.ndim))
+            assert b.ndim == a.ndim or (a.ndim, b.ndim) == (2, 1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        params = SystemParams(mu_h=0.9, battery=3)
+        taus = np.array([[3.0, 2.0, 0.5], [1.0, 0.4, 0.4]])
+        pi = stationary(transition_matrix(params, taus)).pi
+        for n, row in enumerate(taus):
+            assert stationary(transition_matrix(params, validate_policy(params, row))).pi.tolist() == pi[n].tolist()
+        assert {(3, 3), (2, 2)} <= set(calls)
+
 
 class TestRelativeValues:
     @pytest.mark.parametrize("taus", [[0.9], [1.5, 0.72], [2.5, 1.8, 1.1, 0.6, 0.4], [1.0, 1.0, 1.0, 0.3]])

@@ -13,6 +13,7 @@ from aoiharvest.erlang import (
     NegativeArgument,
     erlang_cdf,
     erlang_survival,
+    gamma_table,
     penalty_weighted_integral,
     piece_orders,
     survival_weighted_integral,
@@ -120,7 +121,7 @@ def piece_terms(mu, a, b, terms, orders):
     piece of the thresholds (b, ..., b, a), orders + 1 of them. Row r is term r."""
     m, v = piece_orders(orders + 1)
     taus = np.array([[b] * orders + [a]], dtype=float)
-    J = threshold_integrals(mu, taus, terms)[0]
+    J = threshold_integrals(gamma_table(mu, taus, terms))[0, :, 1:]
     last = m == orders + 1
     out = np.zeros((len(terms), orders + 1))
     out[:, v[last]] = J[:, last]
@@ -144,8 +145,18 @@ class TestWeightedPrefix:
     def test_empty_interval_gives_exact_zeros(self):
         # tied thresholds make empty pieces, which renewal adds unconditionally
         m, _ = piece_orders(6)
-        J = threshold_integrals(1.3, np.array([[2.0, 0.7, 0.7, 0.7, 0.7, 0.7]]), PenaltySpec.power(0.5).terms)
-        assert np.all(J[0][:, m > 2] == 0.0) and np.all(J[0][:, m <= 2] > 0.0)
+        taus = np.array([[2.0, 0.7, 0.7, 0.7, 0.7, 0.7]])
+        J = threshold_integrals(gamma_table(1.3, taus, PenaltySpec.power(0.5).terms))
+        assert np.all(J[0, :, 1:][:, m > 2] == 0.0) and np.all(J[0, :, 1:][:, m <= 2] > 0.0)
+
+    def test_head_column_integrates_the_terms_below_tau_b(self):
+        # column 0 is int_0^{tau_B} c x^e dx; x and 2x give tau_B and tau_B^2 exactly
+        taus = np.array([[2.0, 0.7, 0.3], [1.1, 1.1, 0.0]])
+        terms = ((1.0, 0.0), (2.0, 1.0), (3.0, 0.5), (0.5, 2.0))
+        head = threshold_integrals(gamma_table(0.9, taus, terms))[:, :, 0]
+        for n, tau in enumerate(taus[:, -1].tolist()):
+            assert head[n, 0] == tau and head[n, 1] == tau * tau
+            assert head[n, 2:].tolist() == pytest.approx([2.0 * tau**1.5, tau**3 / 6.0], rel=1e-15)
 
 
 class TestPenaltyWeightedIntegral:

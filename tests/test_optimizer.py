@@ -18,7 +18,7 @@ from aoiharvest.optimizer import (
     inner_minimize,
     optimize_penalty,
 )
-from aoiharvest.renewal import policy_metrics
+from aoiharvest.renewal import avg_penalties, policy_metrics
 
 TAU_STAR_B1 = 0.901201031729666  # 2 W(1/sqrt 2)
 SRC = pathlib.Path(optimizer.__file__).resolve().parents[1]
@@ -53,6 +53,22 @@ class TestGridSearch:
         params = SystemParams(1.0, 9)
         with pytest.raises(BudgetExceeded):
             grid_search(params, cfg(grid_points=15))
+
+    def test_passes_over_vertices_outside_double_range(self):
+        # at this rate E[X^2] overflows on the larger gaps of the first round
+        params = SystemParams(1.1e-154, 2)
+        lows, highs = [0.5 / 1.1e-154, 0.0], [1.0 / 1.1e-154, optimizer.UPPER_CAP_FACTOR / 1.1e-154]
+        axes = [np.linspace(lo, hi, 15) for lo, hi in zip(lows, highs)]
+        taus = np.array([[a + g, a] for a in axes[0] for g in axes[1]])
+        vals = avg_penalties(params, taus, PenaltySpec.identity())
+        assert 0 < np.isfinite(vals).sum() < len(vals) and not np.isnan(vals).any()
+        r = grid_search(params, cfg(grid_points=15, grid_rounds=3))
+        assert np.isfinite(r.objective)
+        assert r.objective <= vals.min()
+
+    def test_no_finite_vertex_raises_overflow(self):
+        with pytest.raises(OverflowError):
+            grid_search(SystemParams(1e-300, 2), cfg(grid_points=5, grid_rounds=2))
 
 
 class TestInnerMinimize:

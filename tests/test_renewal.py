@@ -3,8 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, gammaincc, poch
 
+from aoiharvest.erlang import gamma_table, piece_orders, threshold_integrals
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
@@ -85,39 +85,33 @@ class TestConditionalMoments:
 
 
 def per_piece_moments(params, policy, p):
-    """Every piece's Poisson terms one at a time, summed per start state.
+    """Each start state's moments, added up one integral at a time.
 
-    Term v of piece m = [tau_m, tau_{m-1}), tau_0 = inf, is
-    c mu^v / v! int x^(e+v) e^{-mu x} dx, from one pair of incomplete gammas
-    at its ends; it has shortfall d = m - v. State j takes the shortfalls
-    d > j from d = B down, each one's v = 0 term plus the sum of the rest
-    (as numpy adds a short run), then the head on [0, tau_B). The powers of
-    mu and tau_B are taken as arrays, as in the evaluator.
+    threshold_integrals gives the head on [0, tau_B) and every Poisson term
+    v of every piece m. State j adds the head, then the terms of shortfall
+    d = m - v from d = B down to j + 1, each shortfall's in ascending v: the
+    evaluator's running sum, so its moments must match bitwise.
     """
-    B, mu = params.battery, params.mu_h
-    tau = [math.inf] + list(policy.thresholds)
+    B = params.battery
     terms = ((1.0, 0.0), (2.0, 1.0), *p.terms)
-    exps = np.array([e for _, e in terms])
+    assert len(terms) == 3, "one penalty term: E[P(X)] is its row alone"
+    J = threshold_integrals(gamma_table(params.mu_h, np.array([policy.thresholds]), terms))[0]
+    column = {(m, v): 1 + i for i, (m, v) in enumerate(zip(*piece_orders(B)))}
     out = []
-    for (c, e), mu_pow, tau_pow in zip(terms, mu ** (exps + 1.0), tau[B] ** exps):
-
-        def term(m, v):
-            s, lo, hi = e + v + 1.0, mu * tau[m], mu * tau[m - 1]
-            d = gammaincc(s, lo) - gammaincc(s, hi) if lo >= s else gammainc(s, hi) - gammainc(s, lo)
-            return max(d, 0.0) * (c * poch(v + 1.0, e) / mu_pow)
-
-        head = tau[B] * (c / (e + 1.0) * tau_pow)
-        row, acc = [0.0] * B, 0.0
-        for d in range(B, 0, -1):
-            first, *rest = [term(d + v, v) for v in range(B - d + 1)]
-            acc += first + sum(rest)
-            row[d - 1] = acc + head
-        out.append(row)
+    for row in J:
+        sums = []
+        for j in range(B):
+            acc = row[0]
+            for d in range(B, j, -1):
+                for v in range(B - d + 1):
+                    acc += row[column[d + v, v]]
+            sums.append(acc)
+        out.append(sums)
     return list(zip(*out))
 
 
 class TestPrefixRows:
-    """The batched term table gives exactly the per-piece, per-term sums."""
+    """The per-state moments are exactly the head plus their pieces' terms."""
 
     @pytest.mark.parametrize(
         "mu,taus",
