@@ -1,7 +1,7 @@
-"""Layer timings of the evaluator and its two batch callers, interleaved across source trees.
+"""Layer timings of the evaluator, its two batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_7.json]
+        [--rounds 10] [--out BENCH_8.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -13,12 +13,17 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
+    cycles_per_s       simulator kernel throughput (the active run_cycles, L4),
+                       per battery size: KERNEL_CYCLES cycles from an empty
+                       battery on a stratified policy (the k-th smallest
+                       threshold uniform on the k-th of B parts of [0, 4])
 
-each as the best of REPEATS timings within the child. The output holds the
-median over rounds per tree, and for two or more trees each later tree's
-difference from and ratio to the first, plus the Python, numpy and scipy
-versions, the CPU count, and each tree's simulator kernel and source digest
-(sha256 over the package's .py, .pyx and .c files, as perfbench records it).
+each as the best of REPEATS timings within the child (for cycles_per_s,
+higher is better). The output holds the median over rounds per tree, and
+for two or more trees each later tree's difference from and ratio to the
+first, plus the Python, numpy and scipy versions, the CPU count, and each
+tree's simulator kernel and source digest (sha256 over the package's .py,
+.pyx and .c files, as perfbench records it).
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 BATTERIES = (1, 2, 4, 16, 32, 64, 128)
+KERNEL_BATTERIES = (1, 4, 16)
+KERNEL_CYCLES = 200_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
 
@@ -79,6 +86,15 @@ def child(src: str) -> dict:
             cli._sweep_fig(args)
 
     out["fig_curve_ms"] = _best(curve) * 1e3
+    out["cycles_per_s"] = {}
+    for b in KERNEL_BATTERIES:
+        rng = np.random.default_rng(b)
+        taus = np.array([rng.uniform(k * 4.0 / b, (k + 1) * 4.0 / b) for k in reversed(range(b))])
+
+        def cycles():
+            simulator._kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(b)))
+
+        out["cycles_per_s"][str(b)] = KERNEL_CYCLES / _best(cycles)
     return out
 
 
@@ -94,6 +110,7 @@ def _metrics(result: dict) -> dict:
     flat = {f"policy_metrics_us.b{b}": v for b, v in result["policy_metrics_us"].items()}
     flat["grid_round_ms"] = result["grid_round_ms"]
     flat["fig_curve_ms"] = result["fig_curve_ms"]
+    flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
     return flat
 
 
@@ -101,7 +118,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_7.json")
+    ap.add_argument("--out", default="BENCH_8.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

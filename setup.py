@@ -1,22 +1,24 @@
-"""Build script: compiles the Cython simulation kernel when possible.
+"""Build script: compiles the simulation kernel when possible.
 
-The package works without the compiled extension (a pure-Python kernel is
-selected at import time), so a failed extension build is not fatal.
+With Cython installed, the kernel is compiled from _simcore.pyx; without
+it, from the committed Cython output _simcore.c. The package works
+without the compiled extension (a pure-Python kernel is selected at
+import time), so the extension is optional and a failed compile is not
+fatal.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 try:
-    import numpy as np
     from Cython.Build import cythonize
-
+except ImportError:
+    ext_modules = [
+        Extension("aoiharvest._simcore", ["src/aoiharvest/_simcore.c"], optional=True)
+    ]
+else:
     ext_modules = cythonize(
-        "src/aoiharvest/_simcore.pyx",
+        Extension("aoiharvest._simcore", ["src/aoiharvest/_simcore.pyx"], optional=True),
         compiler_directives={"language_level": "3", "boundscheck": False, "wraparound": False},
     )
-    include_dirs = [np.get_include()]
-except ImportError:
-    ext_modules = []
-    include_dirs = []
 
-setup(ext_modules=ext_modules, include_dirs=include_dirs)
+setup(ext_modules=ext_modules)

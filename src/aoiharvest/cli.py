@@ -208,6 +208,9 @@ def cmd_simulate(args) -> int:
     payload["policy"] = json.loads(policy_to_json(params, policy))
     code = 0
     if args.check:
+        if report.renewals_measured < 2:
+            # one renewal gives no standard error, so no z-score to test
+            raise ValueError("--check needs at least 2 measured renewals (--renewals minus --warmup)")
         m = policy_metrics(params, policy, p)
         z = (
             abs(report.avg_penalty - m.avg_penalty) / report.stderr

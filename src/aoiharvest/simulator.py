@@ -10,7 +10,13 @@ The hot per-cycle loop lives in a compiled Cython kernel when available,
 with a bit-identical pure-Python fallback selected at import time.
 
 Randomness: numpy PCG64, exponential variates by inverse transform, so
-sample paths are reproducible across platforms and across kernels.
+sample paths are reproducible across platforms and across kernels. Both
+kernels take uniforms from the generator CHUNK at a time and turn each
+into -log(1 - u) / mu with the C library's log: the compiled kernel one
+draw at a time, the pure-Python one a chunk at a time through
+``math.log``. numpy's own ``np.log`` is not used there, because its SIMD
+code differs from libm in the last bit on some inputs, and one such
+draw would fork the path.
 """
 
 from __future__ import annotations

@@ -259,6 +259,16 @@ class TestSimulate:
         code, _ = run(capsys, self.ARGV + ["--check"])
         assert code == cli.EXIT_CHECK
 
+    def test_check_needs_two_measured_renewals(self, capsys):
+        # one measured renewal gave stderr 0.0 and z_score 0.0, so the check passed
+        argv = ["simulate", "--mu", "1", "--battery", "2", "--thresholds", "1.5,0.7"]
+        code = cli.main(argv + ["--check", "--renewals", "1001", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        code, out = run(capsys, argv + ["--check", "--renewals", "1002", "--seed", "1"])
+        assert code == 0 and json.loads(out)["renewals_measured"] == 2
+
     def test_requires_policy(self, capsys):
         code, _ = run(capsys, ["simulate", "--mu", "1", "--battery", "2"])
         assert code == cli.EXIT_VALIDATION

@@ -1,10 +1,11 @@
 import math
+from math import log
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from aoiharvest import _simcore_py
+from aoiharvest import _simcore_py, simulator
 from aoiharvest.chain import stationary, transition_matrix
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import interupdate_cdf, policy_metrics
@@ -33,15 +34,113 @@ class TestDeterminism:
         assert a.to_json() == b.to_json()
 
     def test_kernel_parity_with_fallback(self):
-        # compiled and pure-Python kernels must produce identical paths
+        # the active kernel (compiled when built) and the pure-Python one
+        # must produce the same path, cycle by cycle, bit for bit
         params, pol = make(1.0, [1.5, 0.72])
-        rng = np.random.Generator(np.random.PCG64(7))
-        x_py, s_py = _simcore_py.run_cycles(
-            np.asarray(pol.thresholds), 1.0, 30000, 0, rng
-        )
+        taus = np.asarray(pol.thresholds)
+        x_py, s_py = _simcore_py.run_cycles(taus, 1.0, 30000, 0, np.random.Generator(np.random.PCG64(7)))
+        x_k, s_k = simulator._kernel.run_cycles(taus, 1.0, 30000, 0, np.random.Generator(np.random.PCG64(7)))
+        assert x_py.tobytes() == x_k.tobytes()
+        assert np.array_equal(s_py, s_k)
         rep = simulate(params, pol, IDENT, SimConfig(seed=7, renewals=30000, warmup=0))
-        assert rep.mean_x == pytest.approx(x_py.mean(), rel=1e-15)
-        assert rep.state_freq[0] == pytest.approx(np.mean(s_py == 0), rel=1e-15)
+        assert rep.mean_x == float(x_py.sum()) / len(x_py)
+        assert rep.state_freq[0] == np.count_nonzero(s_py == 0) / len(s_py)
+
+
+def reference_run_cycles(thresholds, mu, n_cycles, start_state, rng):
+    """The scalar cycle loop _simcore_py ran before its chunked rewrite, kept
+    word for word as the oracle of the exact path tests. CHUNK is the
+    compiled kernel's refill size, fixed here so that the oracle does not
+    follow a change to _simcore_py.CHUNK."""
+    CHUNK = 8192
+    taus = tuple(float(t) for t in thresholds)
+    B = len(taus)
+    x_out = np.empty(n_cycles)
+    s_out = np.empty(n_cycles, dtype=np.int64)
+    buf = rng.random(CHUNK)
+    idx = 0
+    j = start_state
+    for c in range(n_cycles):
+        t = 0.0
+        k = 0
+        while True:
+            L = j + k
+            if L > B:
+                L = B
+            if L >= 1:
+                cand = taus[L - 1]
+                if cand < t:
+                    cand = t
+                if L == B:
+                    x = cand
+                    break
+            if idx == CHUNK:
+                buf = rng.random(CHUNK)
+                idx = 0
+            u = buf[idx]
+            idx += 1
+            t_next = t - log(1.0 - u) / mu
+            if L >= 1 and cand < t_next:
+                x = cand
+                break
+            t = t_next
+            k += 1
+        x_out[c] = x
+        j = L - 1
+        s_out[c] = j
+    return x_out, s_out
+
+
+# the pure-Python kernel, and the compiled one when it is built
+KERNELS = {_simcore_py.__name__: _simcore_py, simulator._kernel.__name__: simulator._kernel}
+
+
+def stratified(mu, battery, seed):
+    """The k-th smallest threshold uniform on the k-th of B parts of [0, 4/mu]."""
+    rng = np.random.default_rng(seed)
+    width = 4.0 / (mu * battery)
+    return [float(rng.uniform(k * width, (k + 1) * width)) for k in reversed(range(battery))]
+
+
+def assert_same_path(kernel, taus, mu, n_cycles, start_state, seed=11):
+    taus = np.asarray(taus, dtype=np.float64)
+    rng_ref = np.random.Generator(np.random.PCG64(seed))
+    rng_new = np.random.Generator(np.random.PCG64(seed))
+    x_ref, s_ref = reference_run_cycles(taus, mu, n_cycles, start_state, rng_ref)
+    x_new, s_new = kernel.run_cycles(taus, mu, n_cycles, start_state, rng_new)
+    assert x_new.dtype == np.float64 and s_new.dtype == np.int64
+    assert np.array_equal(x_new, x_ref) and x_new.tobytes() == x_ref.tobytes()
+    assert np.array_equal(s_new, s_ref)
+    # the chunks were refilled at the same moments: the generators agree
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=list(KERNELS))
+class TestExactPath:
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n_cycles", [1, 8191, 8192, 8193, 50_000])
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    @pytest.mark.parametrize("battery", [1, 2, 3, 4, 16])
+    def test_matches_scalar_loop(self, kernel, battery, start, n_cycles, mu):
+        taus = stratified(mu, battery, seed=battery)
+        assert_same_path(kernel, taus, mu, n_cycles, 0 if start == "empty" else battery)
+
+    @pytest.mark.parametrize(
+        "taus",
+        [[0.8], [1.0, 1.0], [2.0, 0.9, 0.9], [1.2, 1.2, 0.5, 0.5], [0.7] * 16],
+        ids=["b1", "b2", "b3", "b4", "b16"],
+    )
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    def test_tied_thresholds(self, kernel, taus, start):
+        assert_same_path(kernel, taus, 1.0, 20_000, 0 if start == "empty" else len(taus))
+
+    @pytest.mark.parametrize("battery", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    def test_zero_thresholds(self, kernel, battery, start):
+        assert_same_path(kernel, [0.0] * battery, 1.0, 20_000, 0 if start == "empty" else battery)
+
+    def test_no_cycles(self, kernel):
+        assert_same_path(kernel, [1.5, 0.72], 1.0, 0, 0)
 
 
 class TestAgreementWithAnalytics:
