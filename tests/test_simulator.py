@@ -127,17 +127,13 @@ class TestExactPath:
 
     @pytest.mark.parametrize(
         "taus",
-        [[0.8], [1.0, 1.0], [2.0, 0.9, 0.9], [1.2, 1.2, 0.5, 0.5], [0.7] * 16],
-        ids=["b1", "b2", "b3", "b4", "b16"],
+        [[0.8], [1.0, 1.0], [2.0, 0.9, 0.9], [1.2, 1.2, 0.5, 0.5], [0.7] * 16]
+        + [[0.0] * b for b in (1, 2, 3, 4, 16)],
+        ids=["b1", "b2", "b3", "b4", "b16"] + [f"zero-b{b}" for b in (1, 2, 3, 4, 16)],
     )
     @pytest.mark.parametrize("start", ["empty", "full"])
     def test_tied_thresholds(self, kernel, taus, start):
         assert_same_path(kernel, taus, 1.0, 20_000, 0 if start == "empty" else len(taus))
-
-    @pytest.mark.parametrize("battery", [1, 2, 3, 4, 16])
-    @pytest.mark.parametrize("start", ["empty", "full"])
-    def test_zero_thresholds(self, kernel, battery, start):
-        assert_same_path(kernel, [0.0] * battery, 1.0, 20_000, 0 if start == "empty" else battery)
 
     def test_no_cycles(self, kernel):
         assert_same_path(kernel, [1.5, 0.72], 1.0, 0, 0)
