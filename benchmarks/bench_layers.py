@@ -1,7 +1,7 @@
-"""Layer timings of the evaluator, its two batch callers and the simulator kernel, interleaved across source trees.
+"""Layer timings of the import, the evaluator, its two batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_8.json]
+        [--rounds 10] [--out BENCH_9.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -9,7 +9,14 @@ in alternating order from round to round, so that drift in machine speed
 falls on every tree alike. A child times, with the identity penalty at
 mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
 
+    import_s           median of IMPORTS fresh interpreters importing
+                       aoiharvest.cli from the tree (what every CLI call pays)
+    gamma_table_us     one erlang.gamma_table call (L0) with the identity
+                       penalty's terms, per battery size
     policy_metrics_us  one policy_metrics call, per battery size
+    policy_metrics_pow05_us
+                       the same with the power-0.5 penalty, whose fractional
+                       exponent adds a second family of incomplete gammas
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
@@ -21,15 +28,16 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
 each as the best of REPEATS timings within the child (for cycles_per_s,
 higher is better). The output holds the median over rounds per tree, and
 for two or more trees each later tree's difference from and ratio to the
-first, plus the Python, numpy and scipy versions, the CPU count, and each
-tree's simulator kernel and source digest (sha256 over the package's .py,
-.pyx and .c files, as perfbench records it).
+first, plus the Python, numpy and (where installed) scipy versions, the
+CPU count, and each tree's simulator kernel and source digest (sha256
+over the package's .py, .pyx and .c files, as perfbench records it).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
@@ -37,6 +45,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -46,6 +55,7 @@ KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_CYCLES = 200_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
+IMPORTS = 5  # fresh-interpreter imports per child; import_s is their median
 
 
 def _best(fn) -> float:
@@ -54,23 +64,44 @@ def _best(fn) -> float:
     return min(timeit.repeat(fn, number=n, repeat=REPEATS)) / n
 
 
+def _import_s(src: str) -> float:
+    """Median seconds of IMPORTS fresh interpreters importing aoiharvest.cli from src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-c", "import aoiharvest.cli"]
+    times = []
+    for _ in range(IMPORTS):
+        t0 = time.perf_counter()
+        subprocess.run(cmd, env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def child(src: str) -> dict:
+    import_s = _import_s(src)
     sys.path.insert(0, src)
     import numpy as np
 
     from aoiharvest import cli, optimizer, simulator
+    from aoiharvest.erlang import gamma_table
     from aoiharvest.model import PenaltySpec, Policy, SystemParams
-    from aoiharvest.renewal import policy_metrics
+    from aoiharvest.renewal import _terms, policy_metrics
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
     identity = PenaltySpec.identity()
-    out = {"kernel": simulator.KERNEL, "policy_metrics_us": {}}
+    root = PenaltySpec.power(0.5)
+    terms = _terms(identity)
+    out = {"kernel": simulator.KERNEL, "import_s": import_s}
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us"):
+        out[key] = {}
     for b in BATTERIES:
         rng = np.random.default_rng(b)
         policy = Policy(tuple(float(t) for t in sorted(rng.uniform(0.0, 4.0, b), reverse=True)))
         params = SystemParams(1.0, b)
+        taus = np.array([policy.thresholds])
+        out["gamma_table_us"][str(b)] = _best(lambda: gamma_table(1.0, taus, terms)) * 1e6
         out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
+        out["policy_metrics_pow05_us"][str(b)] = _best(lambda: policy_metrics(params, policy, root)) * 1e6
     params = SystemParams(1.0, 2)
     lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
     bounds = list(zip(lows, highs))
@@ -107,7 +138,9 @@ def _source_digest(src: str) -> str:
 
 
 def _metrics(result: dict) -> dict:
-    flat = {f"policy_metrics_us.b{b}": v for b, v in result["policy_metrics_us"].items()}
+    flat = {"import_s": result["import_s"]}
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us"):
+        flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
     flat["grid_round_ms"] = result["grid_round_ms"]
     flat["fig_curve_ms"] = result["fig_curve_ms"]
     flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
@@ -118,7 +151,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_8.json")
+    ap.add_argument("--out", default="BENCH_9.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -134,12 +167,15 @@ def main(argv=None) -> int:
             )
             runs[label].append(json.loads(done.stdout))
     import numpy as np
-    import scipy
 
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "rounds": args.rounds,

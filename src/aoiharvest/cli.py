@@ -211,12 +211,11 @@ def cmd_simulate(args) -> int:
         if report.renewals_measured < 2:
             # one renewal gives no standard error, so no z-score to test
             raise ValueError("--check needs at least 2 measured renewals (--renewals minus --warmup)")
+        if not report.stderr > 0.0:
+            # tied batch means: a zero standard error tests nothing
+            raise ValueError("--check needs a nonzero standard error; the batch means tie (raise --renewals)")
         m = policy_metrics(params, policy, p)
-        z = (
-            abs(report.avg_penalty - m.avg_penalty) / report.stderr
-            if report.stderr > 0
-            else 0.0
-        )
+        z = abs(report.avg_penalty - m.avg_penalty) / report.stderr
         payload["analytic"] = {
             "m1": m.m1,
             "m2": m.m2,

@@ -11,30 +11,68 @@ gammas:
         = poch(v+1, e) / mu^(e+1) * [Q(e+v+1, mu a) - Q(e+v+1, mu b)],
 
 with Q = 1 - P the regularized upper gamma (the Poisson CDF for integer
-e) and poch(v+1, e) = Gamma(e+v+1) / v!. gamma_table takes P and Q once
-each over the table of thresholds and orders, for every exponent.
+e) and poch(v+1, e) = Gamma(e+v+1) / v!, a product of v + e factors
+taken once per battery size and term list.
+
+gamma_table takes P and Q at every threshold, order and exponent from one
+recurrence. For each distinct fractional part f of the exponents and each
+point x = mu tau it forms the terms
+
+    u_w = x^(f+w) e^{-x} / Gamma(f+w+1),   w = 0 .. W-1,
+
+u_0 from libm scalars (math.exp, and ** for x^f) and the rest as one
+running product of x / (f+w). Then, for every row r,
+
+    Q(f+r, x) = Q(f, x) + sum_{w<r} u_w     a running sum of positive terms;
+    P(f+r, x) = sum_{w>=r} u_w              where x < f+r, smallest first,
+              = 1 - Q(f+r, x)               elsewhere, where P > 1/2.
+
+Q(0, x) = 0. For 0 < f < 1, Q(f, x) is 1 - P(f, x) below SWITCH and
+Legendre's continued fraction from SWITCH on. 1 - P loses about
+log10(1/Q(f, x)) digits, which the integrals over short pieces feel: on
+pieces 1e-3/mu wide the worst integral is within 5e-12 of mpmath at
+SWITCH = 4, within 1.9e-11 at 5 and only at the contract's 1e-10 at 6.
+The sums stop after W terms, W fixed by the battery size and exponents so
+that the rest, sum_{w>=W} u_w, is below ULP = 2^-53 of P wherever P is the
+tail sum (x < f+r, bounded as x tends to the top row's f+r) and below
+ULP absolutely in P(f, x) below SWITCH. An infinite threshold, tau_0
+among them, gives Q = 0 and P = 1. Past x = 708, e^{-x} is subnormal and
+loses digits; past 745 it is 0 and so is every Q(s, x), where the true
+value is below 1e-160 for s <= 135.
+
+The array work is division, running products and sums along the terms
+(which numpy adds in order), subtraction and gathers, each rounded once
+per element, so its results do not depend on how many policies share a
+call. e^{-x} and x^f come from libm one at a time: numpy's exp and pow
+can run vector code that differs from libm in the last bit on some inputs
+(about one in twenty for exp), and which code runs may depend on the
+array. So a batch of policies gets bitwise the table each policy gets
+alone.
+
 threshold_integrals differences each piece between two thresholds on its
 own: in upper tails Q once mu a >= e+v+1, where P rounds toward 1, and in
 lower tails P below that. Adding up whole tails instead (telescoping)
-cancels digits the accuracy contract needs. No truncation or quadrature is
-ever used. The same table's exponent-0 entries are the Erlang CDFs at the
-thresholds, Pr(Y_n <= tau) = P(n, mu tau), which threshold_cdfs gathers
-for the battery chain.
+cancels digits the accuracy contract needs. The same table's exponent-0
+entries are the Erlang CDFs at the thresholds, Pr(Y_n <= tau) =
+P(n, mu tau), which threshold_cdfs gathers for the battery chain.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, poch
 
 from .model import PenaltySpec
 
 INF = math.inf
+ULP = 2.0**-53  # the Poisson-series tails gamma_table drops are below this share of P
+SWITCH = 4.0  # x from which Q(f, x), 0 < f < 1, is the continued fraction
+_BIG = sys.float_info.max
 
 
 class NegativeArgument(ValueError):
@@ -107,18 +145,65 @@ class _Layout:
     that the pieces ending there need; piece m runs from tau_m (lo) to
     tau_{m-1} (hi). Flat indices address the table as (Q, P) blocks. The
     integrals' column 0, the head, repeats piece 1 until it is overwritten.
+
+    gamma_table computes Q(f + r, x) and P(f + r, x) for each distinct
+    fractional part f of the exponents, each threshold and the rows
+    r < R, and gathers the table from them: exponent e = n + f, order v
+    is row n + v + 1. Row 0 of f = 0 is Q = 0, P = 1, which tau_0 takes.
     """
 
-    column: np.ndarray  # (L,) threshold column of each table entry; entry 0 is tau_0
     s: np.ndarray  # (U, L) shape parameter e + v + 1 per distinct exponent
     pairs: np.ndarray  # (2, 2, R, 1+M) flat: (Q at lo, P at hi) minus (Q at hi, P at lo)
-    lo: np.ndarray  # (1, 1+M) table entry of every piece's lo
+    lo: np.ndarray  # (1, 1+M) threshold column of every piece's lo
     lo_s: np.ndarray  # (R, 1+M) shape parameter at lo
     coef: np.ndarray  # (R, 1+M) c * poch(v+1, e)
     power: np.ndarray  # (R, 1) e + 1
     head_scale: np.ndarray  # (R,) c / (e+1)
     head_power: np.ndarray  # (R,) e
     cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= tau_i), then 0
+    fracs: tuple  # (f, Gamma(f+1)) of each fractional part f > 0 of the exponents
+    den: np.ndarray  # (G, 1, W-1) f + w: the ratios u_w / u_{w-1} are x / (f + w)
+    s_row: np.ndarray  # (G, 1, R) f + r: P(f + r, x) is the tail sum where x < f + r
+    block: tuple  # (2, G, B, W+1), gamma_table's working block of one policy
+    flat: np.ndarray  # (2, U, L) index of each table entry in that block
+
+
+def _tail_terms(a: float) -> int:
+    """Fewest terms k past u_{a-1} that leave the rest of P(a, x) = sum u_w,
+    x < a, below ULP of the sum: prod_{j<=k} a / (a+j) / (1 - a / (a+k+1)) <= ULP."""
+    k, ratio = 0, 1.0
+    while True:
+        k += 1
+        ratio *= a / (a + k)
+        if ratio <= ULP * (1.0 - a / (a + k + 1)):
+            return k
+
+
+def _switch_terms(f: float) -> int:
+    """Fewest terms W of P(f, x) = sum_{w<W} u_w + rest with rest <= ULP for
+    every x < SWITCH: rest <= u_W(SWITCH) / (1 - SWITCH / (f+W+1))."""
+    w = math.ceil(SWITCH)
+    while math.exp((f + w) * math.log(SWITCH) - SWITCH - math.lgamma(f + w + 1.0)) > ULP * (
+        1.0 - SWITCH / (f + w + 1.0)
+    ):
+        w += 1
+    return w
+
+
+def _poch(orders: int, e: float) -> list[float]:
+    """poch(v+1, e) = Gamma(v+1+e) / v! for v < orders, as products:
+    Gamma(1+f) prod_{k<=v} (k+f)/k prod_{k<n} (v+1+f+k) with e = n + f."""
+    n = math.floor(e)
+    f = e - n
+    head, out = math.gamma(1.0 + f), []
+    for v in range(orders):
+        if v:
+            head *= (v + f) / v
+        rise = head
+        for k in range(n):
+            rise *= v + 1 + f + k
+        out.append(rise)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -142,17 +227,37 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     j, i = np.indices((battery, battery + 1))
     cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + zero + p_block
     cdf[:, battery] = zero
+    # Rows r < R of Q(f + r) and P(f + r) for each fractional part f, from
+    # the terms u_w, w < W: enough for every tail sum to be within ULP, and
+    # for P(f, x), f > 0, below SWITCH. Exponent n + f, order v reads row
+    # n + v + 1 of f at its threshold; tau_0 reads row 0 of f = 0.
+    whole = [math.floor(d) for d in distinct]
+    fracs = sorted({d - n for d, n in zip(distinct, whole)})
+    n_rows = max(whole) + battery + 1
+    n_terms = max(n_rows - 1 + _tail_terms(f + n_rows - 1) for f in fracs)
+    n_terms = max([n_terms] + [_switch_terms(f) for f in fracs[1:]])
+    depth = n_terms + 1
+    part = np.array([fracs.index(d - n) for d, n in zip(distinct, whole)])[:, None]
+    finite = point > 0
+    cell = np.where(finite, part * battery + point - 1, 0)
+    row = np.where(finite, np.array(whole)[:, None] + order + 1, 0)
+    entry = cell * depth + row
+    f_col = np.asarray(fracs)[:, None, None]
     return _Layout(
-        column=np.maximum(point - 1, 0),
         s=np.asarray(distinct)[:, None] + order + 1.0,
         pairs=np.stack(((lo, hi + p_block), (hi, lo + p_block))),
-        lo=(start[m] + v)[None],
+        lo=(m - 1)[None],
         lo_s=e + v + 1.0,
-        coef=c * poch(v + 1.0, e),
+        coef=c * np.array([_poch(battery, x) for x in e[:, 0].tolist()])[:, v],
         power=e + 1.0,
         head_scale=(c / (e + 1.0))[:, 0],
         head_power=e[:, 0],
         cdf=cdf,
+        fracs=tuple((f, math.gamma(1.0 + f)) for f in fracs[1:]),
+        den=f_col + np.arange(1.0, n_terms),
+        s_row=f_col + np.arange(float(n_rows)),
+        block=(2, len(fracs), battery, depth),
+        flat=np.stack((entry, entry + len(fracs) * battery * depth)),
     )
 
 
@@ -160,28 +265,89 @@ class GammaTable(NamedTuple):
     """Regularized incomplete gammas at the thresholds of a batch of policies."""
 
     values: np.ndarray  # (N, 2, U, L): Q, then P, at s = layout.s and z
-    z: np.ndarray  # (N, L) mu times the threshold of each table entry
+    z: np.ndarray  # (N, B) mu times each threshold
     taus: np.ndarray  # (N, B) the thresholds
     mu: float
     layout: _Layout
+
+
+def _upper_fraction(f: float, x: float) -> float:
+    """Q(f, x) / u_0(x) for 0 < f < 1 and x >= SWITCH: f times Legendre's
+    continued fraction 1 / (x+1-f - 1(1-f) / (x+3-f - 2(2-f) / ...)), by
+    the modified Lentz method."""
+    b = x + 1.0 - f
+    c = 1e300
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - f)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= ULP:
+            return f * h
 
 
 def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
     """Q(s, mu tau) and P(s, mu tau) at every threshold, for the given terms.
 
     taus is an (N, B) array of non-increasing thresholds, one policy per
-    row, and terms a tuple of (c, e) pairs. gammaincc and gammainc run once
-    each over the whole table; threshold_integrals and threshold_cdfs read
-    from it.
+    row, and terms a tuple of (c, e) pairs. The recurrence of the module
+    docstring runs once, vectorized over the policies, the fractional parts
+    of the exponents and the thresholds; threshold_integrals and
+    threshold_cdfs read from the table.
     """
     lay = _layout(taus.shape[1], tuple(terms))
-    z = mu * taus.take(lay.column, axis=-1)
-    z[:, 0] = INF
-    values = np.empty((len(z), 2) + lay.s.shape)
-    per_exponent = z[:, None, :]
-    gammaincc(lay.s, per_exponent, out=values[:, 0])
-    gammainc(lay.s, per_exponent, out=values[:, 1])
+    n, b = taus.shape
+    z = mu * taus
+    xs = z.ravel().tolist()
+    top = max(xs, default=0.0)
+    if top > _BIG:
+        # An infinite threshold takes the largest double, where every u_w
+        # is 0: Q = 0 and P = 1, as at tau_0.
+        np.minimum(z, _BIG, out=z)
+        xs = z.ravel().tolist()
+    x = z.reshape(n, 1, b, 1)
+    rows = lay.s_row.shape[-1]
+    # block[:, 0, k, i] holds Q(f_k, x_i) and then the terms u_0..u_{W-1},
+    # block[:, 1, k, i] the tail sums P(f_k + r, x_i) = sum_{w >= r} u_w;
+    # the first R entries of each become Q(f_k + r, x_i) and P(f_k + r, x_i).
+    block = np.zeros((n,) + lay.block)
+    decay = [math.exp(-t) for t in xs]
+    block[:, 0, 0, :, 1].flat = decay
+    for k, (f, g1) in enumerate(lay.fracs, 1):
+        block[:, 0, k, :, 1].flat = [v * t**f / g1 for v, t in zip(decay, xs)]
+    np.divide(x, lay.den, out=block[:, 0, :, :, 2:])
+    u = block[:, 0, :, :, 1:]
+    np.multiply.accumulate(u, axis=-1, out=u)
+    np.add.accumulate(u[..., ::-1], axis=-1, out=block[:, 1, :, :, -2::-1])
+    if lay.fracs:
+        _fractional_base(block, xs, top, lay.fracs)
+    q = block[:, 0, :, :, :rows]
+    np.add.accumulate(q, axis=-1, out=q)
+    # P is the tail sum where x < s, where it can be small, and 1 - Q elsewhere.
+    np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=x >= lay.s_row)
+    values = block.reshape(n, -1).take(lay.flat, axis=-1)
     return GammaTable(values, z, taus, mu, lay)
+
+
+def _fractional_base(block, xs, top, fracs):
+    """Q(f, x) of each fractional part f > 0 into gamma_table's block:
+    1 - P(f, x) below SWITCH, and u_0 times the continued fraction from it on."""
+    base = block[:, 0, 1:, :, 1]
+    qf = block[:, 0, 1:, :, 0]
+    np.subtract(1.0, block[:, 1, 1:, :, 0], out=qf)
+    if top >= SWITCH:
+        b = base.shape[-1]
+        for i, t in enumerate(xs):
+            if t >= SWITCH:
+                for k, (f, _) in enumerate(fracs):
+                    qf[i // b, k, i % b] = base[i // b, k, i % b] * _upper_fraction(f, t)
 
 
 def threshold_integrals(table: GammaTable) -> np.ndarray:

@@ -1,11 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammainc
 
 from aoiharvest.chain import FLUSH, relative_values, stationary, transition_matrix
-from aoiharvest.erlang import ErlangKernel, erlang_cdf
+from aoiharvest.erlang import ErlangKernel, erlang_cdf, gamma_table, threshold_cdfs
 from aoiharvest.model import SystemParams, validate_policy
 
 
@@ -65,24 +65,39 @@ class TestTransitionMatrix:
     )
     def test_entries_are_cdf_differences_bitwise(self, mu, taus):
         # the same differences one entry at a time, Pr(Y_n <= tau) = P(n, mu tau)
-        # for n >= 1 and 1 for n <= 0; tiny negatives and entries below FLUSH
-        # go to 0
+        # for n >= 1 and 1 for n <= 0, with P from a table of the same battery
+        # size whose thresholds all equal tau (C[j, i] = P(1+i-j, mu tau_i));
+        # tiny negatives and entries below FLUSH go to 0. Every entry is also
+        # within 1e-15 of the same differences at 40 digits.
         params, pol = make(mu, taus)
         B = params.battery
         tau = [math.inf] + taus
 
         def cdf(n, t):
-            return float(gammainc(n, mu * t)) if n >= 1 else 1.0
+            if n <= 0 or t == math.inf:
+                return 1.0
+            i = max(n - 1, 1)
+            C = threshold_cdfs(gamma_table(mu, np.full((1, B), t), ((1.0, 0.0),)))
+            return float(C[0, i + 1 - n, i])
+
+        def reference(n, t):
+            if n <= 0 or t == math.inf:
+                return mpmath.mpf(1)
+            return mpmath.gammainc(n, 0, mu * mpmath.mpf(t), regularized=True)
 
         T = transition_matrix(params, pol).entries
-        for j in range(B):
-            for i in range(B):
-                want = cdf(1 + i - j, tau[i])
-                if i < B - 1:
-                    want -= cdf(2 + i - j, tau[i + 1])
-                if -1e-14 < want < FLUSH:
-                    want = 0.0
-                assert T[j, i] == want
+        with mpmath.workdps(40):
+            for j in range(B):
+                for i in range(B):
+                    want = cdf(1 + i - j, tau[i])
+                    exact = reference(1 + i - j, tau[i])
+                    if i < B - 1:
+                        want -= cdf(2 + i - j, tau[i + 1])
+                        exact -= reference(2 + i - j, tau[i + 1])
+                    if -1e-14 < want < FLUSH:
+                        want = 0.0
+                    assert T[j, i] == want
+                    assert abs(T[j, i] - float(exact)) <= 1e-15
 
     def test_batch_rows_are_single_matrices(self):
         params = SystemParams(mu_h=0.9, battery=4)

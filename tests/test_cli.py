@@ -6,6 +6,10 @@ formatting are exercised exactly as a shell user would see them.
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -266,8 +270,20 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == cli.EXIT_VALIDATION and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        code, out = run(capsys, argv + ["--check", "--renewals", "1002", "--seed", "1"])
+        # seed 2: the two measured renewals differ (under seed 1 both fire at
+        # tau_1 = 1.5, and tied batch means are rejected below)
+        code, out = run(capsys, argv + ["--check", "--renewals", "1002", "--seed", "2"])
         assert code == 0 and json.loads(out)["renewals_measured"] == 2
+
+    def test_check_rejects_tied_batch_means(self, capsys):
+        # two measured renewals that both fire at tau = 3 tie: stderr 0.0 used
+        # to give z_score 0.0 and pass the check at age 1.5 against 1.5408
+        argv = ["simulate", "--mu", "1", "--battery", "1", "--thresholds", "3"]
+        code = cli.main(argv + ["--check", "--renewals", "1002", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "standard error" in captured.err
 
     def test_requires_policy(self, capsys):
         code, _ = run(capsys, ["simulate", "--mu", "1", "--battery", "2"])
@@ -354,3 +370,30 @@ def test_cached_parser_matches_fresh_parsers(capsys):
     assert cli._parser.cache_info().misses == 1
     assert cached == fresh + fresh
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]
+
+
+# Every command, in one process: optimize (grid, algorithm1 and the power-0.5
+# penalty), evaluate with thresholds past erlang.SWITCH, a Fig. 5 sweep and a
+# checked simulation; then the modules that process loaded.
+NO_SCIPY = """
+import contextlib, io, sys
+from aoiharvest import cli
+argvs = [
+    ["optimize", "--mu", "1", "--battery", "2", "--mode", "grid", "--grid-points", "5"],
+    ["optimize", "--mu", "1", "--battery", "2", "--mode", "algorithm1"],
+    ["optimize", "--mu", "1", "--battery", "3", "--mode", "penalty", "--penalty", "power", "--exponent", "0.5"],
+    ["evaluate", "--mu", "0.8", "--battery", "3", "--thresholds", "9,5,0.5", "--penalty", "power", "--exponent", "1.5"],
+    ["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5", "--points", "5"],
+    ["simulate", "--mu", "1", "--battery", "2", "--thresholds", "1.5,0.72", "--check", "--renewals", "20000", "--seed", "7"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"

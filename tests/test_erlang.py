@@ -8,6 +8,7 @@ from scipy import integrate
 
 from aoiharvest.erlang import (
     INF,
+    SWITCH,
     ErlangKernel,
     InvalidInterval,
     NegativeArgument,
@@ -17,6 +18,7 @@ from aoiharvest.erlang import (
     penalty_weighted_integral,
     piece_orders,
     survival_weighted_integral,
+    threshold_cdfs,
     threshold_integrals,
 )
 from aoiharvest.model import PenaltySpec
@@ -186,16 +188,17 @@ class TestPowerExpIntegral:
 
     Domain: e in {0.25, 0.5, 1.5, 2.5, 3.5, 5.5} and the integers 0..2,
     orders v in 0..7, mu in [1e-3, 10] (log-uniform), mu*a in [0, 60] and
-    mu*(b - a) in [1e-3, 30] (log-uniform), plus b = inf; bound 1e-10
-    relative. Far past the mode both regularized lower incomplete gammas
-    round to 1, so differencing them loses every digit there.
+    mu*(b - a) in [1e-3, 30] (log-uniform), plus b = inf; and again with
+    orders v in 0..130 and mu*a in [0, 200]; bound 1e-10 relative. Far past
+    the mode both regularized lower incomplete gammas round to 1, so
+    differencing them loses every digit there.
     """
 
     EXPONENTS = (0.25, 0.5, 1.5, 2.5, 3.5, 5.5, 0.0, 1.0, 2.0)
 
     @staticmethod
-    def reference(e, v, mu, a, b):
-        with mpmath.workdps(40):
+    def reference(e, v, mu, a, b, digits=40):
+        with mpmath.workdps(digits):
             mu = mpmath.mpf(mu)
             upper = mpmath.inf if b == INF else mu * mpmath.mpf(b)
             val = mpmath.gammainc(e + v + 1, mu * mpmath.mpf(a), upper)
@@ -210,18 +213,116 @@ class TestPowerExpIntegral:
             self.reference(0.5, 0, 1.0, 40.0, 41.0), rel=1e-10, abs=0.0
         )
 
-    def test_matches_mpmath_on_domain(self):
-        rng = np.random.default_rng(20261018)
+    def worst_error(self, seed, samples, orders, reach, digits=40):
+        rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(600):
+        for _ in range(samples):
             e = float(rng.choice(self.EXPONENTS))
-            v = int(rng.integers(0, 8))
+            v = int(rng.integers(0, orders))
             mu = float(10 ** rng.uniform(-3.0, 1.0))
-            a = float(rng.uniform(0.0, 60.0)) / mu
+            a = float(rng.uniform(0.0, reach)) / mu
             if rng.random() < 0.1:
                 b = INF
             else:
                 b = a + float(10 ** rng.uniform(-3.0, math.log10(30.0))) / mu
-            want = self.reference(e, v, mu, a, b)
+            want = self.reference(e, v, mu, a, b, digits)
             worst = max(worst, abs(self.term(e, v, mu, a, b) - want) / want)
-        assert worst <= 1e-10
+        return worst
+
+    def test_matches_mpmath_on_domain(self):
+        assert self.worst_error(20261018, 600, 8, 60.0) <= 1e-10
+
+    def test_matches_mpmath_on_high_orders(self):
+        # orders v in 0..130 (batteries up to 132) and mu*a in [0, 200]: the
+        # Poisson-series tails at the top orders and e^{-x} near 1e-87. The
+        # oracle takes 80 digits: at 40, mpmath's difference of two upper
+        # gammas near x = 120..190 loses every digit (it gave 0.0 for 4.2e-51).
+        assert self.worst_error(20261019, 200, 131, 200.0, digits=80) <= 1e-10
+
+
+class TestGammaTable:
+    """gamma_table's recurrence against mpmath, across batches and at infinity.
+
+    Terms with fractional exponents 0.25, 0.5 and 2.5 take Q(f, x) from
+    1 - P(f, x) below SWITCH and from the continued fraction from it on.
+    """
+
+    TERMS = ((1.0, 0.0), (2.0, 1.0), (1.0, 0.5), (0.5, 0.25), (1.0, 2.5))
+
+    @staticmethod
+    def points(table):
+        """mu tau of each table entry, tau_0 = inf first."""
+        N, B = table.taus.shape
+        point = np.repeat(np.arange(B + 1), np.minimum(np.arange(B + 1), B - 1) + 1)
+        x = np.concatenate((np.full((N, 1), INF), table.mu * table.taus), axis=1)
+        return x[:, point]
+
+    def test_entries_match_mpmath(self):
+        # bound 1e-13 relative on every entry of a normal double
+        rng = np.random.default_rng(20261020)
+        worst = 0.0
+        for B, scale in ((1, 3.0), (2, 8.0), (4, 0.5), (4, 12.0), (8, 4.0), (16, 40.0), (16, 2.0)):
+            taus = np.sort(rng.uniform(0.0, scale, (1, B)))[:, ::-1]
+            table = gamma_table(1.0, taus, self.TERMS)
+            points = np.broadcast_to(self.points(table)[0], table.layout.s.shape)
+            for (u, entry), x in np.ndenumerate(points):
+                if x == INF:
+                    continue
+                q, p = table.values[0, :, u, entry]
+                with mpmath.workdps(50):
+                    s = table.layout.s[u, entry]
+                    upper = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+                    lower = mpmath.gammainc(s, 0, x, regularized=True)
+                    for got, want in ((q, upper), (p, lower)):
+                        if want > 1e-300:
+                            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-13
+
+    def test_batch_rows_are_single_tables_bitwise(self):
+        # thresholds on both sides of SWITCH, at it, at 0 and infinite, and 64
+        # drawn policies
+        mu = 0.8
+        at = SWITCH / mu
+        taus = np.array(
+            [
+                [INF, 3.0 * at, at, 0.5 * at],
+                [2.0 * at, at, at, 0.0],
+                [np.nextafter(at, 0.0), 0.9 * at, 0.2, 0.1],
+                [60.0, 40.0, 1.1 * at, 0.99 * at],
+            ]
+        )
+        rng = np.random.default_rng(20261021)
+        drawn = np.sort(rng.uniform(0.0, 2.0 * at, (64, 4)))[:, ::-1]
+        taus = np.concatenate([taus * k for k in (1.0, 0.5, 1.5, 2.0, 0.25)] + [drawn])
+        batch = gamma_table(mu, taus, self.TERMS)
+        for n, row in enumerate(taus):
+            assert np.array_equal(batch.values[n], gamma_table(mu, row[None], self.TERMS).values[0])
+        # Q(1, x) is the first term alone, e^{-x} from libm: numpy's vector
+        # exp differs from it in the last bit on about one input in twenty
+        x = np.broadcast_to(self.points(batch)[:, None, :], batch.values[:, 0].shape)
+        first = (batch.layout.s == 1.0) & (x < INF)
+        assert batch.values[:, 0][first].tolist() == [math.exp(-t) for t in x[first].tolist()]
+
+    @pytest.mark.parametrize("B", [1, 2, 4, 16, 32])
+    @pytest.mark.parametrize("terms", [TERMS[:2], TERMS[:3]], ids=["id", "pow0.5"])
+    def test_tail_sums_at_the_truncation_bound(self, B, terms):
+        # the series for P is cut where it is longest: every threshold just
+        # below the top row's shape parameter; bound 5e-15 relative
+        top = float(gamma_table(1.0, np.zeros((1, B)), terms).layout.s.max())
+        x = float(np.nextafter(top, 0.0))
+        table = gamma_table(1.0, np.full((1, B), x), terms)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for (u, entry), s in np.ndenumerate(table.layout.s[:, 1:]):
+                want = mpmath.gammainc(s, 0, x, regularized=True)
+                worst = max(worst, float(abs(table.values[0, 1, u, entry + 1] - want) / want))
+        assert worst <= 5e-15
+
+    def test_infinite_threshold_reads_like_tau_0(self):
+        # Q = 0 and P = 1 at tau_0 and at a user's infinite threshold alike
+        table = gamma_table(1.3, np.array([[INF, INF, 2.0, 1.0]]), self.TERMS)
+        q, p = table.values[0]
+        far = np.broadcast_to(self.points(table)[0] == INF, q.shape)
+        assert np.all(q[far] == 0.0) and np.all(p[far] == 1.0)
+        assert np.all(q[~far] > 0.0) and np.all(p[~far] > 0.0)
+        assert np.all(threshold_cdfs(table)[0, :2, 1] == 1.0)
