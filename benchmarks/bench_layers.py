@@ -1,7 +1,7 @@
-"""Layer timings of the import, the evaluator, its two batch callers and the simulator kernel, interleaved across source trees.
+"""Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_9.json]
+        [--rounds 10] [--out BENCH_10.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -13,10 +13,19 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        aoiharvest.cli from the tree (what every CLI call pays)
     gamma_table_us     one erlang.gamma_table call (L0) with the identity
                        penalty's terms, per battery size
+    stationary_us      one chain.stationary call (L1) on the battery chain
+                       of a batch of one policy, per battery size in
+                       STATIONARY_BATTERIES
     policy_metrics_us  one policy_metrics call, per battery size
     policy_metrics_pow05_us
                        the same with the power-0.5 penalty, whose fractional
                        exponent adds a second family of incomplete gammas
+    step_us            microseconds per policy-iteration step (L3): one
+                       optimizer call divided by its evaluations, for
+                       optimize_penalty under the identity and the power-0.5
+                       penalty and for algorithm1, per battery size in
+                       STEP_BATTERIES, at mu = 1 from the default config
+    evaluations        the evaluation count of each of those calls
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
@@ -51,6 +60,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 BATTERIES = (1, 2, 4, 16, 32, 64, 128)
+STATIONARY_BATTERIES = (1, 2, 4, 16, 32)
+STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_CYCLES = 200_000
 REPEATS = 3
@@ -81,7 +92,7 @@ def child(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from aoiharvest import cli, optimizer, simulator
+    from aoiharvest import chain, cli, optimizer, simulator
     from aoiharvest.erlang import gamma_table
     from aoiharvest.model import PenaltySpec, Policy, SystemParams
     from aoiharvest.renewal import _terms, policy_metrics
@@ -102,6 +113,26 @@ def child(src: str) -> dict:
         out["gamma_table_us"][str(b)] = _best(lambda: gamma_table(1.0, taus, terms)) * 1e6
         out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
         out["policy_metrics_pow05_us"][str(b)] = _best(lambda: policy_metrics(params, policy, root)) * 1e6
+    out["stationary_us"] = {}
+    for b in STATIONARY_BATTERIES:
+        rng = np.random.default_rng(b)
+        taus = np.array([sorted(rng.uniform(0.0, 4.0, b), reverse=True)])
+        T = chain.transition_matrix(SystemParams(1.0, b), taus)
+        out["stationary_us"][str(b)] = _best(lambda: chain.stationary(T)) * 1e6
+    out["step_us"], out["evaluations"] = {}, {}
+    runs = {
+        "optimize_penalty": (optimizer.optimize_penalty, identity),
+        "optimize_penalty_pow05": (optimizer.optimize_penalty, root),
+        "algorithm1": (optimizer.algorithm1, identity),
+    }
+    for name, (run, penalty) in runs.items():
+        config = optimizer.OptimizerConfig(penalty=penalty)
+        out["step_us"][name], out["evaluations"][name] = {}, {}
+        for b in STEP_BATTERIES:
+            params = SystemParams(1.0, b)
+            evaluations = run(params, config).evaluations
+            out["step_us"][name][str(b)] = _best(lambda: run(params, config)) / evaluations * 1e6
+            out["evaluations"][name][str(b)] = evaluations
     params = SystemParams(1.0, 2)
     lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
     bounds = list(zip(lows, highs))
@@ -139,8 +170,11 @@ def _source_digest(src: str) -> str:
 
 def _metrics(result: dict) -> dict:
     flat = {"import_s": result["import_s"]}
-    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us"):
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "stationary_us"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
+    for key in ("step_us", "evaluations"):
+        for name, per_battery in result[key].items():
+            flat.update({f"{key}.{name}.b{b}": v for b, v in per_battery.items()})
     flat["grid_round_ms"] = result["grid_round_ms"]
     flat["fig_curve_ms"] = result["fig_curve_ms"]
     flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
@@ -151,7 +185,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_9.json")
+    ap.add_argument("--out", default="BENCH_10.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .erlang import erlang_cdf  # noqa: F401  (patched by perfbench/tracer.py)
 from .erlang import gamma_table, threshold_cdfs
@@ -93,31 +94,43 @@ def _identity(battery: int) -> np.ndarray:
     return eye
 
 
+def _singular(err, flag):
+    raise SingularSystem("Singular matrix")
+
+
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    """X with A X = b for float64 stacks of matrices A and of columns b (b.ndim == A.ndim).
+
+    np.linalg.solve's LAPACK gufunc (numpy.linalg._umath_linalg.solve, in
+    NumPy 1.x and 2 alike) under the error state np.linalg.solve sets: the
+    same bits, and SingularSystem where np.linalg.solve raises LinAlgError,
+    without the argument handling that costs more than a small solve.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(A, b, signature="dd->d")
 
 
 def stationary(matrix: TransitionMatrix) -> StationaryDistribution:
     """Unique probability vector with pi = pi T, by direct linear solve.
 
     Solves (T' - I) pi = 0 with the last equation replaced by sum(pi) = 1,
-    for each matrix of a batch.
+    for each matrix of a batch. A one-level chain has pi = 1, which is
+    what that solve gives.
     """
     T = matrix.entries
-    eye = _identity(T.shape[-1])
-    A = T.swapaxes(-1, -2) - eye
-    A[..., -1, :] = 1.0
-    # b is a column per matrix (b.ndim == A.ndim), which NumPy 1.x and 2
-    # both read as matrices; NumPy 1.x rejects a 1-D b against a stacked A.
-    pi = _solve(A, eye[-1].reshape((1,) * (A.ndim - 2) + (-1, 1)))[..., 0]
-    if np.minimum.reduce(pi, axis=None) < 0.0:
-        pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
-        if (pi < 0).any():
-            raise SingularSystem(f"negative stationary mass: {pi}")
-    pi /= np.add.reduce(pi, axis=-1, keepdims=True)
+    B = T.shape[-1]
+    if B == 1:
+        pi = np.ones(T.shape[:-1])
+    else:
+        eye = _identity(B)
+        A = T.swapaxes(-1, -2) - eye
+        A[..., -1, :] = 1.0
+        pi = _solve(A, eye[-1].reshape((1,) * (A.ndim - 2) + (-1, 1)))[..., 0]
+        if np.minimum.reduce(pi, axis=None) < 0.0:
+            pi = np.where((pi > -1e-14) & (pi < 0.0), 0.0, pi)
+            if (pi < 0).any():
+                raise SingularSystem(f"negative stationary mass: {pi}")
+        pi /= np.add.reduce(pi, axis=-1, keepdims=True)
     resid = np.maximum.reduce(np.abs(np.matmul(pi[..., None, :], T)[..., 0, :] - pi), axis=None)
     if resid > 1e-10:
         raise SingularSystem(f"stationary residual {resid:.3e} too large")
@@ -136,5 +149,5 @@ def relative_values(T: np.ndarray, c: np.ndarray) -> np.ndarray:
     B = T.shape[0]
     h = np.zeros(B)
     if B > 1:
-        h[:-1] = _solve(np.eye(B - 1) - T[:-1, :-1], c[:-1])
+        h[:-1] = _solve(_identity(B - 1) - T[:-1, :-1], c[:-1, None])[:, 0]
     return h

@@ -11,14 +11,17 @@ file, or a result outside double range), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
 JSON output is deterministic for fixed flags and seed; CSV uses a fixed
-header and 9 significant digits.
+header and 9 significant digits. optimize --stats adds one JSON line of
+diagnostics on stderr and leaves stdout as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -118,10 +121,30 @@ def _run_optimizer(mode: str, params: SystemParams, config: OptimizerConfig):
     return optimize_penalty(params, config)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def _stats_line(result, seconds: float) -> str:
+    """The optimizer's diagnostics as one JSON line; a residual it did not compute is null."""
+    return _dumps(
+        {
+            "evaluations": result.evaluations,
+            "stop_reason": result.stop_reason,
+            "bellman_residual": _finite_or_none(result.bellman_residual),
+            "fixed_point_residual": _finite_or_none(result.fixed_point_residual),
+            "certified": result.certified,
+            "wall_s": seconds,
+        }
+    )
+
+
 def cmd_optimize(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     config = _make_config(args)
+    start = time.perf_counter()
     result = _run_optimizer(args.mode, params, config)
+    seconds = time.perf_counter() - start
     _out(
         args,
         _dumps(
@@ -137,6 +160,8 @@ def cmd_optimize(args) -> int:
             }
         ),
     )
+    if args.stats:
+        print(_stats_line(result, seconds), file=sys.stderr)
     return 0
 
 
@@ -285,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_penalty_flags(sp)
     _add_optimizer_flags(sp)
     sp.add_argument("--output")
+    sp.add_argument(
+        "--stats",
+        action="store_true",
+        help="also write one JSON line to stderr: evaluations, stop reason, residuals, certificate, wall seconds",
+    )
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("sweep", help="CSV sweeps over rates, batteries, or thresholds")

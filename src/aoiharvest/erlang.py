@@ -12,7 +12,10 @@ gammas:
 
 with Q = 1 - P the regularized upper gamma (the Poisson CDF for integer
 e) and poch(v+1, e) = Gamma(e+v+1) / v!, a product of v + e factors
-taken once per battery size and term list.
+taken once per battery size and term list, and its division by mu^(e+1)
+once per rate as well. An exponent at which poch(B, e) is past double
+range gives moments outside it whatever the thresholds, so the layout
+refuses it with OverflowError before any of that work.
 
 gamma_table takes P and Q at every threshold, order and exponent from one
 recurrence. For each distinct fractional part f of the exponents and each
@@ -73,6 +76,7 @@ INF = math.inf
 ULP = 2.0**-53  # the Poisson-series tails gamma_table drops are below this share of P
 SWITCH = 4.0  # x from which Q(f, x), 0 < f < 1, is the continued fraction
 _BIG = sys.float_info.max
+_RANGE_ERROR = "policy metrics outside double range"
 
 
 class NegativeArgument(ValueError):
@@ -206,8 +210,25 @@ def _poch(orders: int, e: float) -> list[float]:
     return out
 
 
+def _poch_overflows(orders: int, e: float) -> bool:
+    """Is poch(orders, e), the largest product _poch forms, past the largest
+    double by more than one nat (a factor 2.718), so that its product is
+    surely inf?
+
+    Then every moment with that exponent is inf or NaN. lgamma of the
+    exponent is taken at most at 1e300, as lgamma itself overflows from
+    about 2.5e305, and the product overflows long before either.
+    """
+    grown = math.lgamma(orders + min(e, 1e300)) - math.lgamma(orders)
+    return grown > math.log(_BIG) + 1.0
+
+
 @lru_cache(maxsize=32)
 def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
+    if any(_poch_overflows(battery, e) for _, e in terms):
+        # _poch would multiply floor(e) factors per order and the block below
+        # would hold about e terms per threshold, to end in this same error
+        raise OverflowError(_RANGE_ERROR)
     counts = np.minimum(np.arange(battery + 1), battery - 1) + 1  # orders tabled at point k
     point = np.repeat(np.arange(battery + 1), counts)
     start = np.cumsum(counts) - counts  # table entry of (k, 0)
@@ -261,6 +282,18 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     )
 
 
+@lru_cache(maxsize=64)
+def _rated_layout(
+    battery: int, terms: tuple[tuple[float, float], ...], mu: float
+) -> tuple[_Layout, np.ndarray]:
+    """The layout, and threshold_integrals' factor per term and piece at rate mu:
+    the (R, 1+M) array c * poch(v+1, e) / mu^(e+1)."""
+    lay = _layout(battery, terms)
+    coef = lay.coef / mu**lay.power
+    coef.setflags(write=False)
+    return lay, coef
+
+
 class GammaTable(NamedTuple):
     """Regularized incomplete gammas at the thresholds of a batch of policies."""
 
@@ -269,6 +302,7 @@ class GammaTable(NamedTuple):
     taus: np.ndarray  # (N, B) the thresholds
     mu: float
     layout: _Layout
+    coef: np.ndarray  # (R, 1+M) threshold_integrals' factors at the table's rate (_rated_layout)
 
 
 def _upper_fraction(f: float, x: float) -> float:
@@ -302,8 +336,8 @@ def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
     of the exponents and the thresholds; threshold_integrals and
     threshold_cdfs read from the table.
     """
-    lay = _layout(taus.shape[1], tuple(terms))
     n, b = taus.shape
+    lay, coef = _rated_layout(b, tuple(terms), mu)
     z = mu * taus
     xs = z.ravel().tolist()
     top = max(xs, default=0.0)
@@ -333,16 +367,16 @@ def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
     # P is the tail sum where x < s, where it can be small, and 1 - Q elsewhere.
     np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=x >= lay.s_row)
     values = block.reshape(n, -1).take(lay.flat, axis=-1)
-    return GammaTable(values, z, taus, mu, lay)
+    return GammaTable(values, z, taus, mu, lay, coef)
 
 
 def _fractional_base(block, xs, top, fracs):
     """Q(f, x) of each fractional part f > 0 into gamma_table's block:
     1 - P(f, x) below SWITCH, and u_0 times the continued fraction from it on."""
-    base = block[:, 0, 1:, :, 1]
     qf = block[:, 0, 1:, :, 0]
     np.subtract(1.0, block[:, 1, 1:, :, 0], out=qf)
     if top >= SWITCH:
+        base = block[:, 0, 1:, :, 1]
         b = base.shape[-1]
         for i, t in enumerate(xs):
             if t >= SWITCH:
@@ -365,15 +399,17 @@ def threshold_integrals(table: GammaTable) -> np.ndarray:
 
         J[n, r, 1 + i] = c_r mu^v / v! int_{piece m} x^(e_r + v) e^{-mu x} dx.
     """
-    values, z, taus, mu, lay = table
+    values, z, taus, mu, lay, coef = table
     ends = values.reshape(len(z), -1).take(lay.pairs, axis=-1)
     diff = ends[:, 0] - ends[:, 1]
     d = diff[:, 1]  # lower tails before the mode, upper tails past it
     np.copyto(d, diff[:, 0], where=z.take(lay.lo, axis=-1) >= lay.lo_s)
     np.maximum(d, 0.0, out=d)
-    d *= lay.coef / mu**lay.power
+    d *= coef
     tau_b = taus[:, -1:]
-    d[..., 0] = tau_b * (lay.head_scale * tau_b**lay.head_power)
+    head = tau_b**lay.head_power
+    head *= lay.head_scale
+    np.multiply(tau_b, head, out=d[..., 0])
     return d
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -164,15 +165,25 @@ class PenaltySpec:
             raise NegativeAge("age must be non-negative")
         return sum(c * x ** (a + 1) / (a + 1) for c, a in self.terms)
 
+    @cached_property
+    def _split(self) -> tuple[float, tuple[tuple[float, float], ...]]:
+        """p(0), the sum of the constant terms, and the positive powers."""
+        return sum(c for c, a in self.terms if a == 0), tuple((c, a) for c, a in self.terms if a > 0)
+
     def inverse(self, y):
         """Smallest x >= 0 with p(x) >= y, elementwise; 0 where y <= p(0).
 
-        Exact for one positive power; a sum of several is bisected between
-        bounds that bracket its root: no term alone can exceed the rise
-        y - p(0), and the largest of n terms supplies at least 1/n of it.
+        One positive power c x^a has the closed form (rise / c)^(1/a) of
+        the rise y - p(0). A sum of several is bisected between bounds that
+        bracket its root: no term alone can exceed the rise, and the largest
+        of n terms supplies at least 1/n of it.
         """
-        rise = np.maximum(np.asarray(y, dtype=float) - sum(c for c, a in self.terms if a == 0), 0.0)
-        powers = [(c, a) for c, a in self.terms if a > 0]
+        floor, powers = self._split
+        rise = np.asarray(y, dtype=float)
+        rise = np.maximum(rise - floor if floor else rise, 0.0)
+        if len(powers) == 1:
+            [(c, a)] = powers
+            return (rise / c) ** (1.0 / a)
         hi = np.min([(rise / c) ** (1.0 / a) for c, a in powers], axis=0)
         lo = np.min([(rise / (len(powers) * c)) ** (1.0 / a) for c, a in powers], axis=0)
         for _ in range(200):
@@ -191,8 +202,9 @@ class PolicyMetrics:
 
     per_state[j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
     battery level j, where X is the inter-update time and P the penalty
-    antiderivative; pi[j] is the stationary probability of level j, and
-    transition holds the battery chain's (read-only) transition matrix.
+    antiderivative; pi[j] is the stationary probability of level j,
+    transition holds the battery chain's (read-only) transition matrix and
+    moments the (read-only) 3 x B array whose columns are per_state's rows.
     """
 
     m1: float
@@ -202,3 +214,4 @@ class PolicyMetrics:
     per_state: tuple[tuple[float, float, float], ...]
     pi: tuple[float, ...]
     transition: np.ndarray = field(compare=False, repr=False)
+    moments: np.ndarray = field(compare=False, repr=False)

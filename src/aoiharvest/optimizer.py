@@ -2,9 +2,10 @@
 
 One search engine, ``_Search``: Howard's policy iteration for the
 semi-Markov decision problem (Puterman 1994, ch. 11). An evaluation gives
-the average penalty gamma and, from one more linear solve, the relative
-values h of the post-update battery levels; the improvement step then sets
-every threshold at once from its Bellman condition
+the average penalty gamma and, from one more linear solve when a step
+reads them, the relative values h of the post-update battery levels; the
+improvement step then sets every threshold at once from its Bellman
+condition
 
     p(tau_i) = gamma + mu_h (h_{i-1} - h_i)   (i < B),   p(tau_B) = gamma,
 
@@ -34,11 +35,12 @@ tau_i = tau_{i+1} + d_i, is the oracle both are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .model import PenaltySpec, Policy, SystemParams, validate_policy
+from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams, validate_policy
 from .renewal import avg_penalties, bellman_levels, policy_metrics
 
 # Largest gap on the grid oracle's axes, in units of 1/mu_h.
@@ -185,38 +187,56 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
 
 @dataclass(frozen=True)
 class _Point:
-    """An evaluated policy: thresholds, objective and Bellman levels."""
+    """An evaluated policy: thresholds, objective and metrics.
+
+    Its Bellman levels are solved for when first read.
+    """
 
     taus: tuple[float, ...]
     objective: float
-    levels: np.ndarray
+    params: SystemParams
+    metrics: PolicyMetrics
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        return bellman_levels(self.params, self.metrics)
 
 
 class _Search:
     """Policy iteration on the per-level Bellman conditions.
 
-    Each iteration evaluates the policy (one policy_metrics call and one
-    solve for the relative values) and moves every threshold to the age at
-    which the penalty reaches its Bellman level, tau_i = p^{-1}(level_i).
-    With tau_b fixed, tau_B stays put. Every threshold is kept at or above
-    the one below it, so the policy stays monotone. The first run starts
-    from one fixed point, every later one from the gaps the previous run
-    ended at; the start scales with 1/mu_h. ``evaluations`` counts the
-    policies evaluated over all runs, ``stop_reason`` says why the last
-    run stopped.
+    Each iteration evaluates the policy (one policy_metrics call, and one
+    solve for the relative values when a step or the certificate reads
+    them) and moves every threshold to the age at which the penalty
+    reaches its Bellman level, tau_i = p^{-1}(level_i). With tau_b fixed,
+    tau_B stays put, so a step whose only threshold is tau_B reads no
+    levels. Every threshold is kept at or above the one below it, so the
+    policy stays monotone. The first run starts from one fixed point,
+    every later one from the gaps the previous run ended at; the start
+    scales with 1/mu_h. ``evaluations`` counts the policies evaluated over
+    all runs, ``stop_reason`` says why the last run stopped.
     """
 
     def __init__(self, params: SystemParams, config: OptimizerConfig):
         self.params = params
         self.penalty = config.penalty
-        self.gaps = np.full(params.battery - 1, 0.4 / params.mu_h)
+        self.gaps = [0.4 / params.mu_h] * (params.battery - 1)
         self.evaluations = 0
         self.stop_reason = ""
 
     def _evaluate(self, taus) -> _Point:
         self.evaluations += 1
         m = policy_metrics(self.params, Policy(taus), self.penalty)
-        return _Point(taus, m.avg_penalty, bellman_levels(self.params, m))
+        return _Point(taus, m.avg_penalty, self.params, m)
+
+    def _improve(self, point: _Point, tau_b: float | None) -> np.ndarray:
+        """Every threshold at p^{-1} of its Bellman level, tau_B at tau_b when given."""
+        if tau_b is not None and len(point.taus) == 1:
+            return np.array([tau_b], dtype=float)  # the only threshold is pinned
+        improved = self.penalty.inverse(point.levels)
+        if tau_b is not None:
+            improved[-1] = tau_b
+        return improved
 
     def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> _Point:
         """Iterate to the optimum; returns the best policy evaluated.
@@ -243,18 +263,20 @@ class _Search:
             if point.objective <= stop_at:
                 self.stop_reason = "witness"
                 break
-            improved = self.penalty.inverse(point.levels)
-            if tau_b is not None:
-                improved[-1] = tau_b
-            improved = np.maximum.accumulate(improved[::-1])[::-1]  # tau_i >= tau_{i+1}
-            if not np.isfinite(improved).all():
+            improved = self._improve(point, tau_b).tolist()
+            if not all(map(math.isfinite, improved)):
                 self.stop_reason = "non-finite thresholds"
                 break
-            if np.abs(improved - taus).max() <= STEP_TOL / mu:
+            # tau_i >= tau_{i+1}: a running maximum from tau_B up that keeps
+            # tau_i on a tie, as np.maximum.accumulate does
+            for i in range(len(improved) - 2, -1, -1):
+                if improved[i + 1] > improved[i]:
+                    improved[i] = improved[i + 1]
+            if max(abs(new - old) for new, old in zip(improved, taus)) <= STEP_TOL / mu:
                 self.stop_reason = "converged"
                 break
-            taus = tuple(improved.tolist())
-        self.gaps = np.diff(best.taus[::-1])[::-1]
+            taus = tuple(improved)
+        self.gaps = [hi - lo for hi, lo in zip(best.taus, best.taus[1:])]
         return best
 
 
@@ -289,14 +311,18 @@ def _require_identity(config: OptimizerConfig):
         raise ValueError("the bisection gap certificate holds for the identity penalty only")
 
 
-def _result(params, config, search: _Search, point: _Point, **fields) -> OptimizationResult:
+def _result(params, config, search: _Search, point: _Point, tolerance=None, **fields) -> OptimizationResult:
+    """The answer at point; certified unless a tolerance is given and the
+    fixed-point residual exceeds it."""
     policy = validate_policy(params, point.taus)
     p_taus = config.penalty(np.asarray(policy.thresholds))
+    fixed_point_residual = abs(float(p_taus[-1]) - point.objective)
     return OptimizationResult(
         policy=policy,
         objective=point.objective,
+        certified=tolerance is None or fixed_point_residual <= tolerance,
         evaluations=search.evaluations,
-        fixed_point_residual=abs(float(p_taus[-1]) - point.objective),
+        fixed_point_residual=fixed_point_residual,
         stop_reason=search.stop_reason,
         bellman_residual=float(np.abs(p_taus - point.levels).max()),
         **fields,
@@ -338,6 +364,6 @@ def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> Optimizat
     |p(tau_B) - objective| <= 10 * refine_tol * max(1, objective).
     """
     search = _Search(params, config)
-    result = _result(params, config, search, search.run(), gap_bound=None, trace=())
-    certified = result.fixed_point_residual <= 10.0 * config.refine_tol * max(1.0, result.objective)
-    return replace(result, certified=certified)
+    point = search.run()
+    tolerance = 10.0 * config.refine_tol * max(1.0, point.objective)
+    return _result(params, config, search, point, tolerance, gap_bound=None, trace=())

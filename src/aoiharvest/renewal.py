@@ -51,7 +51,7 @@ import numpy as np
 
 from .chain import relative_values, stationary, transition_from_cdfs
 from .chain import transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
-from .erlang import ErlangKernel, GammaTable, erlang_cdf, gamma_table
+from .erlang import _RANGE_ERROR, ErlangKernel, GammaTable, erlang_cdf, gamma_table
 from .erlang import threshold_cdfs, threshold_integrals
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
@@ -152,7 +152,6 @@ class BatchMetrics:
 
 
 _RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
-_RANGE_ERROR = "policy metrics outside double range"
 
 
 def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
@@ -216,6 +215,7 @@ def policy_metrics(
     avg_age, avg_penalty = averages[0].tolist()
     if not (math.isfinite(avg_age) and math.isfinite(avg_penalty)):
         raise OverflowError(_RANGE_ERROR)
+    moments.setflags(write=False)
     return PolicyMetrics(
         m1=m1,
         m2=m2,
@@ -224,6 +224,7 @@ def policy_metrics(
         per_state=tuple(zip(*moments[0].tolist())),
         pi=tuple(pi[0].tolist()),
         transition=T[0],
+        moments=moments[0],
     )
 
 
@@ -261,13 +262,16 @@ def bellman_levels(params: SystemParams, metrics: PolicyMetrics) -> np.ndarray:
     """Penalty levels at which updating pays off, per battery level 1..B.
 
     Entry i-1 is gamma + mu_h (h_{i-1} - h_i) for i < B and gamma for i = B,
-    from metrics = policy_metrics(params, policy, p): its chain and one
-    solve for the relative values h.
+    from metrics = policy_metrics(params, policy, p): its moments, its chain
+    and one solve for the relative values h (none at B = 1).
     """
-    ex, _, epx = np.asarray(metrics.per_state).T
+    ex, _, epx = metrics.moments
     gamma = metrics.avg_penalty
-    h = relative_values(metrics.transition, epx - gamma * ex)
-    return gamma + params.mu_h * np.append(h[:-1] - h[1:], 0.0)
+    levels = relative_values(metrics.transition, epx - gamma * ex)
+    levels[:-1] -= levels[1:]  # h_{i-1} - h_i, and h_{B-1} = 0 at i = B
+    levels *= params.mu_h
+    levels += gamma
+    return levels
 
 
 def avg_penalty_gradient(

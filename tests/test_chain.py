@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from aoiharvest import chain
 from aoiharvest.chain import FLUSH, relative_values, stationary, transition_matrix
 from aoiharvest.erlang import ErlangKernel, erlang_cdf, gamma_table, threshold_cdfs
 from aoiharvest.model import SystemParams, validate_policy
@@ -145,17 +146,19 @@ class TestStationary:
         assert np.abs(pi @ tm.entries - pi).max() <= 1e-10
 
     def test_solve_reads_the_same_under_numpy_1_and_2(self, monkeypatch):
-        # NumPy 1.x reads a stacked b as vectors when b.ndim == A.ndim - 1,
-        # NumPy 2 only when b.ndim == 1: every solve must be one both agree on
-        solve = np.linalg.solve
+        # np.linalg.solve's wrapper reads a stacked b as vectors when
+        # b.ndim == A.ndim - 1 under NumPy 1.x, only when b.ndim == 1 under 2.
+        # chain._solve calls the matrix-right-hand-side gufunc under it, which
+        # both read alike given a column per matrix: every solve passes one
+        solve = chain._solve
         calls = []
 
         def checked(a, b):
             calls.append((a.ndim, b.ndim))
-            assert b.ndim == a.ndim or (a.ndim, b.ndim) == (2, 1)
+            assert b.ndim == a.ndim
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", checked)
+        monkeypatch.setattr(chain, "_solve", checked)
         params = SystemParams(mu_h=0.9, battery=3)
         taus = np.array([[3.0, 2.0, 0.5], [1.0, 0.4, 0.4]])
         pi = stationary(transition_matrix(params, taus)).pi

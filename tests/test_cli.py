@@ -90,6 +90,33 @@ class TestEvaluate:
         assert code == cli.EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
 
+    # avg_penalty of thresholds (1, 0.5) at mu = 1 under power penalties near
+    # the top of double range, as evaluated before the range check was added
+    STEEP = {100.0: 5.152934549446844e157, 130.0: 3.570624065078434e219, 165.0: 2.9947701759544884e295}
+
+    @pytest.mark.parametrize("exponent", sorted(STEEP))
+    def test_steep_power_penalty_unchanged(self, capsys, exponent):
+        argv = ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--penalty", "power"]
+        code, out = run(capsys, argv + ["--exponent", repr(exponent)])
+        assert code == 0
+        assert json.loads(out)["avg_penalty"] == self.STEEP[exponent]
+
+    def test_exponent_past_double_range_exits_at_once(self):
+        # poch(v+1, e) used to be a product of floor(e) factors per order and the
+        # working block held about e terms per threshold, only to end in this error:
+        # 1e7 took 1.7 s, 1e300 never ended. A subprocess bounds the time.
+        code = "from aoiharvest import cli; import sys; sys.exit(cli.main(sys.argv[1:]))"
+        argv = ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--penalty", "power"]
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        for exponent in ("172", "1e10", "1e300"):
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--exponent", exponent],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == cli.EXIT_VALIDATION and done.stdout == ""
+            assert done.stderr == "error: OverflowError: policy metrics outside double range\n"
+
     def test_ignores_grid_points_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("AOIHARVEST_GRID_POINTS", "abc")
         code, out = run(
@@ -173,6 +200,43 @@ class TestOptimize:
         assert code == cli.EXIT_VALIDATION
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestOptimizeStats:
+    ARGVS = [
+        ["optimize", "--mu", "1", "--battery", "3"],
+        ["optimize", "--mu", "0.8", "--battery", "2", "--mode", "penalty", "--penalty", "power", "--exponent", "0.5"],
+        ["optimize", "--mu", "1", "--battery", "2", "--mode", "grid", "--grid-points", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["algorithm1", "penalty", "grid"])
+    def test_stdout_unchanged_and_stderr_one_json_line(self, capsys, argv):
+        code, plain, err = call(capsys, argv)
+        assert (code, err) == (0, "")
+        code, out, err = call(capsys, argv + ["--stats"])
+        assert code == 0 and out == plain
+        assert err.endswith("\n") and err.count("\n") == 1
+        stats = json.loads(err)
+        assert set(stats) == {
+            "evaluations", "stop_reason", "bellman_residual", "fixed_point_residual", "certified", "wall_s",
+        }
+        assert stats["evaluations"] > 0 and stats["stop_reason"] and stats["wall_s"] > 0.0
+        assert stats["certified"] is json.loads(out)["certified"]
+        if argv[-1] == "5":  # the grid computes no Bellman levels
+            assert stats["bellman_residual"] is None and stats["stop_reason"] == "grid exhausted"
+        else:
+            assert 0.0 <= stats["fixed_point_residual"] <= stats["bellman_residual"] < 1e-4
+
+    def test_stats_matches_the_result(self, capsys):
+        from aoiharvest.optimizer import OptimizerConfig, optimize_penalty
+        from aoiharvest.model import SystemParams
+
+        _, _, err = call(capsys, ["optimize", "--mu", "1", "--battery", "4", "--mode", "penalty", "--stats"])
+        r = optimize_penalty(SystemParams(1.0, 4), OptimizerConfig())
+        stats = json.loads(err)
+        assert stats["evaluations"] == r.evaluations and stats["stop_reason"] == r.stop_reason
+        assert stats["bellman_residual"] == r.bellman_residual
+        assert stats["fixed_point_residual"] == r.fixed_point_residual
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from aoiharvest import erlang
 from aoiharvest.erlang import (
     INF,
     SWITCH,
@@ -326,3 +328,28 @@ class TestGammaTable:
         assert np.all(q[far] == 0.0) and np.all(p[far] == 1.0)
         assert np.all(q[~far] > 0.0) and np.all(p[~far] > 0.0)
         assert np.all(threshold_cdfs(table)[0, :2, 1] == 1.0)
+
+
+class TestPochRange:
+    """The layout refuses an exponent whose poch(v+1, e) cannot be a double.
+
+    _poch multiplies floor(e) factors per order and the working block holds
+    about e terms per threshold, so such an exponent used to run for as long
+    as e is large only to give moments outside double range.
+    """
+
+    @pytest.mark.parametrize("battery", [1, 2, 3, 8, 64])
+    def test_refused_only_where_the_product_overflows(self, battery):
+        for e in np.linspace(0.0, 200.0, 801).tolist():
+            if erlang._poch_overflows(battery, e):
+                assert math.isinf(erlang._poch(battery, e)[-1])
+                with pytest.raises(OverflowError, match="policy metrics outside double range"):
+                    erlang._layout(battery, ((1.0, 0.0), (1.0, e)))
+        # a one-nat margin, less than a unit of exponent: refused from one past the first inf
+        first_inf = next(e for e in np.arange(0.0, 200.0, 0.25).tolist() if math.isinf(erlang._poch(battery, e)[-1]))
+        assert erlang._poch_overflows(battery, first_inf + 1.0)
+
+    @pytest.mark.parametrize("exponent", [1e7, 1e300, sys.float_info.max])
+    def test_huge_exponent_refused_before_any_work(self, exponent):
+        with pytest.raises(OverflowError, match="policy metrics outside double range"):
+            gamma_table(1.0, np.array([[1.0, 0.5]]), ((1.0, 0.0), (1.0, exponent)))

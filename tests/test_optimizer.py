@@ -275,6 +275,49 @@ class TestAlgorithm1Bisection:
         assert len(metrics_calls) == 1
 
 
+@pytest.fixture
+def relative_value_solves(monkeypatch):
+    """One entry per solve for the relative values (renewal.bellman_levels reads them)."""
+    from aoiharvest import renewal
+
+    calls = []
+    real = renewal.relative_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(renewal, "relative_values", counted)
+    return calls
+
+
+class TestLevelsOnlyWhenRead:
+    """A step solves for the relative values only when it reads the Bellman levels."""
+
+    def test_witness_stop_solves_nothing(self, relative_value_solves):
+        search = optimizer._Search(SystemParams(1.0, 4), OptimizerConfig())
+        assert feasible(SystemParams(1.0, 4), OptimizerConfig(), 1.0, search)
+        assert search.stop_reason == "witness" and search.evaluations == 1
+        assert relative_value_solves == []
+
+    def test_pinned_only_threshold_solves_nothing(self, relative_value_solves):
+        # 0.6 is below the B = 1 optimum 0.9012: no witness, one step, converged
+        search = optimizer._Search(SystemParams(1.0, 1), OptimizerConfig())
+        assert not feasible(SystemParams(1.0, 1), OptimizerConfig(), 0.6, search)
+        assert search.stop_reason == "converged" and search.evaluations == 1
+        assert relative_value_solves == []
+
+    def test_algorithm1_b1_solves_for_the_certificate_alone(self, relative_value_solves):
+        r = algorithm1(SystemParams(1.0, 1), OptimizerConfig())
+        assert r.evaluations == 12 and len(relative_value_solves) == 1
+        assert r.bellman_residual == r.fixed_point_residual
+
+    @pytest.mark.parametrize("battery", [2, 3, 5])
+    def test_one_solve_per_step_at_most(self, relative_value_solves, battery):
+        r = optimize_penalty(SystemParams(1.0, battery), OptimizerConfig())
+        assert 0 < len(relative_value_solves) <= r.evaluations
+
+
 def test_large_battery_certified():
     config = OptimizerConfig()
     r16 = optimize_penalty(SystemParams(1.0, 16), config)
