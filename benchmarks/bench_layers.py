@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_10.json]
+        [--rounds 10] [--out BENCH_11.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -14,8 +14,10 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     gamma_table_us     one erlang.gamma_table call (L0) with the identity
                        penalty's terms, per battery size
     stationary_us      one chain.stationary call (L1) on the battery chain
-                       of a batch of one policy, per battery size in
-                       STATIONARY_BATTERIES
+                       of a batch of one policy, per battery size: the
+                       cut-balance recursion stationary(C, Q) on
+                       chain.cut_tables, or, in a tree from before it,
+                       the LU solve stationary(T) on transition_matrix
     policy_metrics_us  one policy_metrics call, per battery size
     policy_metrics_pow05_us
                        the same with the power-0.5 penalty, whose fractional
@@ -26,6 +28,10 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        penalty and for algorithm1, per battery size in
                        STEP_BATTERIES, at mu = 1 from the default config
     evaluations        the evaluation count of each of those calls
+    bellman_residual   optimize_penalty's Bellman residual at the battery
+                       sizes in RESIDUAL_BATTERIES, with its evaluation
+                       count in evaluations (one run: both are the same in
+                       every round)
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
@@ -60,7 +66,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 BATTERIES = (1, 2, 4, 16, 32, 64, 128)
-STATIONARY_BATTERIES = (1, 2, 4, 16, 32)
+RESIDUAL_BATTERIES = (128, 256, 512)
 STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_CYCLES = 200_000
@@ -114,11 +120,14 @@ def child(src: str) -> dict:
         out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
         out["policy_metrics_pow05_us"][str(b)] = _best(lambda: policy_metrics(params, policy, root)) * 1e6
     out["stationary_us"] = {}
-    for b in STATIONARY_BATTERIES:
+    for b in BATTERIES:
         rng = np.random.default_rng(b)
         taus = np.array([sorted(rng.uniform(0.0, 4.0, b), reverse=True)])
-        T = chain.transition_matrix(SystemParams(1.0, b), taus)
-        out["stationary_us"][str(b)] = _best(lambda: chain.stationary(T)) * 1e6
+        if hasattr(chain, "cut_tables"):
+            args = chain.cut_tables(SystemParams(1.0, b), taus)
+        else:
+            args = (chain.transition_matrix(SystemParams(1.0, b), taus),)
+        out["stationary_us"][str(b)] = _best(lambda: chain.stationary(*args)) * 1e6
     out["step_us"], out["evaluations"] = {}, {}
     runs = {
         "optimize_penalty": (optimizer.optimize_penalty, identity),
@@ -133,6 +142,11 @@ def child(src: str) -> dict:
             evaluations = run(params, config).evaluations
             out["step_us"][name][str(b)] = _best(lambda: run(params, config)) / evaluations * 1e6
             out["evaluations"][name][str(b)] = evaluations
+    out["bellman_residual"] = {}
+    for b in RESIDUAL_BATTERIES:
+        r = optimizer.optimize_penalty(SystemParams(1.0, b), optimizer.OptimizerConfig())
+        out["bellman_residual"][str(b)] = r.bellman_residual
+        out["evaluations"]["optimize_penalty"][str(b)] = r.evaluations
     params = SystemParams(1.0, 2)
     lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
     bounds = list(zip(lows, highs))
@@ -170,7 +184,7 @@ def _source_digest(src: str) -> str:
 
 def _metrics(result: dict) -> dict:
     flat = {"import_s": result["import_s"]}
-    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "stationary_us"):
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "stationary_us", "bellman_residual"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
     for key in ("step_us", "evaluations"):
         for name, per_battery in result[key].items():
@@ -185,7 +199,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_10.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

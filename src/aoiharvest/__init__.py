@@ -5,7 +5,7 @@ optimization with a certified gap, closed forms for small batteries, and
 a seeded Monte Carlo simulator validating every analytic quantity.
 """
 
-from .chain import StationaryDistribution, TransitionMatrix, stationary, transition_matrix
+from .chain import cut_tables, stationary, transition_matrix
 from .closedform import b1_average_age, b1_optimal, b2_average_age, lambert_w0
 from .model import (
     PenaltySpec,
@@ -22,19 +22,16 @@ from .optimizer import (
     algorithm1,
     feasible,
     grid_search,
-    inner_minimize,
     optimize_penalty,
 )
 from .renewal import (
     BatchMetrics,
     ConditionalMoments,
-    avg_penalty_gradient,
     batch_metrics,
     bellman_levels,
     conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
-    moment_derivatives,
     policy_metrics,
 )
 from .simulator import KERNEL, SimConfig, SimReport, simulate, simulate_greedy
@@ -50,24 +47,20 @@ __all__ = [
     "PolicyMetrics",
     "SimConfig",
     "SimReport",
-    "StationaryDistribution",
     "SystemParams",
-    "TransitionMatrix",
     "algorithm1",
-    "avg_penalty_gradient",
     "b1_average_age",
     "b1_optimal",
     "b2_average_age",
     "batch_metrics",
     "bellman_levels",
     "conditional_moments",
+    "cut_tables",
     "feasible",
     "grid_search",
-    "inner_minimize",
     "interupdate_cdf",
     "lambert_w0",
     "moment_derivative_check",
-    "moment_derivatives",
     "optimize_penalty",
     "policy_from_json",
     "policy_metrics",

@@ -57,7 +57,9 @@ own: in upper tails Q once mu a >= e+v+1, where P rounds toward 1, and in
 lower tails P below that. Adding up whole tails instead (telescoping)
 cancels digits the accuracy contract needs. The same table's exponent-0
 entries are the Erlang CDFs at the thresholds, Pr(Y_n <= tau) =
-P(n, mu tau), which threshold_cdfs gathers for the battery chain.
+P(n, mu tau), which threshold_cdfs gathers for the battery chain, and
+its upper tails Q(1, mu tau) = e^{-mu tau} are the chain's down-rates,
+which down_rates gathers.
 """
 
 from __future__ import annotations
@@ -165,6 +167,7 @@ class _Layout:
     head_scale: np.ndarray  # (R,) c / (e+1)
     head_power: np.ndarray  # (R,) e
     cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= tau_i), then 0
+    down: np.ndarray  # (B,) flat index of Q(1, mu tau_k), tau_0 = inf
     fracs: tuple  # (f, Gamma(f+1)) of each fractional part f > 0 of the exponents
     den: np.ndarray  # (G, 1, W-1) f + w: the ratios u_w / u_{w-1} are x / (f + w)
     s_row: np.ndarray  # (G, 1, R) f + r: P(f + r, x) is the tail sum where x < f + r
@@ -248,6 +251,8 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     j, i = np.indices((battery, battery + 1))
     cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + zero + p_block
     cdf[:, battery] = zero
+    # Q(1, mu tau_k) of exponent 0 at points k < B; Q(1, inf) = 0 at tau_0.
+    down = zero + start[:battery]
     # Rows r < R of Q(f + r) and P(f + r) for each fractional part f, from
     # the terms u_w, w < W: enough for every tail sum to be within ULP, and
     # for P(f, x), f > 0, below SWITCH. Exponent n + f, order v reads row
@@ -274,6 +279,7 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
         head_scale=(c / (e + 1.0))[:, 0],
         head_power=e[:, 0],
         cdf=cdf,
+        down=down,
         fracs=tuple((f, math.gamma(1.0 + f)) for f in fracs[1:]),
         den=f_col + np.arange(1.0, n_terms),
         s_row=f_col + np.arange(float(n_rows)),
@@ -419,6 +425,16 @@ def threshold_cdfs(table: GammaTable) -> np.ndarray:
     Shape (N, B, B+1): the exponent-0 entries of the table, gathered.
     """
     return table.values.reshape(len(table.z), -1).take(table.layout.cdf, axis=-1)
+
+
+def down_rates(table: GammaTable) -> np.ndarray:
+    """Q[n, k] = Pr(Y_1 > tau_k) = Q(1, mu tau_k), with tau_0 = inf, so Q[n, 0] = 0.
+
+    Shape (N, B): the upper tails of the table's exponent-0 entries, read
+    as such rather than as 1 - P, so that they keep their relative
+    accuracy where they are small.
+    """
+    return table.values.reshape(len(table.z), -1).take(table.layout.down, axis=-1)
 
 
 def _check_interval(a: float, b: float):

@@ -202,9 +202,10 @@ class PolicyMetrics:
 
     per_state[j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
     battery level j, where X is the inter-update time and P the penalty
-    antiderivative; pi[j] is the stationary probability of level j,
-    transition holds the battery chain's (read-only) transition matrix and
+    antiderivative; pi[j] is the stationary probability of level j and
     moments the (read-only) 3 x B array whose columns are per_state's rows.
+    cdfs and down are the battery chain's C (B x (B+1)) and Q (B) of
+    chain.stationary, read by renewal.bellman_levels.
     """
 
     m1: float
@@ -213,5 +214,6 @@ class PolicyMetrics:
     avg_penalty: float
     per_state: tuple[tuple[float, float, float], ...]
     pi: tuple[float, ...]
-    transition: np.ndarray = field(compare=False, repr=False)
     moments: np.ndarray = field(compare=False, repr=False)
+    cdfs: np.ndarray = field(compare=False, repr=False)
+    down: np.ndarray = field(compare=False, repr=False)

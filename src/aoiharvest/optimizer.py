@@ -2,7 +2,7 @@
 
 One search engine, ``_Search``: Howard's policy iteration for the
 semi-Markov decision problem (Puterman 1994, ch. 11). An evaluation gives
-the average penalty gamma and, from one more linear solve when a step
+the average penalty gamma and, from one more O(B^2) recursion when a step
 reads them, the relative values h of the post-update battery levels; the
 improvement step then sets every threshold at once from its Bellman
 condition
@@ -206,7 +206,7 @@ class _Search:
     """Policy iteration on the per-level Bellman conditions.
 
     Each iteration evaluates the policy (one policy_metrics call, and one
-    solve for the relative values when a step or the certificate reads
+    recursion for the relative values when a step or the certificate reads
     them) and moves every threshold to the age at which the penalty
     reaches its Bellman level, tau_i = p^{-1}(level_i). With tau_b fixed,
     tau_B stays put, so a step whose only threshold is tau_B reads no
@@ -278,17 +278,6 @@ class _Search:
             taus = tuple(improved)
         self.gaps = [hi - lo for hi, lo in zip(best.taus, best.taus[1:])]
         return best
-
-
-def inner_minimize(
-    params: SystemParams, config: OptimizerConfig, tau_b: float
-) -> tuple[tuple[float, ...], float]:
-    """Minimize the average penalty over the upper thresholds at fixed tau_B.
-
-    Returns (tau_1..tau_{B-1}, objective).
-    """
-    point = _Search(params, config).run(tau_b)
-    return point.taus[:-1], point.objective
 
 
 def feasible(

@@ -25,20 +25,14 @@ Long-run averages are stationary mixtures of the per-state moments; the
 average penalty is the renewal-reward ratio E[P(X)] / E[X] (for identity
 penalty this is the classic E[X^2] / 2 E[X] average age).
 
-Threshold derivatives are endpoint terms by Leibniz's rule: tau_i < tau_B
-ends piece i+1 and starts piece i, so d E[f(X)|j] / d tau_i is
-f(tau_i) Pr(N(mu tau_i) = i-j) for i >= j and 0 for i < j, and tau_B ends
-the head, so d E[f(X)|j] / d tau_B is f(tau_B) Pr(Y_{B-j} <= tau_B).
-
 The per-level Bellman conditions of the semi-Markov decision problem come
 from the relative values h of the per-renewal cost
 c_j = E[P(X)|j] - gamma E[X|j], gamma the average penalty: updating at
 battery level i < B is worth it once p(age) reaches
 gamma + mu_h (h_{i-1} - h_i), the running cost of waiting against the value
 of one more stored unit, and at level B once p(age) reaches gamma.
-bellman_levels gives these B levels. The exact gradient factors through
-them: d avg_penalty / d tau_i = w_i (p(tau_i) - level_i) / m1 with
-w_i = sum_j pi_j d E[X|j] / d tau_i >= 0.
+bellman_levels gives these B levels from chain.unit_values, on the same
+C, Q and pi as the evaluation.
 """
 
 from __future__ import annotations
@@ -49,9 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import relative_values, stationary, transition_from_cdfs
+from .chain import stationary, unit_values
 from .chain import transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
-from .erlang import _RANGE_ERROR, ErlangKernel, GammaTable, erlang_cdf, gamma_table
+from .erlang import _RANGE_ERROR, ErlangKernel, GammaTable, down_rates, erlang_cdf, gamma_table
 from .erlang import threshold_cdfs, threshold_integrals
 from .erlang import penalty_weighted_integral, survival_weighted_integral  # noqa: F401  (patched by perfbench/tracer.py)
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams
@@ -148,14 +142,13 @@ class BatchMetrics:
     avg_penalty: np.ndarray
     moments: np.ndarray
     pi: np.ndarray
-    transition: np.ndarray
 
 
 _RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
 
 
 def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
-    """Moments, transition matrices, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
+    """Moments, the chain's C and Q, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
 
     A moment outside double range makes an average inf or NaN (m2 >= m1^2);
     no floating-point warning is printed.
@@ -164,11 +157,11 @@ def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = gamma_table(params.mu_h, taus, terms)
         moments = _moments(table, terms)
-        chain = transition_from_cdfs(threshold_cdfs(table))
-        pi = stationary(chain).pi
+        cdfs, down = threshold_cdfs(table), down_rates(table)
+        pi = stationary(cdfs, down)
         weighted = np.add.reduce(moments * pi[:, None, :], axis=-1)
         averages = weighted[:, 1:] / (weighted[:, :1] * _RATIO)
-    return moments, chain.entries, pi, weighted, averages
+    return moments, cdfs, down, pi, weighted, averages
 
 
 def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarray:
@@ -177,7 +170,7 @@ def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarra
     Unlike batch_metrics this does not raise when a policy's metrics leave
     double range: its entry is inf, so a search can pass over it.
     """
-    averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[4]
+    averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[-1]
     return np.where(np.isfinite(averages[:, 1]), averages[:, 1], np.inf)
 
 
@@ -191,7 +184,7 @@ def batch_metrics(
     them is outside double range.
     """
     taus = np.asarray(thresholds, dtype=float)
-    moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
+    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
     if not np.logical_and.reduce(np.isfinite(averages), axis=None):
         raise OverflowError(_RANGE_ERROR)
     return BatchMetrics(
@@ -201,7 +194,6 @@ def batch_metrics(
         avg_penalty=averages[:, 1],
         moments=moments,
         pi=pi,
-        transition=T,
     )
 
 
@@ -210,7 +202,7 @@ def policy_metrics(
 ) -> PolicyMetrics:
     """Long-run average age and age-penalty of a monotone threshold policy: the batch of one."""
     taus = np.array([policy.thresholds], dtype=float)
-    moments, T, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
+    moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
     m1, m2, _ = weighted[0].tolist()
     avg_age, avg_penalty = averages[0].tolist()
     if not (math.isfinite(avg_age) and math.isfinite(avg_penalty)):
@@ -223,68 +215,26 @@ def policy_metrics(
         avg_penalty=avg_penalty,
         per_state=tuple(zip(*moments[0].tolist())),
         pi=tuple(pi[0].tolist()),
-        transition=T[0],
         moments=moments[0],
+        cdfs=cdfs[0],
+        down=down[0],
     )
-
-
-def _poisson_rows(z: np.ndarray, n: int) -> np.ndarray:
-    """P[r, v] = e^{-z_r} z_r^v / v! for v < n, by erlang_survival's running product."""
-    steps = np.empty((len(z), n))
-    steps[:, 0] = np.exp(-z)
-    steps[:, 1:] = z[:, None] / np.arange(1, n)
-    return np.cumprod(steps, axis=1)
-
-
-def _ex_derivatives(params: SystemParams, taus: np.ndarray) -> np.ndarray:
-    """K[j, i-1] = d E[X|j] / d tau_i, the endpoint terms of the module docstring."""
-    B = params.battery
-    P = _poisson_rows(params.mu_h * taus, B)  # P[i-1, v] = Pr(N(mu tau_i) = v)
-    lag = np.arange(1, B + 1) - np.arange(B)[:, None]  # lag[j, i-1] = i - j
-    K = np.where(lag >= 0, P[np.arange(B), lag % B], 0.0)
-    # Pr(Y_{B-j} <= tau_B) = 1 - Pr(N(mu tau_B) < B - j)
-    K[:, -1] = np.maximum(1.0 - np.cumsum(P[-1])[::-1], 0.0)
-    return K
-
-
-def moment_derivatives(params: SystemParams, policy: Policy, p: PenaltySpec) -> ConditionalMoments:
-    """Exact threshold derivatives of the conditional moments.
-
-    Each field is a B x B array whose entry [j, i-1] is the derivative of
-    the matching ConditionalMoments entry j in tau_i.
-    """
-    taus = np.asarray(policy.thresholds)
-    K = _ex_derivatives(params, taus)
-    return ConditionalMoments(K, K * (2.0 * taus), K * p(taus))
 
 
 def bellman_levels(params: SystemParams, metrics: PolicyMetrics) -> np.ndarray:
     """Penalty levels at which updating pays off, per battery level 1..B.
 
     Entry i-1 is gamma + mu_h (h_{i-1} - h_i) for i < B and gamma for i = B,
-    from metrics = policy_metrics(params, policy, p): its moments, its chain
-    and one solve for the relative values h (none at B = 1).
+    from metrics = policy_metrics(params, policy, p): its moments, its
+    chain and pi, and chain.unit_values for the differences of the
+    relative values h (none at B = 1).
     """
     ex, _, epx = metrics.moments
     gamma = metrics.avg_penalty
-    levels = relative_values(metrics.transition, epx - gamma * ex)
-    levels[:-1] -= levels[1:]  # h_{i-1} - h_i, and h_{B-1} = 0 at i = B
-    levels *= params.mu_h
-    levels += gamma
+    levels = np.full(len(ex), gamma)
+    c = epx - gamma * ex
+    levels[:-1] += params.mu_h * unit_values(metrics.cdfs, metrics.down, np.array(metrics.pi), c)
     return levels
-
-
-def avg_penalty_gradient(
-    params: SystemParams, policy: Policy, p: PenaltySpec, metrics: PolicyMetrics
-) -> np.ndarray:
-    """d avg_penalty / d tau_i for i = 1..B, given policy_metrics(params, policy, p).
-
-    The adjoint form w_i (p(tau_i) - level_i) / m1 of the module docstring:
-    one solve for the relative values, on the chain that metrics holds.
-    """
-    taus = np.asarray(policy.thresholds)
-    w = np.asarray(metrics.pi) @ _ex_derivatives(params, taus)
-    return w * (p(taus) - bellman_levels(params, metrics)) / metrics.m1
 
 
 def moment_derivative_check(

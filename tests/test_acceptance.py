@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aoiharvest.chain import stationary, transition_matrix
+from aoiharvest.chain import cut_tables, stationary, transition_matrix
 from aoiharvest.closedform import b1_average_age, b1_optimal, b2_average_age
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.optimizer import OptimizerConfig, algorithm1, grid_search, optimize_penalty
@@ -135,7 +135,7 @@ def test_criterion_07_monte_carlo_agreement():
     )
     assert time.monotonic() - t0 <= 30.0
     assert abs(rep.avg_age - 0.7198) <= 3.0 * rep.stderr
-    pi = stationary(transition_matrix(params, policy)).pi
+    pi = stationary(*cut_tables(params, policy))
     n = rep.renewals_measured
     for j in range(2):
         sigma = math.sqrt(pi[j] * (1.0 - pi[j]) / n)
@@ -185,9 +185,9 @@ def test_criterion_10_tau_b_invariance():
     params = SystemParams(mu_h=1.0, battery=3)
     base = Policy((1.4, 0.8, 0.5))
     t_ref = transition_matrix(params, base)
-    pi_ref = stationary(t_ref).pi
+    pi_ref = stationary(*cut_tables(params, base))
     for tau3 in (0.0, 0.2, 0.8):
         pol = Policy((1.4, 0.8, tau3))
         t = transition_matrix(params, pol)
-        assert t.entries.tobytes() == t_ref.entries.tobytes()
-        assert stationary(t).pi.tobytes() == pi_ref.tobytes()
+        assert t.tobytes() == t_ref.tobytes()
+        assert stationary(*cut_tables(params, pol)).tobytes() == pi_ref.tobytes()

@@ -461,3 +461,18 @@ def test_commands_run_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
+def test_optimize_stdout_does_not_depend_on_blas_threads():
+    # The stationary vector and the unit values are recursions on the CDF
+    # table with no BLAS call: the bytes are the same under 1 and 2 OpenBLAS
+    # threads. The LU solves they replaced printed different last digits here.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    argv = ["-m", "aoiharvest.cli", "optimize", "--mu", "1", "--battery", "128", "--mode", "penalty"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True, timeout=120)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["objective"] > 0.5

@@ -15,13 +15,18 @@ from aoiharvest.optimizer import (
     algorithm1,
     feasible,
     grid_search,
-    inner_minimize,
     optimize_penalty,
 )
 from aoiharvest.renewal import avg_penalties, policy_metrics
 
 TAU_STAR_B1 = 0.901201031729666  # 2 W(1/sqrt 2)
 SRC = pathlib.Path(optimizer.__file__).resolve().parents[1]
+
+
+def inner_minimize(params, config, tau_b):
+    """The upper thresholds and objective of the policy iteration at fixed tau_B."""
+    point = optimizer._Search(params, config).run(tau_b)
+    return point.taus[:-1], point.objective
 
 
 def cfg(**kw):
@@ -277,17 +282,17 @@ class TestAlgorithm1Bisection:
 
 @pytest.fixture
 def relative_value_solves(monkeypatch):
-    """One entry per solve for the relative values (renewal.bellman_levels reads them)."""
+    """One entry per solve for the unit values (renewal.bellman_levels reads them)."""
     from aoiharvest import renewal
 
     calls = []
-    real = renewal.relative_values
+    real = renewal.unit_values
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(renewal, "relative_values", counted)
+    monkeypatch.setattr(renewal, "unit_values", counted)
     return calls
 
 

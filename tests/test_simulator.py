@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from aoiharvest import _simcore_py, simulator
-from aoiharvest.chain import stationary, transition_matrix
+from aoiharvest.chain import cut_tables, stationary
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import interupdate_cdf, policy_metrics
 from aoiharvest.simulator import (
@@ -150,7 +150,7 @@ class TestAgreementWithAnalytics:
         params, pol = make(1.0, [1.5, 0.72])
         rep = simulate(params, pol, IDENT, SimConfig(seed=42, renewals=1_000_000))
         assert abs(rep.avg_age - 0.7198038206519034) <= 3 * rep.stderr
-        pi = stationary(transition_matrix(params, pol)).pi
+        pi = stationary(*cut_tables(params, pol))
         n = rep.renewals_measured
         for j in range(2):
             sigma = math.sqrt(pi[j] * (1 - pi[j]) / n)

@@ -1,20 +1,23 @@
-"""A policy-iteration step against word-for-word copies of the code it replaced.
+"""A policy-iteration step against copies of the code it replaced.
 
 PenaltySpec.inverse returns the closed form for one power term instead of
-setting up a bisection, and bellman_levels reads the moments array and
-solves through the chain's LAPACK call instead of np.linalg.solve. The
-copies below are the earlier code, kept as oracles: new and old run the
-same floating-point operations in the same order, so they must agree bit
-for bit.
+setting up a bisection: new and old run the same floating-point operations
+in the same order, so they must agree bit for bit. bellman_levels solves
+the pi-weighted cut rows by back substitution (chain.unit_values) instead
+of the Poisson equation by LU: the LU copy below is an oracle at a stated
+bound, LEVELS_TOL relative to the largest level and at least 1. The cut
+rows meet the 50-digit contract of tests/test_chain.py; the LU differs
+from them by up to 1.6e-12 on these policies.
 """
 
 import numpy as np
 import pytest
 
-from aoiharvest import chain
-from aoiharvest.chain import SingularSystem
+from aoiharvest.chain import transition_matrix
 from aoiharvest.model import PenaltySpec, Policy, SystemParams
 from aoiharvest.renewal import bellman_levels, policy_metrics
+
+LEVELS_TOL = 1e-11
 
 
 def reference_inverse(self, y):
@@ -34,8 +37,8 @@ def reference_inverse(self, y):
 
 
 def reference_relative_values(T, c):
-    """chain.relative_values before, word for word but for its error wrapper:
-    its _solve was np.linalg.solve with LinAlgError renamed SingularSystem."""
+    """chain.relative_values before the cut rows, word for word but for its
+    error wrapper: its solve was np.linalg.solve."""
     B = T.shape[0]
     h = np.zeros(B)
     if B > 1:
@@ -43,11 +46,12 @@ def reference_relative_values(T, c):
     return h
 
 
-def reference_bellman_levels(params, metrics):
-    """renewal.bellman_levels before, word for word."""
+def reference_bellman_levels(params, policy, metrics):
+    """renewal.bellman_levels before the cut rows, word for word but for the
+    transition matrix, which metrics no longer holds."""
     ex, _, epx = np.asarray(metrics.per_state).T
     gamma = metrics.avg_penalty
-    h = reference_relative_values(metrics.transition, epx - gamma * ex)
+    h = reference_relative_values(transition_matrix(params, policy), epx - gamma * ex)
     return gamma + params.mu_h * np.append(h[:-1] - h[1:], 0.0)
 
 
@@ -83,13 +87,14 @@ class TestAgainstReferences:
             params = SystemParams(mu, battery)
             for policy in policies(battery, mu):
                 m = policy_metrics(params, policy, penalty)
-                assert same_bits(bellman_levels(params, m), reference_bellman_levels(params, m))
+                new, old = bellman_levels(params, m), reference_bellman_levels(params, policy, m)
+                assert np.abs(new - old).max() <= LEVELS_TOL * max(1.0, np.abs(old).max())
 
     def test_inverse_of_levels(self, battery, penalty):
         for mu in RATES:
             params = SystemParams(mu, battery)
             for policy in policies(battery, mu):
-                levels = reference_bellman_levels(params, policy_metrics(params, policy, penalty))
+                levels = reference_bellman_levels(params, policy, policy_metrics(params, policy, penalty))
                 for y in (levels, levels[:-1], levels[-1], float(levels[0])):
                     assert same_bits(penalty.inverse(y), reference_inverse(penalty, y))
 
@@ -105,14 +110,3 @@ def test_inverse_at_and_below_the_floor(penalty):
         assert same_bits(penalty.inverse(np.array(ys)), reference_inverse(penalty, np.array(ys)))
     grid = np.linspace(floor - 2.0, floor + 50.0, 257).reshape(257, 1)
     assert same_bits(penalty.inverse(grid), reference_inverse(penalty, grid))
-
-
-def test_solve_is_numpy_solve_bitwise():
-    rng = np.random.default_rng(3)
-    for B in (1, 2, 3, 8, 33):
-        A = rng.normal(size=(5, B, B)) + B * np.eye(B)
-        b = rng.normal(size=(5, B, 1))
-        assert same_bits(chain._solve(A, b), np.linalg.solve(A, b))
-        assert same_bits(chain._solve(A[0], b[0]), np.linalg.solve(A[0], b[0]))
-    with pytest.raises(SingularSystem, match="Singular matrix"):
-        chain._solve(np.ones((2, 2)), np.ones((2, 1)))
