@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_11.json]
+        [--rounds 10] [--out BENCH_12.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -11,8 +11,10 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
 
     import_s           median of IMPORTS fresh interpreters importing
                        aoiharvest.cli from the tree (what every CLI call pays)
-    gamma_table_us     one erlang.gamma_table call (L0) with the identity
-                       penalty's terms, per battery size
+    gamma_table_us     one erlang.gamma_table call (L0) for the identity
+                       penalty's moments, per battery size: gamma_table(z,
+                       exponents) at unit rate, or, in a tree from before
+                       the unit-rate evaluator, gamma_table(mu, taus, terms)
     stationary_us      one chain.stationary call (L1) on the battery chain
                        of a batch of one policy, per battery size: the
                        cut-balance recursion stationary(C, Q) on
@@ -22,11 +24,16 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     policy_metrics_pow05_us
                        the same with the power-0.5 penalty, whose fractional
                        exponent adds a second family of incomplete gammas
+    policy_metrics_mu13_us
+                       policy_metrics with the identity penalty at
+                       mu = 1.3 on the same policies divided by 1.3, the
+                       path of every rate but 1
     step_us            microseconds per policy-iteration step (L3): one
                        optimizer call divided by its evaluations, for
                        optimize_penalty under the identity and the power-0.5
                        penalty and for algorithm1, per battery size in
-                       STEP_BATTERIES, at mu = 1 from the default config
+                       STEP_BATTERIES, at mu = 1 from the default config,
+                       and again at mu = 1.3 (names ending in _mu13)
     evaluations        the evaluation count of each of those calls
     bellman_residual   optimize_penalty's Bellman residual at the battery
                        sizes in RESIDUAL_BATTERIES, with its evaluation
@@ -98,27 +105,40 @@ def child(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from aoiharvest import chain, cli, optimizer, simulator
+    from aoiharvest import chain, cli, optimizer, renewal, simulator
     from aoiharvest.erlang import gamma_table
     from aoiharvest.model import PenaltySpec, Policy, SystemParams
-    from aoiharvest.renewal import _terms, policy_metrics
+    from aoiharvest.renewal import policy_metrics
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
     identity = PenaltySpec.identity()
     root = PenaltySpec.power(0.5)
-    terms = _terms(identity)
+    if hasattr(renewal, "_rows"):
+        exponents = renewal._rows(identity.exponents)[0]
+
+        def table(taus):
+            return gamma_table(taus, exponents)
+    else:
+        terms = renewal._terms(identity)
+
+        def table(taus):
+            return gamma_table(1.0, taus, terms)
+
     out = {"kernel": simulator.KERNEL, "import_s": import_s}
-    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us"):
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us"):
         out[key] = {}
     for b in BATTERIES:
         rng = np.random.default_rng(b)
         policy = Policy(tuple(float(t) for t in sorted(rng.uniform(0.0, 4.0, b), reverse=True)))
         params = SystemParams(1.0, b)
         taus = np.array([policy.thresholds])
-        out["gamma_table_us"][str(b)] = _best(lambda: gamma_table(1.0, taus, terms)) * 1e6
+        out["gamma_table_us"][str(b)] = _best(lambda: table(taus)) * 1e6
         out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
         out["policy_metrics_pow05_us"][str(b)] = _best(lambda: policy_metrics(params, policy, root)) * 1e6
+        scaled = Policy(tuple(t / 1.3 for t in policy.thresholds))
+        rated = SystemParams(1.3, b)
+        out["policy_metrics_mu13_us"][str(b)] = _best(lambda: policy_metrics(rated, scaled, identity)) * 1e6
     out["stationary_us"] = {}
     for b in BATTERIES:
         rng = np.random.default_rng(b)
@@ -136,12 +156,13 @@ def child(src: str) -> dict:
     }
     for name, (run, penalty) in runs.items():
         config = optimizer.OptimizerConfig(penalty=penalty)
-        out["step_us"][name], out["evaluations"][name] = {}, {}
-        for b in STEP_BATTERIES:
-            params = SystemParams(1.0, b)
-            evaluations = run(params, config).evaluations
-            out["step_us"][name][str(b)] = _best(lambda: run(params, config)) / evaluations * 1e6
-            out["evaluations"][name][str(b)] = evaluations
+        for mu, suffix in ((1.0, ""), (1.3, "_mu13")):
+            out["step_us"][name + suffix], out["evaluations"][name + suffix] = {}, {}
+            for b in STEP_BATTERIES:
+                params = SystemParams(mu, b)
+                evaluations = run(params, config).evaluations
+                out["step_us"][name + suffix][str(b)] = _best(lambda: run(params, config)) / evaluations * 1e6
+                out["evaluations"][name + suffix][str(b)] = evaluations
     out["bellman_residual"] = {}
     for b in RESIDUAL_BATTERIES:
         r = optimizer.optimize_penalty(SystemParams(1.0, b), optimizer.OptimizerConfig())
@@ -184,7 +205,8 @@ def _source_digest(src: str) -> str:
 
 def _metrics(result: dict) -> dict:
     flat = {"import_s": result["import_s"]}
-    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "stationary_us", "bellman_residual"):
+    keys = ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us")
+    for key in keys + ("stationary_us", "bellman_residual"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
     for key in ("step_us", "evaluations"):
         for name, per_battery in result[key].items():
@@ -199,7 +221,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_12.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -57,7 +57,7 @@ from .model import Policy, SystemParams
 TINY = 2.0**-1000  # down-rates below this count as 0
 _RANGE = 1000  # log2 of the largest mass the forward recursion may reach
 _FLOOR = 2.0**-500  # cut rows with less mass below come from _prefix_rows
-_CDF_TERMS = ((1.0, 0.0),)  # the exponent-0 table holds the CDFs
+_CDF_EXPONENTS = (0.0,)  # the exponent-0 table holds the CDFs
 
 
 class SingularSystem(RuntimeError):
@@ -68,7 +68,7 @@ def cut_tables(params: SystemParams, policy) -> tuple[np.ndarray, np.ndarray]:
     """C and Q of a Policy, shapes (B, B+1) and (B,), or of an (N, B) array of thresholds."""
     taus = np.asarray(policy.thresholds if isinstance(policy, Policy) else policy, dtype=float)
     B = params.battery
-    table = gamma_table(params.mu_h, taus.reshape(-1, B), _CDF_TERMS)
+    table = gamma_table(params.mu_h * taus.reshape(-1, B), _CDF_EXPONENTS)
     lead = taus.shape[:-1]
     return threshold_cdfs(table).reshape(lead + (B, B + 1)), down_rates(table).reshape(lead + (B,))
 

@@ -190,7 +190,10 @@ def _sweep_fig(args) -> int:
     """Average-age surfaces for B = 2: one curve per fixed threshold, one evaluator call per curve."""
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    mu = float(_parse_floats(args.mu)[0])
+    rates = _parse_floats(args.mu)
+    if len(rates) != 1:
+        raise ValueError(f"--fig takes exactly one --mu rate, got {len(rates)}")
+    mu = rates[0]
     params = SystemParams(mu_h=mu, battery=2)
     if args.fig == 5:
         fixed = _parse_floats(args.tau2)

@@ -1,25 +1,25 @@
-"""Erlang arrival-time distribution and its weighted interval integrals.
+"""Erlang arrival-time distribution and its weighted interval integrals, at unit rate.
 
 Everything the analytic evaluator computes reduces to integrals of the
-form  int_a^b p(x) Pr(Y_k > x) dx,  where Y_k is the waiting time for k
-Poisson arrivals at rate mu and p is a sum of powers. The survival
-function is the Poisson sum  Pr(Y_k > x) = sum_{v<k} e^{-mu x} (mu x)^v / v!,
-and each of its terms integrates to a difference of regularized incomplete
-gammas:
+form  int_a^b z^e Pr(Y_k > z) dz,  where Y_k is the waiting time for k
+Poisson arrivals at rate 1 and z = mu tau is a threshold in units of the
+mean inter-arrival time; renewal turns them into the moments at rate mu,
+once per policy. The survival function is the Poisson sum
+Pr(Y_k > z) = sum_{v<k} e^{-z} z^v / v!, and each of its terms integrates
+to a difference of regularized incomplete gammas:
 
-    mu^v / v! int_a^b x^(e+v) e^{-mu x} dx
-        = poch(v+1, e) / mu^(e+1) * [Q(e+v+1, mu a) - Q(e+v+1, mu b)],
+    1 / v! int_a^b z^(e+v) e^{-z} dz = poch(v+1, e) [Q(e+v+1, a) - Q(e+v+1, b)],
 
 with Q = 1 - P the regularized upper gamma (the Poisson CDF for integer
 e) and poch(v+1, e) = Gamma(e+v+1) / v!, a product of v + e factors
-taken once per battery size and term list, and its division by mu^(e+1)
-once per rate as well. An exponent at which poch(B, e) is past double
-range gives moments outside it whatever the thresholds, so the layout
-refuses it with OverflowError before any of that work.
+taken once per battery size and exponent list. An exponent at which
+poch(B, e) is past double range gives moments outside it whatever the
+thresholds, so the layout refuses it with OverflowError before any of
+that work.
 
 gamma_table takes P and Q at every threshold, order and exponent from one
 recurrence. For each distinct fractional part f of the exponents and each
-point x = mu tau it forms the terms
+threshold x it forms the terms
 
     u_w = x^(f+w) e^{-x} / Gamma(f+w+1),   w = 0 .. W-1,
 
@@ -33,12 +33,12 @@ running product of x / (f+w). Then, for every row r,
 Q(0, x) = 0. For 0 < f < 1, Q(f, x) is 1 - P(f, x) below SWITCH and
 Legendre's continued fraction from SWITCH on. 1 - P loses about
 log10(1/Q(f, x)) digits, which the integrals over short pieces feel: on
-pieces 1e-3/mu wide the worst integral is within 5e-12 of mpmath at
+pieces 1e-3 wide the worst integral is within 5e-12 of mpmath at
 SWITCH = 4, within 1.9e-11 at 5 and only at the contract's 1e-10 at 6.
 The sums stop after W terms, W fixed by the battery size and exponents so
 that the rest, sum_{w>=W} u_w, is below ULP = 2^-53 of P wherever P is the
 tail sum (x < f+r, bounded as x tends to the top row's f+r) and below
-ULP absolutely in P(f, x) below SWITCH. An infinite threshold, tau_0
+ULP absolutely in P(f, x) below SWITCH. An infinite threshold, z_0
 among them, gives Q = 0 and P = 1. Past x = 708, e^{-x} is subnormal and
 loses digits; past 745 it is 0 and so is every Q(s, x), where the true
 value is below 1e-160 for s <= 135.
@@ -53,13 +53,12 @@ array. So a batch of policies gets bitwise the table each policy gets
 alone.
 
 threshold_integrals differences each piece between two thresholds on its
-own: in upper tails Q once mu a >= e+v+1, where P rounds toward 1, and in
+own: in upper tails Q once a >= e+v+1, where P rounds toward 1, and in
 lower tails P below that. Adding up whole tails instead (telescoping)
 cancels digits the accuracy contract needs. The same table's exponent-0
-entries are the Erlang CDFs at the thresholds, Pr(Y_n <= tau) =
-P(n, mu tau), which threshold_cdfs gathers for the battery chain, and
-its upper tails Q(1, mu tau) = e^{-mu tau} are the chain's down-rates,
-which down_rates gathers.
+entries are the Erlang CDFs at the thresholds, Pr(Y_n <= z) = P(n, z),
+which threshold_cdfs gathers for the battery chain, and its upper tails
+Q(1, z) = e^{-z} are the chain's down-rates, which down_rates gathers.
 """
 
 from __future__ import annotations
@@ -144,30 +143,30 @@ def piece_orders(battery: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Index arrays of a gamma table for one battery size and term list.
+    """Index arrays of a gamma table for one battery size and exponent list.
 
     The table holds Q and P, for each distinct exponent (0 among them) and
-    each point k of (inf, tau_1..tau_B), at the orders v <= min(k, B-1)
-    that the pieces ending there need; piece m runs from tau_m (lo) to
-    tau_{m-1} (hi). Flat indices address the table as (Q, P) blocks. The
+    each point k of (inf, z_1..z_B), at the orders v <= min(k, B-1)
+    that the pieces ending there need; piece m runs from z_m (lo) to
+    z_{m-1} (hi). Flat indices address the table as (Q, P) blocks. The
     integrals' column 0, the head, repeats piece 1 until it is overwritten.
 
     gamma_table computes Q(f + r, x) and P(f + r, x) for each distinct
     fractional part f of the exponents, each threshold and the rows
     r < R, and gathers the table from them: exponent e = n + f, order v
-    is row n + v + 1. Row 0 of f = 0 is Q = 0, P = 1, which tau_0 takes.
+    is row n + v + 1. Row 0 of f = 0 is Q = 0, P = 1, which z_0 = inf takes.
     """
 
+    exponents: tuple  # the distinct exponents e, increasing, 0 first: one row of the table and integrals each
     s: np.ndarray  # (U, L) shape parameter e + v + 1 per distinct exponent
-    pairs: np.ndarray  # (2, 2, R, 1+M) flat: (Q at lo, P at hi) minus (Q at hi, P at lo)
+    pairs: np.ndarray  # (2, 2, U, 1+M) flat: (Q at lo, P at hi) minus (Q at hi, P at lo)
     lo: np.ndarray  # (1, 1+M) threshold column of every piece's lo
-    lo_s: np.ndarray  # (R, 1+M) shape parameter at lo
-    coef: np.ndarray  # (R, 1+M) c * poch(v+1, e)
-    power: np.ndarray  # (R, 1) e + 1
-    head_scale: np.ndarray  # (R,) c / (e+1)
-    head_power: np.ndarray  # (R,) e
-    cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= tau_i), then 0
-    down: np.ndarray  # (B,) flat index of Q(1, mu tau_k), tau_0 = inf
+    lo_s: np.ndarray  # (U, 1+M) shape parameter at lo
+    poch: np.ndarray  # (U, 1+M) poch(v+1, e)
+    head_scale: np.ndarray  # (U,) 1 / (e+1)
+    head_power: np.ndarray  # (U,) e
+    cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= z_i), then 0
+    down: np.ndarray  # (B,) flat index of Q(1, z_k), z_0 = inf
     fracs: tuple  # (f, Gamma(f+1)) of each fractional part f > 0 of the exponents
     den: np.ndarray  # (G, 1, W-1) f + w: the ratios u_w / u_{w-1} are x / (f + w)
     s_row: np.ndarray  # (G, 1, R) f + r: P(f + r, x) is the tail sum where x < f + r
@@ -227,8 +226,9 @@ def _poch_overflows(orders: int, e: float) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
-    if any(_poch_overflows(battery, e) for _, e in terms):
+def _layout(battery: int, exponents: tuple[float, ...]) -> _Layout:
+    distinct = sorted({0.0, *(float(e) for e in exponents)})
+    if any(_poch_overflows(battery, e) for e in distinct):
         # _poch would multiply floor(e) factors per order and the block below
         # would hold about e terms per threshold, to end in this same error
         raise OverflowError(_RANGE_ERROR)
@@ -238,25 +238,24 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     order = np.arange(len(point)) - start[point]
     m, v = piece_orders(battery)
     m, v = np.append(1, m), np.append(0, v)  # the head's column, overwritten
-    distinct = sorted({0.0, *(float(e) for _, e in terms)})
     width = len(point)
-    rows = np.array([[distinct.index(float(e))] for _, e in terms]) * width
+    rows = np.arange(len(distinct))[:, None] * width
     lo = rows + start[m] + v
     hi = rows + start[m - 1] + v
     p_block = len(distinct) * width
-    c, e = np.asarray(terms, dtype=float).T[:, :, None]
-    # C[j, i] for i < B: P(1+i-j, mu tau_i) of exponent 0, and P(1, inf) = 1
-    # where the order is <= 0 or tau_i = tau_0; C[j, B] = Q(1, inf) = 0.
-    zero = distinct.index(0.0) * width
+    e = np.asarray(distinct)[:, None]
+    # C[j, i] for i < B: P(1+i-j, z_i) of exponent 0, and P(1, inf) = 1
+    # where the order is <= 0 or z_i = z_0; C[j, B] = Q(1, inf) = 0. Exponent
+    # 0 is the first row.
     j, i = np.indices((battery, battery + 1))
-    cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + zero + p_block
-    cdf[:, battery] = zero
-    # Q(1, mu tau_k) of exponent 0 at points k < B; Q(1, inf) = 0 at tau_0.
-    down = zero + start[:battery]
+    cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + p_block
+    cdf[:, battery] = 0
+    # Q(1, z_k) of exponent 0 at points k < B; Q(1, inf) = 0 at z_0.
+    down = start[:battery]
     # Rows r < R of Q(f + r) and P(f + r) for each fractional part f, from
     # the terms u_w, w < W: enough for every tail sum to be within ULP, and
     # for P(f, x), f > 0, below SWITCH. Exponent n + f, order v reads row
-    # n + v + 1 of f at its threshold; tau_0 reads row 0 of f = 0.
+    # n + v + 1 of f at its threshold; z_0 reads row 0 of f = 0.
     whole = [math.floor(d) for d in distinct]
     fracs = sorted({d - n for d, n in zip(distinct, whole)})
     n_rows = max(whole) + battery + 1
@@ -270,13 +269,13 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     entry = cell * depth + row
     f_col = np.asarray(fracs)[:, None, None]
     return _Layout(
-        s=np.asarray(distinct)[:, None] + order + 1.0,
+        exponents=tuple(distinct),
+        s=e + order + 1.0,
         pairs=np.stack(((lo, hi + p_block), (hi, lo + p_block))),
         lo=(m - 1)[None],
         lo_s=e + v + 1.0,
-        coef=c * np.array([_poch(battery, x) for x in e[:, 0].tolist()])[:, v],
-        power=e + 1.0,
-        head_scale=(c / (e + 1.0))[:, 0],
+        poch=np.array([_poch(battery, x) for x in distinct])[:, v],
+        head_scale=(1.0 / (e + 1.0))[:, 0],
         head_power=e[:, 0],
         cdf=cdf,
         down=down,
@@ -288,27 +287,12 @@ def _layout(battery: int, terms: tuple[tuple[float, float], ...]) -> _Layout:
     )
 
 
-@lru_cache(maxsize=64)
-def _rated_layout(
-    battery: int, terms: tuple[tuple[float, float], ...], mu: float
-) -> tuple[_Layout, np.ndarray]:
-    """The layout, and threshold_integrals' factor per term and piece at rate mu:
-    the (R, 1+M) array c * poch(v+1, e) / mu^(e+1)."""
-    lay = _layout(battery, terms)
-    coef = lay.coef / mu**lay.power
-    coef.setflags(write=False)
-    return lay, coef
-
-
 class GammaTable(NamedTuple):
     """Regularized incomplete gammas at the thresholds of a batch of policies."""
 
     values: np.ndarray  # (N, 2, U, L): Q, then P, at s = layout.s and z
-    z: np.ndarray  # (N, B) mu times each threshold
-    taus: np.ndarray  # (N, B) the thresholds
-    mu: float
+    z: np.ndarray  # (N, B) the thresholds at unit rate
     layout: _Layout
-    coef: np.ndarray  # (R, 1+M) threshold_integrals' factors at the table's rate (_rated_layout)
 
 
 def _upper_fraction(f: float, x: float) -> float:
@@ -333,26 +317,26 @@ def _upper_fraction(f: float, x: float) -> float:
             return f * h
 
 
-def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
-    """Q(s, mu tau) and P(s, mu tau) at every threshold, for the given terms.
+def gamma_table(z: np.ndarray, exponents) -> GammaTable:
+    """Q(s, z) and P(s, z) at every threshold, for the given exponents.
 
-    taus is an (N, B) array of non-increasing thresholds, one policy per
-    row, and terms a tuple of (c, e) pairs. The recurrence of the module
-    docstring runs once, vectorized over the policies, the fractional parts
-    of the exponents and the thresholds; threshold_integrals and
-    threshold_cdfs read from the table.
+    z is an (N, B) array of non-increasing thresholds at unit rate, one
+    policy per row, and exponents the powers e of the integrands z^e
+    (exponent 0 is always tabled). The recurrence of the module docstring
+    runs once, vectorized over the policies, the fractional parts of the
+    exponents and the thresholds; threshold_integrals, threshold_cdfs and
+    down_rates read from the table.
     """
-    n, b = taus.shape
-    lay, coef = _rated_layout(b, tuple(terms), mu)
-    z = mu * taus
-    xs = z.ravel().tolist()
+    n, b = z.shape
+    lay = _layout(b, tuple(exponents))
+    x, xs = z, z.ravel().tolist()
     top = max(xs, default=0.0)
     if top > _BIG:
         # An infinite threshold takes the largest double, where every u_w
-        # is 0: Q = 0 and P = 1, as at tau_0.
-        np.minimum(z, _BIG, out=z)
-        xs = z.ravel().tolist()
-    x = z.reshape(n, 1, b, 1)
+        # is 0: Q = 0 and P = 1, as at z_0.
+        x = np.minimum(x, _BIG)
+        xs = x.ravel().tolist()
+    x = x.reshape(n, 1, b, 1)
     rows = lay.s_row.shape[-1]
     # block[:, 0, k, i] holds Q(f_k, x_i) and then the terms u_0..u_{W-1},
     # block[:, 1, k, i] the tail sums P(f_k + r, x_i) = sum_{w >= r} u_w;
@@ -373,7 +357,7 @@ def gamma_table(mu: float, taus: np.ndarray, terms) -> GammaTable:
     # P is the tail sum where x < s, where it can be small, and 1 - Q elsewhere.
     np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=x >= lay.s_row)
     values = block.reshape(n, -1).take(lay.flat, axis=-1)
-    return GammaTable(values, z, taus, mu, lay, coef)
+    return GammaTable(values, z, lay)
 
 
 def _fractional_base(block, xs, top, fracs):
@@ -391,36 +375,37 @@ def _fractional_base(block, xs, top, fracs):
 
 
 def threshold_integrals(table: GammaTable) -> np.ndarray:
-    """Every integral the conditional moments add up, for every term.
+    """Every integral the conditional moments add up, for every exponent.
 
-    With tau_0 = inf, piece m is [tau_m, tau_{m-1}). Returns J of shape
-    (N, R, 1 + M), R the number of terms and M = B(B+1)/2. Column 0 is the
-    head [0, tau_B), where every start state's survival is 1:
+    With z_0 = inf, piece m is [z_m, z_{m-1}). Returns J of shape
+    (N, U, 1 + M), U the number of distinct exponents (table.layout.exponents)
+    and M = B(B+1)/2. Column 0 is the head [0, z_B), where every start
+    state's survival is 1:
 
-        J[n, r, 0] = c_r int_0^{tau_B} x^e_r dx,
+        J[n, u, 0] = int_0^{z_B} z^e_u dz,
 
-    computed as tau_B * (c_r / (e_r+1) * tau_B^e_r), which keeps x and x^2
+    computed as z_B * (1 / (e_u+1) * z_B^e_u), which keeps z and z^2 / 2
     exact. Column 1 + i is the Poisson term v on piece m of entry i of
     piece_orders(B), clamped at zero:
 
-        J[n, r, 1 + i] = c_r mu^v / v! int_{piece m} x^(e_r + v) e^{-mu x} dx.
+        J[n, u, 1 + i] = 1 / v! int_{piece m} z^(e_u + v) e^{-z} dz.
     """
-    values, z, taus, mu, lay, coef = table
+    values, z, lay = table
     ends = values.reshape(len(z), -1).take(lay.pairs, axis=-1)
     diff = ends[:, 0] - ends[:, 1]
     d = diff[:, 1]  # lower tails before the mode, upper tails past it
     np.copyto(d, diff[:, 0], where=z.take(lay.lo, axis=-1) >= lay.lo_s)
     np.maximum(d, 0.0, out=d)
-    d *= coef
-    tau_b = taus[:, -1:]
-    head = tau_b**lay.head_power
+    d *= lay.poch
+    z_b = z[:, -1:]
+    head = z_b**lay.head_power
     head *= lay.head_scale
-    np.multiply(tau_b, head, out=d[..., 0])
+    np.multiply(z_b, head, out=d[..., 0])
     return d
 
 
 def threshold_cdfs(table: GammaTable) -> np.ndarray:
-    """C[n, j, i] = Pr(Y_{1+i-j} <= tau_i) for i < B, with tau_0 = inf, and C[n, j, B] = 0.
+    """C[n, j, i] = Pr(Y_{1+i-j} <= z_i) for i < B, with z_0 = inf, and C[n, j, B] = 0.
 
     Shape (N, B, B+1): the exponent-0 entries of the table, gathered.
     """
@@ -428,7 +413,7 @@ def threshold_cdfs(table: GammaTable) -> np.ndarray:
 
 
 def down_rates(table: GammaTable) -> np.ndarray:
-    """Q[n, k] = Pr(Y_1 > tau_k) = Q(1, mu tau_k), with tau_0 = inf, so Q[n, 0] = 0.
+    """Q[n, k] = Pr(Y_1 > z_k) = Q(1, z_k), with z_0 = inf, so Q[n, 0] = 0.
 
     Shape (N, B): the upper tails of the table's exponent-0 entries, read
     as such rather than as 1 - P, so that they keep their relative
@@ -443,13 +428,17 @@ def _check_interval(a: float, b: float):
 
 
 def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> float:
-    """int_a^b p(x) Pr(Y_order > x) dx, from the last piece [a, b) of the
-    thresholds (b, ..., b, a), order + 1 of them."""
-    taus = np.full((1, order + 1), float(b))
-    taus[0, -1] = a
+    """int_a^b p(x) Pr(Y_order > x) dx at rate mu, from the last piece
+    [mu a, mu b) of the unit-rate thresholds (mu b, ..., mu b, mu a), order + 1
+    of them: each term c x^e is c / mu^(e+1) times its unit-rate integral."""
+    z = np.full((1, order + 1), mu * float(b))
+    z[0, -1] = mu * a
     m, v = piece_orders(order + 1)
-    J = threshold_integrals(gamma_table(mu, taus, terms))[0, :, 1:]
-    return float(J[:, (m == order + 1) & (v < order)].sum())
+    table = gamma_table(z, [e for _, e in terms])
+    J = threshold_integrals(table)[0, :, 1:]
+    pieces = J[:, (m == order + 1) & (v < order)].sum(axis=1).tolist()
+    row = table.layout.exponents.index
+    return sum(c * pieces[row(float(e))] / mu ** (e + 1.0) for c, e in terms)
 
 
 def survival_weighted_integral(

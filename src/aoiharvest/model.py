@@ -166,6 +166,11 @@ class PenaltySpec:
         return sum(c * x ** (a + 1) / (a + 1) for c, a in self.terms)
 
     @cached_property
+    def exponents(self) -> tuple[float, ...]:
+        """The exponent of each term: what the evaluator's integrals depend on."""
+        return tuple(float(a) for _, a in self.terms)
+
+    @cached_property
     def _split(self) -> tuple[float, tuple[tuple[float, float], ...]]:
         """p(0), the sum of the constant terms, and the positive powers."""
         return sum(c for c, a in self.terms if a == 0), tuple((c, a) for c, a in self.terms if a > 0)

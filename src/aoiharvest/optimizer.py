@@ -30,22 +30,33 @@ optimizers use it:
 
 ``grid_search``, an exhaustive zoomed grid over (tau_B, gaps) with
 tau_i = tau_{i+1} + d_i, is the oracle both are checked against.
+
+Every search runs at unit rate, on SystemParams(1.0, B): the optimal
+thresholds scale as 1/mu_h, tau*(mu_h) = tau*(1) / mu_h, so the
+thresholds searched are z = mu_h tau, and the penalty is p(z / mu_h)
+(renewal.unit_coefficients), whose average is the average penalty at
+rate mu_h. ``algorithm1`` bisects on the unit-rate age itself, with the
+identity penalty. The rate enters once, where each result is built: the
+thresholds are z / mu_h, and algorithm1's objective, gap bound, trace
+and residuals are divided by mu_h.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .erlang import _RANGE_ERROR
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams, validate_policy
-from .renewal import avg_penalties, bellman_levels, policy_metrics
+from .renewal import avg_penalties, bellman_levels, policy_metrics, unit_coefficients
 
-# Largest gap on the grid oracle's axes, in units of 1/mu_h.
+# Largest gap on the grid oracle's axes, at unit rate.
 UPPER_CAP_FACTOR = 10.0
-# Policy iteration stops once no threshold moves more than STEP_TOL / mu_h:
+# Policy iteration stops once no unit-rate threshold moves more than STEP_TOL:
 # above the evaluator's rounding noise, where at large B tighter tolerances
 # see steps wander instead of shrink, and far below any reported digit.
 STEP_TOL = 1e-10
@@ -57,7 +68,7 @@ GRID_BATCH = 4096
 # grows with B (3e-14 at B = 64), while a step whose Bellman residual is
 # still 1e-7 lowers the objective by about 1e-14 more.
 OBJECTIVE_TIE = 1e-12
-# The bisection bracket [1/(2 mu), 1/mu] has width 2^-(q+1) / mu after q
+# The unit-rate bisection bracket [1/2, 1] has width 2^-(q+1) after q
 # steps; past about 52 its midpoint rounds onto an endpoint.
 MAX_Q = 50
 
@@ -159,28 +170,41 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
     return best_taus, best_val
 
 
+def _unit_penalty(p: PenaltySpec, mu: float) -> PenaltySpec:
+    """p(z / mu_h), the penalty of the unit-rate age z = mu_h x.
+
+    Raises OverflowError when a coefficient c mu_h^-a is outside the
+    normal range of doubles: the objective is then outside double range
+    too, or the search would see a term that rounds away.
+    """
+    coefficients = unit_coefficients(p, mu)
+    if not all(sys.float_info.min <= c <= sys.float_info.max for c in coefficients):
+        raise OverflowError(_RANGE_ERROR)
+    return PenaltySpec(tuple(zip(coefficients, (a for _, a in p.terms))))
+
+
 def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
     """Exhaustive zoomed grid over tau_B in [1/(2mu), 1/mu] and gaps.
 
     Deterministic oracle; the zoom rounds refine resolution without
-    enumerating an intractably fine single-pass grid.
+    enumerating an intractably fine single-pass grid. The grid runs at
+    unit rate, tau_B in [1/2, 1] and gaps up to UPPER_CAP_FACTOR.
     """
-    mu = params.mu_h
     B = params.battery
-    cap = UPPER_CAP_FACTOR / mu
-    lows = [0.5 / mu] + [0.0] * (B - 1)
-    highs = [1.0 / mu] + [cap] * (B - 1)
+    penalty = _unit_penalty(config.penalty, params.mu_h)
+    lows = [0.5] + [0.0] * (B - 1)
+    highs = [1.0] + [UPPER_CAP_FACTOR] * (B - 1)
     bounds = list(zip(lows, highs))
     taus, val = _zoomed_grid(
-        params, config.penalty, lows, highs, bounds, config.grid_points, config.grid_rounds
+        SystemParams(1.0, B), penalty, lows, highs, bounds, config.grid_points, config.grid_rounds
     )
     return OptimizationResult(
-        policy=validate_policy(params, taus),
+        policy=validate_policy(params, [z / params.mu_h for z in taus]),
         objective=val,
         gap_bound=None,
         trace=(),
         evaluations=config.grid_rounds * config.grid_points**B,
-        fixed_point_residual=abs(config.penalty(taus[-1]) - val),
+        fixed_point_residual=abs(penalty(taus[-1]) - val),
         stop_reason="grid exhausted",
     )
 
@@ -212,15 +236,16 @@ class _Search:
     tau_B stays put, so a step whose only threshold is tau_B reads no
     levels. Every threshold is kept at or above the one below it, so the
     policy stays monotone. The first run starts from one fixed point,
-    every later one from the gaps the previous run ended at; the start
-    scales with 1/mu_h. ``evaluations`` counts the policies evaluated over
-    all runs, ``stop_reason`` says why the last run stopped.
+    every later one from the gaps the previous run ended at. The search
+    runs at unit rate: its thresholds are z = mu_h tau and its penalty one
+    of z. ``evaluations`` counts the policies evaluated over all runs,
+    ``stop_reason`` says why the last run stopped.
     """
 
-    def __init__(self, params: SystemParams, config: OptimizerConfig):
-        self.params = params
-        self.penalty = config.penalty
-        self.gaps = [0.4 / params.mu_h] * (params.battery - 1)
+    def __init__(self, battery: int, penalty: PenaltySpec):
+        self.params = SystemParams(1.0, battery)
+        self.penalty = penalty
+        self.gaps = [0.4] * (battery - 1)
         self.evaluations = 0
         self.stop_reason = ""
 
@@ -241,14 +266,13 @@ class _Search:
     def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> _Point:
         """Iterate to the optimum; returns the best policy evaluated.
 
-        Stops when no threshold moves more than STEP_TOL / mu_h, when the
+        Stops when no threshold moves more than STEP_TOL, when the
         objective stops falling by more than OBJECTIVE_TIE, or at the first
         evaluated policy whose objective is at most stop_at.
         """
         if tau_b is not None and tau_b <= 0:
             raise ValueError("tau_b must be positive")
-        mu = self.params.mu_h
-        taus = _build_thresholds(0.75 / mu if tau_b is None else tau_b, self.gaps)
+        taus = _build_thresholds(0.75 if tau_b is None else tau_b, self.gaps)
         best = None
         self.stop_reason = "iteration limit"
         for _ in range(MAX_ITERATIONS):
@@ -272,7 +296,7 @@ class _Search:
             for i in range(len(improved) - 2, -1, -1):
                 if improved[i + 1] > improved[i]:
                     improved[i] = improved[i + 1]
-            if max(abs(new - old) for new, old in zip(improved, taus)) <= STEP_TOL / mu:
+            if max(abs(new - old) for new, old in zip(improved, taus)) <= STEP_TOL:
                 self.stop_reason = "converged"
                 break
             taus = tuple(improved)
@@ -289,10 +313,13 @@ def feasible(
     continuous in the upper thresholds and grows without bound, so a
     root exists iff the minimum over upper thresholds is <= tau_B. Any
     policy with avg_age <= tau_B proves it, so the search stops at the
-    first one. ``search`` carries the warm start from test to test.
+    first one. The search runs at unit rate, at z_B = mu_h tau_B, on the
+    unit-rate age; ``search`` carries the warm start from test to test.
     """
-    level = tau_b + 1e-9
-    return (search or _Search(params, config)).run(tau_b, stop_at=level).objective <= level
+    _require_identity(config)
+    z_b = tau_b * params.mu_h
+    level = z_b + 1e-9
+    return (search or _Search(params.battery, config.penalty)).run(z_b, stop_at=level).objective <= level
 
 
 def _require_identity(config: OptimizerConfig):
@@ -300,21 +327,27 @@ def _require_identity(config: OptimizerConfig):
         raise ValueError("the bisection gap certificate holds for the identity penalty only")
 
 
-def _result(params, config, search: _Search, point: _Point, tolerance=None, **fields) -> OptimizationResult:
-    """The answer at point; certified unless a tolerance is given and the
-    fixed-point residual exceeds it."""
-    policy = validate_policy(params, point.taus)
-    p_taus = config.penalty(np.asarray(policy.thresholds))
+def _result(
+    params, search: _Search, point: _Point, scale=1.0, tolerance=None, gap_bound=None, trace=()
+) -> OptimizationResult:
+    """The answer at point, found at unit rate: its thresholds divided by
+    mu_h, and its objective, residuals, gap bound and trace by scale (mu_h
+    where the search's penalty is the unit-rate age, 1 where it is
+    p(z / mu_h)). Certified unless a tolerance is given and the fixed-point
+    residual exceeds it."""
+    policy = validate_policy(params, [z / params.mu_h for z in point.taus])
+    p_taus = search.penalty(np.asarray(point.taus))
     fixed_point_residual = abs(float(p_taus[-1]) - point.objective)
     return OptimizationResult(
         policy=policy,
-        objective=point.objective,
+        objective=point.objective / scale,
+        gap_bound=None if gap_bound is None else gap_bound / scale,
+        trace=tuple((lo / scale, hi / scale) for lo, hi in trace),
         certified=tolerance is None or fixed_point_residual <= tolerance,
         evaluations=search.evaluations,
-        fixed_point_residual=fixed_point_residual,
+        fixed_point_residual=fixed_point_residual / scale,
         stop_reason=search.stop_reason,
-        bellman_residual=float(np.abs(p_taus - point.levels).max()),
-        **fields,
+        bellman_residual=float(np.abs(p_taus - point.levels).max()) / scale,
     )
 
 
@@ -324,25 +357,26 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
     Starts from the bracket [1/(2 mu), 1/mu]; each feasibility test
     halves the interval containing the optimal average age. The returned
     policy is the inner minimizer at the terminal feasible endpoint, so
-    its average age is within 1/(2^{q+1} mu) of optimal.
+    its average age is within 1/(2^{q+1} mu) of optimal. The bisection
+    runs at unit rate, on [1/2, 1].
     """
     _require_identity(config)
-    mu = params.mu_h
-    lo, hi = 0.5 / mu, 1.0 / mu
-    search = _Search(params, config)
-    if not feasible(params, config, hi, search):
-        raise BracketInvalid(f"upper bracket endpoint {hi} is infeasible")
+    search = _Search(params.battery, config.penalty)
+    unit = search.params
+    lo, hi = 0.5, 1.0
+    if not feasible(unit, config, hi, search):
+        raise BracketInvalid(f"upper bracket endpoint {hi / params.mu_h} is infeasible")
     trace = [(lo, hi)]
     for _ in range(config.q):
         mid = 0.5 * (lo + hi)
-        if feasible(params, config, mid, search):
+        if feasible(unit, config, mid, search):
             hi = mid
         else:
             lo = mid
         trace.append((lo, hi))
     point = search.run(hi)
     return _result(
-        params, config, search, point, gap_bound=1.0 / (2.0 ** (config.q + 1) * mu), trace=tuple(trace)
+        params, search, point, params.mu_h, gap_bound=1.0 / 2.0 ** (config.q + 1), trace=trace
     )
 
 
@@ -352,7 +386,7 @@ def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> Optimizat
     Certified by the fixed point
     |p(tau_B) - objective| <= 10 * refine_tol * max(1, objective).
     """
-    search = _Search(params, config)
+    search = _Search(params.battery, _unit_penalty(config.penalty, params.mu_h))
     point = search.run()
     tolerance = 10.0 * config.refine_tol * max(1.0, point.objective)
-    return _result(params, config, search, point, tolerance, gap_bound=None, trace=())
+    return _result(params, search, point, tolerance=tolerance)

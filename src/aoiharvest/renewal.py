@@ -12,13 +12,24 @@ survival function over those pieces (which handles the atoms for free):
 each piece in closed form via the erlang module. Survival is 1 on the
 head [0, tau_B), and piece [tau_m, tau_{m-1}) carries Pr(Y_{m-j} > x) from
 start state j, the sum of the Poisson terms v < m-j.
-erlang.threshold_integrals gives the head and every term's integral over
-every piece from one table of incomplete gammas at the thresholds, the
-table whose exponent-0 entries also give the battery chain
-(erlang.threshold_cdfs). Start state j thus collects the head and exactly
-the terms whose shortfall m - v exceeds j: with the terms in descending
-shortfall, one running sum, read where each state's terms end, gives every
-state at once. That is O(B^2) numpy work with no loop over states or
+
+The rate enters here and only here. The model is scale-invariant: with
+Z = mu_h X the inter-update time at unit rate, E[X] = E[Z] / mu_h,
+E[X^2] = E[Z^2] / mu_h^2, and E[P(X)] is 1 / mu_h times the same moment
+of Z under the penalty p(z / mu_h), whose terms are c mu_h^-e z^e.
+_evaluate forms the unit-rate thresholds z = mu_h tau once, takes every
+moment at unit rate, applies each term's c mu_h^-e to the accumulated
+rows, takes avg_age and avg_penalty from the unit-rate sums, and divides
+the moments by mu_h (and mu_h^2) once at the end. At mu_h = 1 every
+factor is exactly 1.
+
+erlang.threshold_integrals gives the head and every integrand's integral
+over every piece, one row per distinct exponent, from one table of
+incomplete gammas at the unit-rate thresholds, the table whose exponent-0
+entries also give the battery chain (erlang.threshold_cdfs). Start state
+j thus collects the head and exactly the terms whose shortfall m - v
+exceeds j: with the terms in descending shortfall, one running sum, read
+where each state's terms end, gives every state at once. That is O(B^2) numpy work with no loop over states or
 pieces. Every array carries a leading policy axis, so one call evaluates a
 batch of policies (batch_metrics); policy_metrics is the batch of one.
 Long-run averages are stationary mixtures of the per-state moments; the
@@ -85,9 +96,27 @@ def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> f
     raise AssertionError("unreachable: pieces cover [tau_B, inf)")
 
 
-def _terms(p: PenaltySpec) -> tuple[tuple[float, float], ...]:
-    """The integrands of E[X], E[X^2] and E[P(X)]: 1, 2x and p's terms."""
-    return ((1.0, 0.0), (2.0, 1.0), *p.terms)
+@lru_cache(maxsize=32)
+def _rows(powers: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:
+    """The distinct exponents of the integrands 1, z and p's terms (powers =
+    p.exponents), increasing (0 first); the rows of 1, z and p's first term
+    among them, which give the three moments; and the rows of p's other
+    terms. Keyed by the exponents alone, never by a coefficient or a rate."""
+    exponents = tuple(sorted({0.0, 1.0, *powers}))
+    row = exponents.index
+    first = np.array([0, row(1.0), row(powers[0])])
+    first.setflags(write=False)
+    return exponents, first, tuple(map(row, powers[1:]))
+
+
+def unit_coefficients(p: PenaltySpec, mu: float) -> list[float]:
+    """c mu^-e of each term c x^e of p: the coefficients of p(z / mu) as a
+    penalty of the unit-rate age z = mu x. Raises OverflowError when mu^-e
+    is past double range."""
+    try:
+        return [c * mu**-e for c, e in p.terms]
+    except OverflowError:
+        raise OverflowError(_RANGE_ERROR) from None
 
 
 @lru_cache(maxsize=32)
@@ -104,19 +133,37 @@ def _state_ends(battery: int) -> np.ndarray:
     return ends
 
 
-def _moments(table: GammaTable, terms) -> np.ndarray:
-    """(N, 3, B) array of E[X|j], E[X^2|j], E[P(X)|j] for an (N, B) batch of policies.
+def _unit_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTable, np.ndarray]:
+    """The gamma table at z = mu tau, and the (N, 3, B) array of mu E[X|j],
+    mu^2 E[X^2|j] and mu E[P(X)|j] for an (N, B) batch of thresholds.
 
-    table = gamma_table(mu, taus, terms), terms = _terms(p). One running
-    sum along each term's row of threshold_integrals, the head first and
-    then the Poisson terms from the largest shortfall down, read at the
-    end of each state's terms.
+    These are the moments of the unit-rate time Z = mu X under the penalty
+    p(z / mu). One running sum along each exponent's row of
+    threshold_integrals, the head first and then the Poisson terms from
+    the largest shortfall down, read at the end of each state's terms;
+    then E[Z^2|j] is twice the row of z, and the penalty's the sum over
+    p's terms of c mu^-e times the row of z^e.
     """
-    ends = _state_ends(table.taus.shape[1])
+    coefficients = unit_coefficients(p, mu)
+    exponents, first, others = _rows(p.exponents)
+    table = gamma_table(taus if mu == 1.0 else mu * taus, exponents)
+    ends = _state_ends(taus.shape[1])
     rows = np.add.accumulate(threshold_integrals(table), axis=-1).take(ends, axis=-1)
-    if len(terms) > 3:
-        rows = np.concatenate((rows[:, :2], rows[:, 2:].sum(axis=1, keepdims=True)), axis=1)
-    return rows
+    unit = rows.take(first, axis=1)
+    unit *= np.array((1.0, 2.0, coefficients[0]))[:, None]
+    for r, c in zip(others, coefficients[1:]):
+        unit[:, 2] += rows[:, r] * c
+    return table, unit
+
+
+def _in_time_units(unit: np.ndarray, mu: float) -> np.ndarray:
+    """Moments along axis 1 from unit rate to rate mu: the first and third
+    divided by mu, the second by mu twice; at mu = 1 the array itself."""
+    if mu == 1.0:
+        return unit
+    out = unit / mu
+    out[:, 1] /= mu
+    return out
 
 
 def conditional_moments(
@@ -124,8 +171,8 @@ def conditional_moments(
 ) -> ConditionalMoments:
     """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
     taus = np.asarray([policy.thresholds], dtype=float)
-    terms = _terms(p)
-    ex, ex2, epx = _moments(gamma_table(params.mu_h, taus, terms), terms)[0]
+    _, unit = _unit_moments(params.mu_h, taus, p)
+    ex, ex2, epx = _in_time_units(unit, params.mu_h)[0]
     return ConditionalMoments(ex, ex2, epx)
 
 
@@ -144,23 +191,23 @@ class BatchMetrics:
     pi: np.ndarray
 
 
-_RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
-
-
 def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
-    """Moments, the chain's C and Q, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
+    """Moments, the chain's C and Q, pi, the unit-rate (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
 
-    A moment outside double range makes an average inf or NaN (m2 >= m1^2);
-    no floating-point warning is printed.
+    The weighted sums W are mu m1, mu^2 m2 and mu E[P(X)]; the averages
+    come from them, so they stay in double range where a moment leaves it.
+    A moment outside double range is inf or NaN, and so is an average
+    that leaves it; no floating-point warning is printed.
     """
-    terms = _terms(p)
+    mu = params.mu_h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = gamma_table(params.mu_h, taus, terms)
-        moments = _moments(table, terms)
+        table, unit = _unit_moments(mu, taus, p)
         cdfs, down = threshold_cdfs(table), down_rates(table)
         pi = stationary(cdfs, down)
-        weighted = np.add.reduce(moments * pi[:, None, :], axis=-1)
-        averages = weighted[:, 1:] / (weighted[:, :1] * _RATIO)
+        weighted = np.add.reduce(unit * pi[:, None, :], axis=-1)
+        # avg_age = m2 / (2 m1) = W_1 / (2 mu W_0), avg_penalty = E[P(X)] / m1 = W_2 / W_0
+        averages = weighted[:, 1:] / (weighted[:, :1] * np.array((2.0 * mu, 1.0)))
+        moments = _in_time_units(unit, mu)
     return moments, cdfs, down, pi, weighted, averages
 
 
@@ -185,7 +232,9 @@ def batch_metrics(
     """
     taus = np.asarray(thresholds, dtype=float)
     moments, _, _, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
-    if not np.logical_and.reduce(np.isfinite(averages), axis=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = _in_time_units(weighted, params.mu_h)
+    if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
         raise OverflowError(_RANGE_ERROR)
     return BatchMetrics(
         m1=weighted[:, 0],
@@ -203,9 +252,11 @@ def policy_metrics(
     """Long-run average age and age-penalty of a monotone threshold policy: the batch of one."""
     taus = np.array([policy.thresholds], dtype=float)
     moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
-    m1, m2, _ = weighted[0].tolist()
+    mu = params.mu_h
+    w1, w2, w3 = weighted[0].tolist()
+    m1, m2, epx = w1 / mu, w2 / mu / mu, w3 / mu
     avg_age, avg_penalty = averages[0].tolist()
-    if not (math.isfinite(avg_age) and math.isfinite(avg_penalty)):
+    if not all(map(math.isfinite, (m1, m2, epx, avg_age, avg_penalty))):
         raise OverflowError(_RANGE_ERROR)
     moments.setflags(write=False)
     return PolicyMetrics(

@@ -184,13 +184,18 @@ class TestOptimize:
         assert captured.out == "" and "Traceback" not in captured.err
 
     def test_result_outside_double_range_exit_code(self, capsys):
-        # mu = 1e-300 puts every threshold near 1e300; it printed "objective": NaN,
-        # and numpy overflow warnings reached stderr ahead of the error line
-        code = run_without_warnings(["optimize", "--mu", "1e-300", "--battery", "2", "--mode", "penalty"])
+        # mu = 1e-300 once printed "objective": NaN, and numpy overflow warnings
+        # reached stderr ahead of the error line; at unit rate it answers. The
+        # power-2 objective at mu = 1e-200 is about 1e400: its unit-rate
+        # penalty coefficient mu^-2 is past double range.
+        argv = ["optimize", "--mu", "1e-200", "--battery", "2", "--mode", "penalty"]
+        assert run_without_warnings(argv) == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == pytest.approx(0.7197539e200, rel=1e-6)
+        code = run_without_warnings(argv + ["--penalty", "power", "--exponent", "2"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_VALIDATION
         assert captured.out == ""
-        assert captured.err.startswith("error: OverflowError") and captured.err.count("\n") == 1
+        assert captured.err == "error: OverflowError: policy metrics outside double range\n"
 
     def test_non_finite_result_is_not_printed(self, capsys):
         # the objective of this start point is NaN; it was printed as "objective": NaN
@@ -274,6 +279,15 @@ class TestSweep:
     def test_fig6_requires_tau1(self, capsys):
         code, _ = run(capsys, ["sweep", "--fig", "6", "--mu", "1", "--points", "5"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("rates", ["", "1,2"])
+    def test_fig_takes_exactly_one_rate(self, capsys, rates):
+        # no rate raised IndexError with a traceback; a second was dropped
+        code = run_without_warnings(["sweep", "--fig", "5", "--mu", rates, "--tau2", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION and captured.out == ""
+        assert captured.err.startswith("error: ValueError: --fig takes exactly one --mu rate")
+        assert captured.err.count("\n") == 1
 
     def test_fractional_battery_exit_code(self, capsys):
         # it ran B = 1 silently

@@ -121,14 +121,16 @@ class TestSurvivalWeightedIntegral:
 
 
 def piece_terms(mu, a, b, terms, orders):
-    """threshold_integrals' terms of orders v < `orders` on [a, b): the last
-    piece of the thresholds (b, ..., b, a), orders + 1 of them. Row r is term r."""
+    """The terms of orders v < `orders` on [a, b) at rate mu: threshold_integrals'
+    terms on the last piece of the unit-rate thresholds mu (b, ..., b, a),
+    orders + 1 of them, each exponent's row times c / mu^(e+1). Row r is term r."""
     m, v = piece_orders(orders + 1)
-    taus = np.array([[b] * orders + [a]], dtype=float)
-    J = threshold_integrals(gamma_table(mu, taus, terms))[0, :, 1:]
+    table = gamma_table(mu * np.array([[b] * orders + [a]], dtype=float), [e for _, e in terms])
+    J = threshold_integrals(table)[0, :, 1:]
     last = m == orders + 1
     out = np.zeros((len(terms), orders + 1))
-    out[:, v[last]] = J[:, last]
+    for r, (c, e) in enumerate(terms):
+        out[r, v[last]] = c * J[table.layout.exponents.index(e), last] / mu ** (e + 1.0)
     return out[:, :orders]
 
 
@@ -150,17 +152,19 @@ class TestWeightedPrefix:
         # tied thresholds make empty pieces, which renewal adds unconditionally
         m, _ = piece_orders(6)
         taus = np.array([[2.0, 0.7, 0.7, 0.7, 0.7, 0.7]])
-        J = threshold_integrals(gamma_table(1.3, taus, PenaltySpec.power(0.5).terms))
+        J = threshold_integrals(gamma_table(1.3 * taus, (0.5,)))
         assert np.all(J[0, :, 1:][:, m > 2] == 0.0) and np.all(J[0, :, 1:][:, m <= 2] > 0.0)
 
     def test_head_column_integrates_the_terms_below_tau_b(self):
-        # column 0 is int_0^{tau_B} c x^e dx; x and 2x give tau_B and tau_B^2 exactly
-        taus = np.array([[2.0, 0.7, 0.3], [1.1, 1.1, 0.0]])
-        terms = ((1.0, 0.0), (2.0, 1.0), (3.0, 0.5), (0.5, 2.0))
-        head = threshold_integrals(gamma_table(0.9, taus, terms))[:, :, 0]
-        for n, tau in enumerate(taus[:, -1].tolist()):
-            assert head[n, 0] == tau and head[n, 1] == tau * tau
-            assert head[n, 2:].tolist() == pytest.approx([2.0 * tau**1.5, tau**3 / 6.0], rel=1e-15)
+        # column 0 is int_0^{z_B} z^e dz, one row per exponent; 1 and z give
+        # z_B and z_B^2 / 2 exactly
+        z = 0.9 * np.array([[2.0, 0.7, 0.3], [1.1, 1.1, 0.0]])
+        table = gamma_table(z, (1.0, 0.5, 2.0))
+        assert table.layout.exponents == (0.0, 0.5, 1.0, 2.0)
+        head = threshold_integrals(table)[:, :, 0]
+        for n, zb in enumerate(z[:, -1].tolist()):
+            assert head[n, 0] == zb and head[n, 2] == zb * zb / 2.0
+            assert [head[n, 1], head[n, 3]] == pytest.approx([zb**1.5 / 1.5, zb**3 / 3.0], rel=1e-15)
 
 
 class TestPenaltyWeightedIntegral:
@@ -185,8 +189,9 @@ class TestPenaltyWeightedIntegral:
 
 
 class TestPowerExpIntegral:
-    """mu^v/v! int_a^b x^(e+v) e^{-mu x} dx, one term of threshold_integrals,
-    against mpmath at 40 digits.
+    """mu^v/v! int_a^b x^(e+v) e^{-mu x} dx, one term of threshold_integrals
+    at the unit-rate thresholds mu a and mu b divided by mu^(e+1), against
+    mpmath at 40 digits.
 
     Domain: e in {0.25, 0.5, 1.5, 2.5, 3.5, 5.5} and the integers 0..2,
     orders v in 0..7, mu in [1e-3, 10] (log-uniform), mu*a in [0, 60] and
@@ -249,14 +254,14 @@ class TestGammaTable:
     1 - P(f, x) below SWITCH and from the continued fraction from it on.
     """
 
-    TERMS = ((1.0, 0.0), (2.0, 1.0), (1.0, 0.5), (0.5, 0.25), (1.0, 2.5))
+    EXPONENTS = (0.0, 1.0, 0.5, 0.25, 2.5)
 
     @staticmethod
     def points(table):
-        """mu tau of each table entry, tau_0 = inf first."""
-        N, B = table.taus.shape
+        """z of each table entry, z_0 = inf first."""
+        N, B = table.z.shape
         point = np.repeat(np.arange(B + 1), np.minimum(np.arange(B + 1), B - 1) + 1)
-        x = np.concatenate((np.full((N, 1), INF), table.mu * table.taus), axis=1)
+        x = np.concatenate((np.full((N, 1), INF), table.z), axis=1)
         return x[:, point]
 
     def test_entries_match_mpmath(self):
@@ -265,7 +270,7 @@ class TestGammaTable:
         worst = 0.0
         for B, scale in ((1, 3.0), (2, 8.0), (4, 0.5), (4, 12.0), (8, 4.0), (16, 40.0), (16, 2.0)):
             taus = np.sort(rng.uniform(0.0, scale, (1, B)))[:, ::-1]
-            table = gamma_table(1.0, taus, self.TERMS)
+            table = gamma_table(taus, self.EXPONENTS)
             points = np.broadcast_to(self.points(table)[0], table.layout.s.shape)
             for (u, entry), x in np.ndenumerate(points):
                 if x == INF:
@@ -296,9 +301,9 @@ class TestGammaTable:
         rng = np.random.default_rng(20261021)
         drawn = np.sort(rng.uniform(0.0, 2.0 * at, (64, 4)))[:, ::-1]
         taus = np.concatenate([taus * k for k in (1.0, 0.5, 1.5, 2.0, 0.25)] + [drawn])
-        batch = gamma_table(mu, taus, self.TERMS)
+        batch = gamma_table(mu * taus, self.EXPONENTS)
         for n, row in enumerate(taus):
-            assert np.array_equal(batch.values[n], gamma_table(mu, row[None], self.TERMS).values[0])
+            assert np.array_equal(batch.values[n], gamma_table(mu * row[None], self.EXPONENTS).values[0])
         # Q(1, x) is the first term alone, e^{-x} from libm: numpy's vector
         # exp differs from it in the last bit on about one input in twenty
         x = np.broadcast_to(self.points(batch)[:, None, :], batch.values[:, 0].shape)
@@ -306,13 +311,13 @@ class TestGammaTable:
         assert batch.values[:, 0][first].tolist() == [math.exp(-t) for t in x[first].tolist()]
 
     @pytest.mark.parametrize("B", [1, 2, 4, 16, 32])
-    @pytest.mark.parametrize("terms", [TERMS[:2], TERMS[:3]], ids=["id", "pow0.5"])
-    def test_tail_sums_at_the_truncation_bound(self, B, terms):
+    @pytest.mark.parametrize("exponents", [EXPONENTS[:2], EXPONENTS[:3]], ids=["id", "pow0.5"])
+    def test_tail_sums_at_the_truncation_bound(self, B, exponents):
         # the series for P is cut where it is longest: every threshold just
         # below the top row's shape parameter; bound 5e-15 relative
-        top = float(gamma_table(1.0, np.zeros((1, B)), terms).layout.s.max())
+        top = float(gamma_table(np.zeros((1, B)), exponents).layout.s.max())
         x = float(np.nextafter(top, 0.0))
-        table = gamma_table(1.0, np.full((1, B), x), terms)
+        table = gamma_table(np.full((1, B), x), exponents)
         worst = 0.0
         with mpmath.workdps(50):
             for (u, entry), s in np.ndenumerate(table.layout.s[:, 1:]):
@@ -322,7 +327,7 @@ class TestGammaTable:
 
     def test_infinite_threshold_reads_like_tau_0(self):
         # Q = 0 and P = 1 at tau_0 and at a user's infinite threshold alike
-        table = gamma_table(1.3, np.array([[INF, INF, 2.0, 1.0]]), self.TERMS)
+        table = gamma_table(1.3 * np.array([[INF, INF, 2.0, 1.0]]), self.EXPONENTS)
         q, p = table.values[0]
         far = np.broadcast_to(self.points(table)[0] == INF, q.shape)
         assert np.all(q[far] == 0.0) and np.all(p[far] == 1.0)
@@ -344,7 +349,7 @@ class TestPochRange:
             if erlang._poch_overflows(battery, e):
                 assert math.isinf(erlang._poch(battery, e)[-1])
                 with pytest.raises(OverflowError, match="policy metrics outside double range"):
-                    erlang._layout(battery, ((1.0, 0.0), (1.0, e)))
+                    erlang._layout(battery, (0.0, e))
         # a one-nat margin, less than a unit of exponent: refused from one past the first inf
         first_inf = next(e for e in np.arange(0.0, 200.0, 0.25).tolist() if math.isinf(erlang._poch(battery, e)[-1]))
         assert erlang._poch_overflows(battery, first_inf + 1.0)
@@ -352,4 +357,4 @@ class TestPochRange:
     @pytest.mark.parametrize("exponent", [1e7, 1e300, sys.float_info.max])
     def test_huge_exponent_refused_before_any_work(self, exponent):
         with pytest.raises(OverflowError, match="policy metrics outside double range"):
-            gamma_table(1.0, np.array([[1.0, 0.5]]), ((1.0, 0.0), (1.0, exponent)))
+            gamma_table(np.array([[1.0, 0.5]]), (0.0, exponent))

@@ -24,8 +24,9 @@ SRC = pathlib.Path(optimizer.__file__).resolve().parents[1]
 
 
 def inner_minimize(params, config, tau_b):
-    """The upper thresholds and objective of the policy iteration at fixed tau_B."""
-    point = optimizer._Search(params, config).run(tau_b)
+    """The upper thresholds and objective of the policy iteration at fixed tau_B, at mu = 1."""
+    assert params.mu_h == 1.0, "the search runs at unit rate"
+    point = optimizer._Search(params.battery, config.penalty).run(tau_b)
     return point.taus[:-1], point.objective
 
 
@@ -60,20 +61,22 @@ class TestGridSearch:
             grid_search(params, cfg(grid_points=15))
 
     def test_passes_over_vertices_outside_double_range(self):
-        # at this rate E[X^2] overflows on the larger gaps of the first round
-        params = SystemParams(1.1e-154, 2)
-        lows, highs = [0.5 / 1.1e-154, 0.0], [1.0 / 1.1e-154, optimizer.UPPER_CAP_FACTOR / 1.1e-154]
-        axes = [np.linspace(lo, hi, 15) for lo, hi in zip(lows, highs)]
+        # p(x) = 1e308 x: the average penalty overflows on the larger gaps of
+        # the first round, which the grid searches at unit rate whatever mu
+        params, penalty = SystemParams(1.0, 2), PenaltySpec.power(1.0, 1e308)
+        axes = [np.linspace(0.5, 1.0, 15), np.linspace(0.0, optimizer.UPPER_CAP_FACTOR, 15)]
         taus = np.array([[a + g, a] for a in axes[0] for g in axes[1]])
-        vals = avg_penalties(params, taus, PenaltySpec.identity())
+        vals = avg_penalties(params, taus, penalty)
         assert 0 < np.isfinite(vals).sum() < len(vals) and not np.isnan(vals).any()
-        r = grid_search(params, cfg(grid_points=15, grid_rounds=3))
+        r = grid_search(params, cfg(grid_points=15, grid_rounds=3, penalty=penalty))
         assert np.isfinite(r.objective)
         assert r.objective <= vals.min()
 
     def test_no_finite_vertex_raises_overflow(self):
-        with pytest.raises(OverflowError):
-            grid_search(SystemParams(1e-300, 2), cfg(grid_points=5, grid_rounds=2))
+        # p(x) = 1e308 x^2: every vertex's average penalty is past double range
+        penalty = PenaltySpec.power(2.0, 1e308)
+        with pytest.raises(OverflowError, match="at every grid vertex"):
+            grid_search(SystemParams(1.0, 2), cfg(grid_points=5, grid_rounds=2, penalty=penalty))
 
 
 class TestInnerMinimize:
@@ -300,14 +303,14 @@ class TestLevelsOnlyWhenRead:
     """A step solves for the relative values only when it reads the Bellman levels."""
 
     def test_witness_stop_solves_nothing(self, relative_value_solves):
-        search = optimizer._Search(SystemParams(1.0, 4), OptimizerConfig())
+        search = optimizer._Search(4, PenaltySpec.identity())
         assert feasible(SystemParams(1.0, 4), OptimizerConfig(), 1.0, search)
         assert search.stop_reason == "witness" and search.evaluations == 1
         assert relative_value_solves == []
 
     def test_pinned_only_threshold_solves_nothing(self, relative_value_solves):
         # 0.6 is below the B = 1 optimum 0.9012: no witness, one step, converged
-        search = optimizer._Search(SystemParams(1.0, 1), OptimizerConfig())
+        search = optimizer._Search(1, PenaltySpec.identity())
         assert not feasible(SystemParams(1.0, 1), OptimizerConfig(), 0.6, search)
         assert search.stop_reason == "converged" and search.evaluations == 1
         assert relative_value_solves == []

@@ -8,6 +8,7 @@ from aoiharvest.erlang import gamma_table, piece_orders, threshold_integrals
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
+    avg_penalties,
     ConditionalMoments,
     StepBreaksMonotonicity,
     batch_metrics,
@@ -80,34 +81,46 @@ class TestConditionalMoments:
     def test_moment_inequalities(self):
         params, pol = make(1.2, [1.9, 1.3, 0.8, 0.8])
         cm = conditional_moments(params, pol, IDENT)
-        assert np.all(cm.ex >= pol.tau_full)
-        assert np.all(cm.ex2 >= cm.ex**2)
+        # From the last state, where tau_{B-1} = tau_B, X = tau_B exactly and
+        # both hold with equality; the moments are taken at z = mu tau and
+        # divided by mu at the end, a few roundings each, so 4 ulps.
+        slack = 1.0 - 4.0 * np.finfo(float).eps
+        assert np.all(cm.ex >= pol.tau_full * slack)
+        assert np.all(cm.ex2 >= cm.ex**2 * slack)
 
 
 def per_piece_moments(params, policy, p):
     """Each start state's moments, added up one integral at a time.
 
-    threshold_integrals gives the head on [0, tau_B) and every Poisson term
-    v of every piece m. State j adds the head, then the terms of shortfall
-    d = m - v from d = B down to j + 1, each shortfall's in ascending v: the
-    evaluator's running sum, so its moments must match bitwise.
+    threshold_integrals gives, at the unit-rate thresholds z = mu tau and
+    for each exponent e of 1, z and p's term c z^e, the head on [0, z_B) and
+    every Poisson term v of every piece m. State j adds the head, then the
+    terms of shortfall d = m - v from d = B down to j + 1, each shortfall's
+    in ascending v: the evaluator's running sum. The rate enters once, at
+    the end: E[X|j] is the sum of 1's row over mu, E[X^2|j] twice z's over
+    mu twice, and E[P(X)|j] c mu^-e times z^e's over mu; so the evaluator's
+    moments must match bitwise.
     """
-    B = params.battery
-    terms = ((1.0, 0.0), (2.0, 1.0), *p.terms)
-    assert len(terms) == 3, "one penalty term: E[P(X)] is its row alone"
-    J = threshold_integrals(gamma_table(params.mu_h, np.array([policy.thresholds]), terms))[0]
+    mu, B = params.mu_h, params.battery
+    [(c, e)] = p.terms  # one penalty term: E[P(X)] is its row alone
+    table = gamma_table(mu * np.array([policy.thresholds]), (0.0, 1.0, e))
+    J = threshold_integrals(table)[0]
     column = {(m, v): 1 + i for i, (m, v) in enumerate(zip(*piece_orders(B)))}
-    out = []
+    sums = []
     for row in J:
-        sums = []
+        acc = []
         for j in range(B):
-            acc = row[0]
+            total = row[0]
             for d in range(B, j, -1):
                 for v in range(B - d + 1):
-                    acc += row[column[d + v, v]]
-            sums.append(acc)
-        out.append(sums)
-    return list(zip(*out))
+                    total += row[column[d + v, v]]
+            acc.append(total)
+        sums.append(acc)
+    row = table.layout.exponents.index
+    return [
+        (sums[0][j] / mu, sums[row(1.0)][j] * 2.0 / mu / mu, sums[row(e)][j] * (c * mu**-e) / mu)
+        for j in range(B)
+    ]
 
 
 class TestPrefixRows:
@@ -137,11 +150,19 @@ class TestPrefixRows:
 
 class TestOverflow:
     def test_outside_double_range_raises_without_warnings(self):
+        # m2 is about 1e600, while the averages, about 1e300, are in range:
+        # the evaluator takes them from the unit-rate sums (z = 1, 0.1), and
+        # raises for the moment it reports
         params, pol = make(1e-300, [1e300, 1e299])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
+            with pytest.raises(OverflowError, match="outside double range"):
                 policy_metrics(params, pol)
+            with pytest.raises(OverflowError, match="outside double range"):
+                batch_metrics(params, [pol.thresholds])
+            ages = avg_penalties(params, [pol.thresholds], IDENT)
+        want = policy_metrics(*make(1.0, [1.0, 0.1])).avg_age
+        assert ages[0] * 1e-300 == pytest.approx(want, rel=1e-14)
 
 
 class TestBatch:
