@@ -4,7 +4,7 @@ Everything the analytic evaluator computes reduces to integrals of the
 form  int_a^b z^e Pr(Y_k > z) dz,  where Y_k is the waiting time for k
 Poisson arrivals at rate 1 and z = mu tau is a threshold in units of the
 mean inter-arrival time; renewal turns them into the moments at rate mu,
-once per policy. The survival function is the Poisson sum
+once per call. The survival function is the Poisson sum
 Pr(Y_k > z) = sum_{v<k} e^{-z} z^v / v!, and each of its terms integrates
 to a difference of regularized incomplete gammas:
 
@@ -374,17 +374,18 @@ def _fractional_base(block, xs, top, fracs):
                     qf[i // b, k, i % b] = base[i // b, k, i % b] * _upper_fraction(f, t)
 
 
-def threshold_integrals(table: GammaTable) -> np.ndarray:
+def threshold_integrals(table: GammaTable, head: np.ndarray | None = None) -> np.ndarray:
     """Every integral the conditional moments add up, for every exponent.
 
     With z_0 = inf, piece m is [z_m, z_{m-1}). Returns J of shape
     (N, U, 1 + M), U the number of distinct exponents (table.layout.exponents)
-    and M = B(B+1)/2. Column 0 is the head [0, z_B), where every start
-    state's survival is 1:
+    and M = B(B+1)/2. Column 0 is the head [0, h), h = z_B unless the
+    (N, 1) array head gives another end, where every start state's
+    survival is 1:
 
-        J[n, u, 0] = int_0^{z_B} z^e_u dz,
+        J[n, u, 0] = int_0^h z^e_u dz,
 
-    computed as z_B * (1 / (e_u+1) * z_B^e_u), which keeps z and z^2 / 2
+    computed as h * (1 / (e_u+1) * h^e_u), which keeps z and z^2 / 2
     exact. Column 1 + i is the Poisson term v on piece m of entry i of
     piece_orders(B), clamped at zero:
 
@@ -397,10 +398,10 @@ def threshold_integrals(table: GammaTable) -> np.ndarray:
     np.copyto(d, diff[:, 0], where=z.take(lay.lo, axis=-1) >= lay.lo_s)
     np.maximum(d, 0.0, out=d)
     d *= lay.poch
-    z_b = z[:, -1:]
-    head = z_b**lay.head_power
-    head *= lay.head_scale
-    np.multiply(z_b, head, out=d[..., 0])
+    h = z[:, -1:] if head is None else head
+    rise = h**lay.head_power
+    rise *= lay.head_scale
+    np.multiply(h, rise, out=d[..., 0])
     return d
 
 
@@ -430,7 +431,9 @@ def _check_interval(a: float, b: float):
 def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> float:
     """int_a^b p(x) Pr(Y_order > x) dx at rate mu, from the last piece
     [mu a, mu b) of the unit-rate thresholds (mu b, ..., mu b, mu a), order + 1
-    of them: each term c x^e is c / mu^(e+1) times its unit-rate integral."""
+    of them: each term c x^e is c mu^-(e+1) times its unit-rate integral.
+    With mu = m 2^k, m in [1, 2), the power of two in mu^-(e+1) is applied
+    last, by ldexp, so a term leaves double range only where it does."""
     z = np.full((1, order + 1), mu * float(b))
     z[0, -1] = mu * a
     m, v = piece_orders(order + 1)
@@ -438,7 +441,18 @@ def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> floa
     J = threshold_integrals(table)[0, :, 1:]
     pieces = J[:, (m == order + 1) & (v < order)].sum(axis=1).tolist()
     row = table.layout.exponents.index
-    return sum(c * pieces[row(float(e))] / mu ** (e + 1.0) for c, e in terms)
+    k = math.frexp(mu)[1] - 1
+    scale = math.ldexp(mu, -k)
+    total = 0.0
+    for c, e in terms:
+        x = -k * (e + 1.0)
+        w = math.floor(x)
+        value = c * pieces[row(float(e))] * scale ** -(e + 1.0) * 2.0 ** (x - w)
+        try:
+            total += math.ldexp(value, w)
+        except OverflowError:
+            raise OverflowError(_RANGE_ERROR) from None
+    return total
 
 
 def survival_weighted_integral(

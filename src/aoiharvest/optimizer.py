@@ -34,7 +34,7 @@ tau_i = tau_{i+1} + d_i, is the oracle both are checked against.
 Every search runs at unit rate, on SystemParams(1.0, B): the optimal
 thresholds scale as 1/mu_h, tau*(mu_h) = tau*(1) / mu_h, so the
 thresholds searched are z = mu_h tau, and the penalty is p(z / mu_h)
-(renewal.unit_coefficients), whose average is the average penalty at
+(_unit_penalty), whose average is the average penalty at
 rate mu_h. ``algorithm1`` bisects on the unit-rate age itself, with the
 identity penalty. The rate enters once, where each result is built: the
 thresholds are z / mu_h, and algorithm1's objective, gap bound, trace
@@ -52,7 +52,7 @@ import numpy as np
 
 from .erlang import _RANGE_ERROR
 from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams, validate_policy
-from .renewal import avg_penalties, bellman_levels, policy_metrics, unit_coefficients
+from .renewal import avg_penalties, bellman_levels, policy_metrics
 
 # Largest gap on the grid oracle's axes, at unit rate.
 UPPER_CAP_FACTOR = 10.0
@@ -173,12 +173,17 @@ def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
 def _unit_penalty(p: PenaltySpec, mu: float) -> PenaltySpec:
     """p(z / mu_h), the penalty of the unit-rate age z = mu_h x.
 
-    Raises OverflowError when a coefficient c mu_h^-a is outside the
-    normal range of doubles: the objective is then outside double range
-    too, or the search would see a term that rounds away.
+    Each term c x^a becomes c mu_h^-a z^a. Raises OverflowError when
+    mu_h^-a or c mu_h^-a is outside the normal range of doubles: the
+    objective is then outside double range too, or the search would see a
+    term that lost its digits.
     """
-    coefficients = unit_coefficients(p, mu)
-    if not all(sys.float_info.min <= c <= sys.float_info.max for c in coefficients):
+    try:
+        factors = [mu**-a for _, a in p.terms]
+    except OverflowError:
+        raise OverflowError(_RANGE_ERROR) from None
+    coefficients = [c * f for (c, _), f in zip(p.terms, factors)]
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in factors + coefficients):
         raise OverflowError(_RANGE_ERROR)
     return PenaltySpec(tuple(zip(coefficients, (a for _, a in p.terms))))
 

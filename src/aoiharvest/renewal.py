@@ -13,15 +13,21 @@ each piece in closed form via the erlang module. Survival is 1 on the
 head [0, tau_B), and piece [tau_m, tau_{m-1}) carries Pr(Y_{m-j} > x) from
 start state j, the sum of the Poisson terms v < m-j.
 
-The rate enters here and only here. The model is scale-invariant: with
-Z = mu_h X the inter-update time at unit rate, E[X] = E[Z] / mu_h,
-E[X^2] = E[Z^2] / mu_h^2, and E[P(X)] is 1 / mu_h times the same moment
-of Z under the penalty p(z / mu_h), whose terms are c mu_h^-e z^e.
-_evaluate forms the unit-rate thresholds z = mu_h tau once, takes every
-moment at unit rate, applies each term's c mu_h^-e to the accumulated
-rows, takes avg_age and avg_penalty from the unit-rate sums, and divides
-the moments by mu_h (and mu_h^2) once at the end. At mu_h = 1 every
-factor is exactly 1.
+The rate enters here and only here, once per call. erlang works at unit
+rate, on the thresholds z = mu_h tau, and the moments follow from its
+integrals by scale invariance: with Z = mu_h X, E[X^n] = E[Z^n] / mu_h^n.
+_evaluate forms z once and takes each integral row at a rate rho = 2^a,
+a power of two so that rho tau and every rho^-n are exact: its Poisson
+terms are those at unit rate times m^-(e+1), m = mu_h / rho, its head
+int_0^{rho tau_B} z^e dz, and the penalty's term c x^e becomes
+c rho^-e z^e, the power of two applied to the row (ldexp) rather than to
+c. The averages come from the weighted sums at rate rho, and moments,
+sums and averages reach time units by ldexp. rho = 1 (time units) for
+every mu_h within 2^+-64 of 1; beyond, rho is the power of two at or
+below mu_h, so the rows keep their size at unit rate where E[X^2] ~
+mu_h^-2 would leave double range. A policy whose unit-rate tau_B passes
+CERTAIN updates at tau_B from every state, and _certain gives its
+metrics where its head leaves double range at rate rho.
 
 erlang.threshold_integrals gives the head and every integrand's integral
 over every piece, one row per distinct exponent, from one table of
@@ -96,27 +102,29 @@ def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> f
     raise AssertionError("unreachable: pieces cover [tau_B, inf)")
 
 
+# The moments are taken in time units for every rate mu_h in
+# [2^-SCALE_FREE, 2^(SCALE_FREE+1)), and at a power of two near mu_h beyond.
+SCALE_FREE = 64
+# Past this unit-rate tau_B every Poisson term is 0: an arrival before
+# tau_B is certain to the last bit, and X = tau_B from every state.
+CERTAIN = 1024.0
+_RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / m1
+
+
 @lru_cache(maxsize=32)
-def _rows(powers: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:
-    """The distinct exponents of the integrands 1, z and p's terms (powers =
-    p.exponents), increasing (0 first); the rows of 1, z and p's first term
-    among them, which give the three moments; and the rows of p's other
-    terms. Keyed by the exponents alone, never by a coefficient or a rate."""
-    exponents = tuple(sorted({0.0, 1.0, *powers}))
+def _rows(p_powers: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The distinct exponents e of the integrands 1, x and p's terms
+    (p_powers = p.exponents), increasing (0 first); -(e+1) of each, as a
+    column; the rows of 1, x and p's first term among them, which give the
+    three moments; and the rows of p's other terms. Keyed by the exponents
+    alone, never by a coefficient or a rate."""
+    exponents = tuple(sorted({0.0, 1.0, *p_powers}))
     row = exponents.index
-    first = np.array([0, row(1.0), row(powers[0])])
+    powers = -(np.array(exponents)[:, None] + 1.0)
+    first = np.array([0, row(1.0), row(p_powers[0])])
+    powers.setflags(write=False)
     first.setflags(write=False)
-    return exponents, first, tuple(map(row, powers[1:]))
-
-
-def unit_coefficients(p: PenaltySpec, mu: float) -> list[float]:
-    """c mu^-e of each term c x^e of p: the coefficients of p(z / mu) as a
-    penalty of the unit-rate age z = mu x. Raises OverflowError when mu^-e
-    is past double range."""
-    try:
-        return [c * mu**-e for c, e in p.terms]
-    except OverflowError:
-        raise OverflowError(_RANGE_ERROR) from None
+    return exponents, powers, first, tuple(map(row, p_powers[1:]))
 
 
 @lru_cache(maxsize=32)
@@ -133,46 +141,115 @@ def _state_ends(battery: int) -> np.ndarray:
     return ends
 
 
-def _unit_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTable, np.ndarray]:
-    """The gamma table at z = mu tau, and the (N, 3, B) array of mu E[X|j],
-    mu^2 E[X^2|j] and mu E[P(X)|j] for an (N, B) batch of thresholds.
+def _rate_exponent(mu: float) -> int:
+    """a of the rate rho = 2^a at which the moments are taken.
 
-    These are the moments of the unit-rate time Z = mu X under the penalty
-    p(z / mu). One running sum along each exponent's row of
-    threshold_integrals, the head first and then the Poisson terms from
-    the largest shortfall down, read at the end of each state's terms;
-    then E[Z^2|j] is twice the row of z, and the penalty's the sum over
-    p's terms of c mu^-e times the row of z^e.
+    a = 0 (time units, rho = 1) for mu_h in [2^-SCALE_FREE, 2^(SCALE_FREE+1)),
+    and otherwise floor(log2 mu_h), so that mu_h / rho is in [1, 2): then
+    each integral row at rate rho is about its size at unit rate, in range
+    where the moments in time units would not be (E[X^2] is about
+    mu_h^-2).
     """
-    coefficients = unit_coefficients(p, mu)
-    exponents, first, others = _rows(p.exponents)
-    table = gamma_table(taus if mu == 1.0 else mu * taus, exponents)
-    ends = _state_ends(taus.shape[1])
-    rows = np.add.accumulate(threshold_integrals(table), axis=-1).take(ends, axis=-1)
-    unit = rows.take(first, axis=1)
-    unit *= np.array((1.0, 2.0, coefficients[0]))[:, None]
-    for r, c in zip(others, coefficients[1:]):
-        unit[:, 2] += rows[:, r] * c
-    return table, unit
+    a = math.frexp(mu)[1] - 1
+    return a if abs(a) > SCALE_FREE else 0
 
 
-def _in_time_units(unit: np.ndarray, mu: float) -> np.ndarray:
-    """Moments along axis 1 from unit rate to rate mu: the first and third
-    divided by mu, the second by mu twice; at mu = 1 the array itself."""
-    if mu == 1.0:
-        return unit
-    out = unit / mu
-    out[:, 1] /= mu
+def _rated_terms(p: PenaltySpec, a: int) -> list[tuple[float, int]]:
+    """(c 2^f, w) of each term c x^e of p, where c rho^-e = c 2^f 2^w at
+    rho = 2^a: w = floor(-a e) and f in [0, 1), so that the power of two is
+    applied to a row by ldexp and no coefficient leaves double range."""
+    out = []
+    for c, e in p.terms:
+        x = -a * e
+        w = math.floor(x)
+        out.append((c * 2.0 ** (x - w), w))
     return out
+
+
+def _rated_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTable, int, int, np.ndarray]:
+    """The gamma table at z = mu tau, a, w, and the (N, 3, B) array of
+    rho E[X|j], rho^2 E[X^2|j] and 2^-w rho E[P(X)|j] for an (N, B) batch
+    of thresholds, at rho = 2^a (_rate_exponent), mu = m rho.
+
+    One running sum along each exponent's row of threshold_integrals, the
+    head first and then the Poisson terms from the largest shortfall down,
+    read at the end of each state's terms. Each row is at rate rho: its
+    Poisson terms are those at rate 1 times m^-(e+1), and its head
+    int_0^{rho tau_B} z^e dz, so that every factor rho^-(e+1) that takes
+    it to time units is a power of two. rho^2 E[X^2|j] is twice the row of
+    x, and rho E[P(X)|j] the sum over p's terms of c rho^-e times the row
+    of x^e (_rated_terms).
+    """
+    exponents, powers, first, others = _rows(p.exponents)
+    a = _rate_exponent(mu)
+    (c, w), *rest = _rated_terms(p, a)
+    table = gamma_table(mu * taus, exponents)
+    J = threshold_integrals(table, np.ldexp(taus[:, -1:], a) if a else taus[:, -1:])
+    J[..., 1:] *= math.ldexp(mu, -a) ** powers
+    rows = np.add.accumulate(J, axis=-1).take(_state_ends(taus.shape[1]), axis=-1)
+    rated = rows.take(first, axis=1)
+    rated *= np.array([[1.0], [2.0], [c]])
+    for r, (c, v) in zip(others, rest):
+        rated[:, 2] += np.ldexp(rows[:, r] * c, v - w)
+    return table, a, w, rated
+
+
+def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
+    """Moments, the chain's C and Q, pi, (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
+
+    The averages are taken from the weighted sums at rate rho, so they stay
+    in double range where a moment leaves it. A moment outside double
+    range is inf or NaN (0 where it underflows), and so is an average that
+    leaves it; no floating-point warning is printed. Where mu tau_B is so
+    large that the head leaves double range at rate rho, the metrics are
+    inf or NaN too, and _certain gives them.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table, a, w, moments = _rated_moments(params.mu_h, taus, p)
+        cdfs, down = threshold_cdfs(table), down_rates(table)
+        pi = stationary(cdfs, down)
+        weighted = np.add.reduce(moments * pi[:, None, :], axis=-1)
+        averages = weighted[:, 1:] / (weighted[:, :1] * _RATIO)
+        if a:  # from rate 2^a to time units, every factor a power of two
+            averages = np.ldexp(averages, np.array((-a, w)))
+            powers = np.array((-a, -2 * a, w - a))
+            moments = np.ldexp(moments, powers[:, None])
+            weighted = np.ldexp(weighted, powers)
+    return moments, cdfs, down, pi, weighted, averages
+
+
+def _certain(mu: float, taus: np.ndarray, p: PenaltySpec, moments, weighted, averages):
+    """The metrics of the policies with mu tau_B > CERTAIN whose metrics
+    are not all finite, in place.
+
+    Every Poisson term of such a policy is 0, so from every state
+    X = tau_B: E[X|j] = tau_B, E[X^2|j] = tau_B^2, E[P(X)|j] = P(tau_B) with
+    P the antiderivative of p, avg_age = tau_B / 2 and
+    avg_penalty = P(tau_B) / tau_B, taken here in time units.
+    """
+    finite = np.isfinite(weighted).all(axis=1) & np.isfinite(averages).all(axis=1)
+    sel = np.flatnonzero(~finite & (taus[:, -1] > CERTAIN / mu))
+    if not len(sel):
+        return
+    c, e = np.array(p.terms).T
+    t = taus[sel, -1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (c * (t**e / (e + 1.0))).sum(axis=1, keepdims=True)  # P(tau_B) / tau_B
+        head = np.hstack((t, t * t, t * slope))
+        moments[sel] = head[:, :, None]
+        weighted[sel] = head
+        averages[sel] = np.hstack((t * 0.5, slope))
 
 
 def conditional_moments(
     params: SystemParams, policy: Policy, p: PenaltySpec
 ) -> ConditionalMoments:
     """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
-    taus = np.asarray([policy.thresholds], dtype=float)
-    _, unit = _unit_moments(params.mu_h, taus, p)
-    ex, ex2, epx = _in_time_units(unit, params.mu_h)[0]
+    taus = np.array([policy.thresholds], dtype=float)
+    moments, _, _, _, weighted, averages = _evaluate(params, taus, p)
+    if not np.isfinite(moments).all():
+        _certain(params.mu_h, taus, p, moments, weighted, averages)
+    ex, ex2, epx = moments[0]
     return ConditionalMoments(ex, ex2, epx)
 
 
@@ -191,34 +268,19 @@ class BatchMetrics:
     pi: np.ndarray
 
 
-def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
-    """Moments, the chain's C and Q, pi, the unit-rate (m1, m2, E[P(X)]) and (avg_age, avg_penalty).
-
-    The weighted sums W are mu m1, mu^2 m2 and mu E[P(X)]; the averages
-    come from them, so they stay in double range where a moment leaves it.
-    A moment outside double range is inf or NaN, and so is an average
-    that leaves it; no floating-point warning is printed.
-    """
-    mu = params.mu_h
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table, unit = _unit_moments(mu, taus, p)
-        cdfs, down = threshold_cdfs(table), down_rates(table)
-        pi = stationary(cdfs, down)
-        weighted = np.add.reduce(unit * pi[:, None, :], axis=-1)
-        # avg_age = m2 / (2 m1) = W_1 / (2 mu W_0), avg_penalty = E[P(X)] / m1 = W_2 / W_0
-        averages = weighted[:, 1:] / (weighted[:, :1] * np.array((2.0 * mu, 1.0)))
-        moments = _in_time_units(unit, mu)
-    return moments, cdfs, down, pi, weighted, averages
-
-
 def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarray:
     """avg_penalty of each row of an (N, B) array of monotone thresholds.
 
     Unlike batch_metrics this does not raise when a policy's metrics leave
     double range: its entry is inf, so a search can pass over it.
     """
-    averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[-1]
-    return np.where(np.isfinite(averages[:, 1]), averages[:, 1], np.inf)
+    taus = np.asarray(thresholds, dtype=float)
+    moments, _, _, _, weighted, averages = _evaluate(params, taus, p)
+    finite = np.isfinite(averages[:, 1])
+    if not finite.all():
+        _certain(params.mu_h, taus, p, moments, weighted, averages)
+        finite = np.isfinite(averages[:, 1])
+    return np.where(finite, averages[:, 1], np.inf)
 
 
 def batch_metrics(
@@ -231,11 +293,12 @@ def batch_metrics(
     them is outside double range.
     """
     taus = np.asarray(thresholds, dtype=float)
-    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = _in_time_units(weighted, params.mu_h)
+    p = p or PenaltySpec.identity()
+    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p)
     if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
-        raise OverflowError(_RANGE_ERROR)
+        _certain(params.mu_h, taus, p, moments, weighted, averages)
+        if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
+            raise OverflowError(_RANGE_ERROR)
     return BatchMetrics(
         m1=weighted[:, 0],
         m2=weighted[:, 1],
@@ -251,13 +314,15 @@ def policy_metrics(
 ) -> PolicyMetrics:
     """Long-run average age and age-penalty of a monotone threshold policy: the batch of one."""
     taus = np.array([policy.thresholds], dtype=float)
-    moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
-    mu = params.mu_h
-    w1, w2, w3 = weighted[0].tolist()
-    m1, m2, epx = w1 / mu, w2 / mu / mu, w3 / mu
-    avg_age, avg_penalty = averages[0].tolist()
-    if not all(map(math.isfinite, (m1, m2, epx, avg_age, avg_penalty))):
-        raise OverflowError(_RANGE_ERROR)
+    p = p or PenaltySpec.identity()
+    moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p)
+    values = weighted[0].tolist() + averages[0].tolist()
+    if not all(map(math.isfinite, values)):
+        _certain(params.mu_h, taus, p, moments, weighted, averages)
+        values = weighted[0].tolist() + averages[0].tolist()
+        if not all(map(math.isfinite, values)):
+            raise OverflowError(_RANGE_ERROR)
+    m1, m2, epx, avg_age, avg_penalty = values
     moments.setflags(write=False)
     return PolicyMetrics(
         m1=m1,

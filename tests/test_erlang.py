@@ -90,6 +90,16 @@ class TestSurvivalWeightedIntegral:
         assert survival_weighted_integral(ErlangKernel(1.0, 3), 1.2, 1.2, 1) == 0.0
         assert survival_weighted_integral(ErlangKernel(1.0, 0), 0.0, INF, 0) == 0.0
 
+    def test_scales_with_the_rate(self):
+        # int_a^b x^d Pr(Y > x) dx at rate mu is mu^-(d+1) times the unit-rate
+        # integral over [mu a, mu b); past double range it is 0 (about 1e-900
+        # at mu = 1e300), with no exception from mu^-(d+1) alone
+        want = survival_weighted_integral(ErlangKernel(1.0, 2), 0.5, 2.0, 2)
+        for mu in (1e-100, 1e-50, 1e50, 1e100):
+            got = survival_weighted_integral(ErlangKernel(mu, 2), 0.5 / mu, 2.0 / mu, 2)
+            assert got * mu**3 == pytest.approx(want, rel=1e-14)
+        assert survival_weighted_integral(ErlangKernel(1e300, 2), 0.0, 1.0, 2) == 0.0
+
     def test_invalid_interval(self):
         with pytest.raises(InvalidInterval):
             survival_weighted_integral(ErlangKernel(1.0, 1), 2.0, 1.0, 0)

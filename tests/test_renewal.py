@@ -81,44 +81,49 @@ class TestConditionalMoments:
     def test_moment_inequalities(self):
         params, pol = make(1.2, [1.9, 1.3, 0.8, 0.8])
         cm = conditional_moments(params, pol, IDENT)
-        # From the last state, where tau_{B-1} = tau_B, X = tau_B exactly and
-        # both hold with equality; the moments are taken at z = mu tau and
-        # divided by mu at the end, a few roundings each, so 4 ulps.
-        slack = 1.0 - 4.0 * np.finfo(float).eps
-        assert np.all(cm.ex >= pol.tau_full * slack)
-        assert np.all(cm.ex2 >= cm.ex**2 * slack)
+        assert np.all(cm.ex >= pol.tau_full)
+        assert np.all(cm.ex2 >= cm.ex**2)
 
 
 def per_piece_moments(params, policy, p):
     """Each start state's moments, added up one integral at a time.
 
-    threshold_integrals gives, at the unit-rate thresholds z = mu tau and
-    for each exponent e of 1, z and p's term c z^e, the head on [0, z_B) and
-    every Poisson term v of every piece m. State j adds the head, then the
-    terms of shortfall d = m - v from d = B down to j + 1, each shortfall's
-    in ascending v: the evaluator's running sum. The rate enters once, at
-    the end: E[X|j] is the sum of 1's row over mu, E[X^2|j] twice z's over
-    mu twice, and E[P(X)|j] c mu^-e times z^e's over mu; so the evaluator's
-    moments must match bitwise.
+    The evaluator takes them at rate rho = 2^a (rho = 1 at every rate
+    here), mu = m rho.
+    threshold_integrals gives, at the thresholds z = mu tau and for each
+    exponent e of 1, x and p's term c x^e, every Poisson term v of every
+    piece m at rate 1; at rate rho each is that times m^-(e+1). State j
+    adds the head int_0^{rho tau_B} z^e dz, then the terms of shortfall
+    d = m - v from d = B down to j + 1, each shortfall's in ascending v:
+    the evaluator's running sum. E[X|j] is the sum of 1's row over rho,
+    E[X^2|j] twice x's over rho^2, and E[P(X)|j] c rho^-e times x^e's over
+    rho, the powers of two applied by ldexp; so the evaluator's moments
+    must match bitwise.
     """
     mu, B = params.mu_h, params.battery
     [(c, e)] = p.terms  # one penalty term: E[P(X)] is its row alone
+    a = math.frexp(mu)[1] - 1
+    a = a if abs(a) > 64 else 0
+    t = math.ldexp(policy.thresholds[-1], a)
     table = gamma_table(mu * np.array([policy.thresholds]), (0.0, 1.0, e))
     J = threshold_integrals(table)[0]
     column = {(m, v): 1 + i for i, (m, v) in enumerate(zip(*piece_orders(B)))}
-    sums = []
-    for row in J:
+    # m^-(e+1) of every exponent from one numpy power, as the evaluator takes them
+    factors = math.ldexp(mu, -a) ** -(np.array(table.layout.exponents)[:, None] + 1.0)
+    sums = {}
+    for power, row, (factor,) in zip(table.layout.exponents, J, factors):
         acc = []
         for j in range(B):
-            total = row[0]
+            total = t * (t**power * (1.0 / (power + 1.0)))
             for d in range(B, j, -1):
                 for v in range(B - d + 1):
-                    total += row[column[d + v, v]]
+                    total += row[column[d + v, v]] * factor
             acc.append(total)
-        sums.append(acc)
-    row = table.layout.exponents.index
+        sums[power] = acc
+    w = math.floor(-a * e)
+    c *= 2.0 ** (-a * e - w)
     return [
-        (sums[0][j] / mu, sums[row(1.0)][j] * 2.0 / mu / mu, sums[row(e)][j] * (c * mu**-e) / mu)
+        (math.ldexp(sums[0.0][j], -a), math.ldexp(sums[1.0][j] * 2.0, -2 * a), math.ldexp(sums[e][j] * c, w - a))
         for j in range(B)
     ]
 
@@ -151,8 +156,8 @@ class TestPrefixRows:
 class TestOverflow:
     def test_outside_double_range_raises_without_warnings(self):
         # m2 is about 1e600, while the averages, about 1e300, are in range:
-        # the evaluator takes them from the unit-rate sums (z = 1, 0.1), and
-        # raises for the moment it reports
+        # the evaluator takes them from the sums at rate 2^-997 (about mu),
+        # and raises for the moment it reports
         params, pol = make(1e-300, [1e300, 1e299])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -189,6 +194,26 @@ class TestBatch:
             assert tuple(zip(*b.moments[n].tolist())) == m.per_state
             assert tuple(b.pi[n].tolist()) == m.pi
 
+    @pytest.mark.parametrize(
+        "mu,taus,certain",
+        [
+            # tau_B = 0.5 is past CERTAIN at unit rate, where the head leaves
+            # double range at rate 2^996, and X = tau_B; the others are taken
+            # at that rate
+            (1e300, [[1.0, 0.5, 0.5], [3e-300, 2e-300, 5e-301], [1e10, 1e-100, 0.0]], [0]),
+            (1e-150, [[3e150, 2e150, 5e149], [1e150, 1e150, 1e150]], []),
+        ],
+    )
+    def test_fields_match_policy_metrics_at_extreme_rates(self, mu, taus, certain):
+        params, p = SystemParams(mu_h=mu, battery=3), PenaltySpec.power(0.5)
+        b = batch_metrics(params, taus, p)
+        for n, row in enumerate(taus):
+            m = policy_metrics(params, Policy(tuple(row)), p)
+            got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
+            assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
+            assert tuple(zip(*b.moments[n].tolist())) == m.per_state
+        for n in certain:
+            assert b.avg_age[n] * 2.0 == taus[n][-1] and b.m2[n] == taus[n][-1] ** 2
 
 class TestPolicyMetrics:
     def test_b2_table_row(self):

@@ -73,3 +73,30 @@ def test_evaluate_scales_with_the_rate(capsys, mu, battery, thresholds):
     assert relative(got["avg_penalty"] * mu, ref["avg_penalty"]) <= TOL
     assert relative(got["m1"] * mu, ref["m1"]) <= TOL
     assert got["stationary"] == pytest.approx(ref["stationary"], rel=TOL)
+
+
+EXACT = [
+    # mu tau_B is past 1e154, where the head z_B^2 / 2 at unit rate would
+    # leave double range, while the answer (X = tau_B from every state) is
+    # in it; at 1e10 the unit-rate threshold itself is past the largest double
+    (["--mu", "1e300", "--battery", "2", "--thresholds", "1,0.5"], {"avg_age": 0.25, "m1": 0.5, "m2": 0.25}),
+    (["--mu", "1e300", "--battery", "1", "--thresholds", "1e10"], {"avg_age": 5e9, "m1": 1e10, "m2": 1e20}),
+    # the unit-rate coefficient mu^-3 is 1e-330 (past double range) and
+    # 1e-315 (subnormal), while E[P(X)] = tau^4 / 4 and the averages are not
+    (
+        ["--mu", "1e110", "--battery", "1", "--thresholds", "1e-40", "--penalty", "power", "--exponent", "3"],
+        {"avg_penalty": 2.5e-121, "m1": 1e-40, "m2": 1e-80},
+    ),
+    (
+        ["--mu", "1e105", "--battery", "1", "--thresholds", "1e-40", "--penalty", "power", "--exponent", "3"],
+        {"avg_penalty": 2.5e-121, "m1": 1e-40, "m2": 1e-80},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,want", EXACT, ids=["head-1e300", "inf-threshold", "coef-1e-330", "coef-1e-315"])
+def test_evaluate_answers_where_the_answer_is_in_range(capsys, argv, want):
+    assert cli.main(["evaluate", *argv]) == 0
+    got = json.loads(capsys.readouterr().out)
+    for key, value in want.items():
+        assert relative(got[key], value) <= TOL
