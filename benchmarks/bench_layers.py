@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_12.json]
+        [--rounds 10] [--out BENCH_14.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -42,6 +42,12 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
+    cold_s, cold_rss_mb
+                       wall seconds and peak resident set size (MB, the
+                       whole process) of one cold policy_metrics call with
+                       the identity penalty, per battery size in
+                       COLD_BATTERIES, each in a fresh interpreter that
+                       imports the package and runs that one call
     cycles_per_s       simulator kernel throughput (the active run_cycles, L4),
                        per battery size: KERNEL_CYCLES cycles from an empty
                        battery on a stratified policy (the k-th smallest
@@ -74,6 +80,7 @@ from pathlib import Path
 
 BATTERIES = (1, 2, 4, 16, 32, 64, 128)
 RESIDUAL_BATTERIES = (128, 256, 512)
+COLD_BATTERIES = (256, 512, 1024, 2048)
 STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_CYCLES = 200_000
@@ -100,8 +107,33 @@ def _import_s(src: str) -> float:
     return statistics.median(times)
 
 
+# One cold policy_metrics in a fresh interpreter: its wall seconds and the
+# process's peak RSS in MB (ru_maxrss is in KB on Linux).
+COLD = """
+import resource, sys, time
+import numpy as np
+from aoiharvest.model import Policy, SystemParams
+from aoiharvest.renewal import policy_metrics
+b = int(sys.argv[1])
+rng = np.random.default_rng(b)
+policy = Policy(tuple(float(t) for t in sorted(rng.uniform(0.0, 4.0, b), reverse=True)))
+t0 = time.perf_counter()
+policy_metrics(SystemParams(1.0, b), policy)
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def _cold(src: str, battery: int) -> tuple[float, float]:
+    """Seconds and peak RSS (MB) of one cold policy_metrics at this battery size."""
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", COLD, str(battery)], env=env, check=True, capture_output=True, text=True)
+    seconds, rss = map(float, done.stdout.split())
+    return seconds, rss
+
+
 def child(src: str) -> dict:
     import_s = _import_s(src)
+    cold = {str(b): _cold(src, b) for b in COLD_BATTERIES}
     sys.path.insert(0, src)
     import numpy as np
 
@@ -126,6 +158,8 @@ def child(src: str) -> dict:
             return gamma_table(1.0, taus, terms)
 
     out = {"kernel": simulator.KERNEL, "import_s": import_s}
+    out["cold_s"] = {b: seconds for b, (seconds, _) in cold.items()}
+    out["cold_rss_mb"] = {b: rss for b, (_, rss) in cold.items()}
     for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us"):
         out[key] = {}
     for b in BATTERIES:
@@ -206,7 +240,7 @@ def _source_digest(src: str) -> str:
 def _metrics(result: dict) -> dict:
     flat = {"import_s": result["import_s"]}
     keys = ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us")
-    for key in keys + ("stationary_us", "bellman_residual"):
+    for key in keys + ("stationary_us", "bellman_residual", "cold_s", "cold_rss_mb"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
     for key in ("step_us", "evaluations"):
         for name, per_battery in result[key].items():
@@ -221,7 +255,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_12.json")
+    ap.add_argument("--out", default="BENCH_14.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -44,21 +44,31 @@ loses digits; past 745 it is 0 and so is every Q(s, x), where the true
 value is below 1e-160 for s <= 135.
 
 The array work is division, running products and sums along the terms
-(which numpy adds in order), subtraction and gathers, each rounded once
-per element, so its results do not depend on how many policies share a
-call. e^{-x} and x^f come from libm one at a time: numpy's exp and pow
+(which numpy adds in order), subtraction and strided reads, each rounded
+once per element, so its results do not depend on how many policies share
+a call. e^{-x} and x^f come from libm one at a time: numpy's exp and pow
 can run vector code that differs from libm in the last bit on some inputs
 (about one in twenty for exp), and which code runs may depend on the
 array. So a batch of policies gets bitwise the table each policy gets
 alone.
 
-threshold_integrals differences each piece between two thresholds on its
-own: in upper tails Q once a >= e+v+1, where P rounds toward 1, and in
-lower tails P below that. Adding up whole tails instead (telescoping)
-cancels digits the accuracy contract needs. The same table's exponent-0
-entries are the Erlang CDFs at the thresholds, Pr(Y_n <= z) = P(n, z),
-which threshold_cdfs gathers for the battery chain, and its upper tails
-Q(1, z) = e^{-z} are the chain's down-rates, which down_rates gathers.
+The table is the recurrence's working block itself, read by slices and
+strided views and never gathered. values[n, 0, g, i, origin + r] is
+Q(f_g + r, z_i) and values[n, 1, g, i, origin + r] is P(f_g + r, z_i),
+for each fractional part f_g, each threshold z_i (z_0 = inf first, where
+Q = 0 and P = 1) and each row r < R; below row 0, P is 1, the CDF of Y_n
+for n <= 0. Piece m = [z_m, z_{m-1}) is the difference of threshold rows
+m and m-1, and orders v = 0..B-1 of exponent e = n + f are rows
+n+1..n+B of f. threshold_integrals differences each piece on its own: in
+upper tails Q once a >= e+v+1, where P rounds toward 1, and in lower
+tails P below that. Adding up whole tails instead (telescoping) cancels
+digits the accuracy contract needs. It lays the terms out by shortfall
+m - v, the order in which renewal adds them up, through a sheared view of
+the differences over a zero-padded buffer. threshold_cdfs reads the
+Erlang CDFs at the thresholds, Pr(Y_n <= z) = P(n, z), for the battery
+chain as the same kind of shear of the exponent-0 rows, and down_rates
+the upper tails Q(1, z) = e^{-z}, the chain's down-rates, as one slice.
+A layout holds O(B) numbers: no index array is built.
 """
 
 from __future__ import annotations
@@ -124,54 +134,25 @@ def erlang_cdf(k: ErlangKernel, x: float) -> float:
     return 1.0 - erlang_survival(k, x)
 
 
-@lru_cache(maxsize=32)
-def piece_orders(battery: int) -> tuple[np.ndarray, np.ndarray]:
-    """Piece m and order v of the Poisson terms in threshold_integrals.
-
-    Every piece m = 1..B with every order v < m, sorted by descending
-    shortfall m - v (then by v): a start state j <= B - 1 sees the term v
-    on piece m exactly when m - v > j.
-    """
-    k, v = np.divmod(np.arange(battery * battery), battery)
-    d = battery - k
-    keep = v + d <= battery
-    m, v = v[keep] + d[keep], v[keep]
-    m.setflags(write=False)
-    v.setflags(write=False)
-    return m, v
-
-
 @dataclass(frozen=True)
 class _Layout:
-    """Index arrays of a gamma table for one battery size and exponent list.
+    """Shapes and constants of the gamma tables of one battery size and
+    exponent list, O(B) numbers in all: the table's shape and row origin
+    (module docstring; its G fractional parts f increase, 0 first), and the
+    views that threshold_integrals and threshold_cdfs read."""
 
-    The table holds Q and P, for each distinct exponent (0 among them) and
-    each point k of (inf, z_1..z_B), at the orders v <= min(k, B-1)
-    that the pieces ending there need; piece m runs from z_m (lo) to
-    z_{m-1} (hi). Flat indices address the table as (Q, P) blocks. The
-    integrals' column 0, the head, repeats piece 1 until it is overwritten.
-
-    gamma_table computes Q(f + r, x) and P(f + r, x) for each distinct
-    fractional part f of the exponents, each threshold and the rows
-    r < R, and gathers the table from them: exponent e = n + f, order v
-    is row n + v + 1. Row 0 of f = 0 is Q = 0, P = 1, which z_0 = inf takes.
-    """
-
-    exponents: tuple  # the distinct exponents e, increasing, 0 first: one row of the table and integrals each
-    s: np.ndarray  # (U, L) shape parameter e + v + 1 per distinct exponent
-    pairs: np.ndarray  # (2, 2, U, 1+M) flat: (Q at lo, P at hi) minus (Q at hi, P at lo)
-    lo: np.ndarray  # (1, 1+M) threshold column of every piece's lo
-    lo_s: np.ndarray  # (U, 1+M) shape parameter at lo
-    poch: np.ndarray  # (U, 1+M) poch(v+1, e)
+    exponents: tuple  # the distinct exponents e, increasing, 0 first: one row of the integrals each
+    poch: np.ndarray  # (U, 1, B) poch(v+1, e)
     head_scale: np.ndarray  # (U,) 1 / (e+1)
     head_power: np.ndarray  # (U,) e
-    cdf: np.ndarray  # (B, B+1) flat index of Pr(Y_{1+i-j} <= z_i), then 0
-    down: np.ndarray  # (B,) flat index of Q(1, z_k), z_0 = inf
     fracs: tuple  # (f, Gamma(f+1)) of each fractional part f > 0 of the exponents
     den: np.ndarray  # (G, 1, W-1) f + w: the ratios u_w / u_{w-1} are x / (f + w)
     s_row: np.ndarray  # (G, 1, R) f + r: P(f + r, x) is the tail sum where x < f + r
-    block: tuple  # (2, G, B, W+1), gamma_table's working block of one policy
-    flat: np.ndarray  # (2, U, L) index of each table entry in that block
+    origin: int  # index of row 0; the P rows below it, down to order 2 - B, are 1
+    block: tuple  # (2, G, B+1, origin + W+1), the table of one policy
+    pieces: tuple  # (2B-1, R-1, G), threshold_integrals' differences of one policy: B pieces, then zeros
+    shears: tuple  # (first, count, shape, byte offset, byte strides) of threshold_integrals' views, per run
+    cdf_shear: tuple  # (shape, byte offset, byte strides) of threshold_cdfs' view of the table
 
 
 def _tail_terms(a: float) -> int:
@@ -232,67 +213,65 @@ def _layout(battery: int, exponents: tuple[float, ...]) -> _Layout:
         # _poch would multiply floor(e) factors per order and the block below
         # would hold about e terms per threshold, to end in this same error
         raise OverflowError(_RANGE_ERROR)
-    counts = np.minimum(np.arange(battery + 1), battery - 1) + 1  # orders tabled at point k
-    point = np.repeat(np.arange(battery + 1), counts)
-    start = np.cumsum(counts) - counts  # table entry of (k, 0)
-    order = np.arange(len(point)) - start[point]
-    m, v = piece_orders(battery)
-    m, v = np.append(1, m), np.append(0, v)  # the head's column, overwritten
-    width = len(point)
-    rows = np.arange(len(distinct))[:, None] * width
-    lo = rows + start[m] + v
-    hi = rows + start[m - 1] + v
-    p_block = len(distinct) * width
-    e = np.asarray(distinct)[:, None]
-    # C[j, i] for i < B: P(1+i-j, z_i) of exponent 0, and P(1, inf) = 1
-    # where the order is <= 0 or z_i = z_0; C[j, B] = Q(1, inf) = 0. Exponent
-    # 0 is the first row.
-    j, i = np.indices((battery, battery + 1))
-    cdf = np.where((j <= i) & (i >= 1), start[np.minimum(i, battery)] + i - j, 0) + p_block
-    cdf[:, battery] = 0
-    # Q(1, z_k) of exponent 0 at points k < B; Q(1, inf) = 0 at z_0.
-    down = start[:battery]
     # Rows r < R of Q(f + r) and P(f + r) for each fractional part f, from
     # the terms u_w, w < W: enough for every tail sum to be within ULP, and
-    # for P(f, x), f > 0, below SWITCH. Exponent n + f, order v reads row
-    # n + v + 1 of f at its threshold; z_0 reads row 0 of f = 0.
+    # for P(f, x), f > 0, below SWITCH.
     whole = [math.floor(d) for d in distinct]
     fracs = sorted({d - n for d, n in zip(distinct, whole)})
     n_rows = max(whole) + battery + 1
     n_terms = max(n_rows - 1 + _tail_terms(f + n_rows - 1) for f in fracs)
     n_terms = max([n_terms] + [_switch_terms(f) for f in fracs[1:]])
-    depth = n_terms + 1
-    part = np.array([fracs.index(d - n) for d, n in zip(distinct, whole)])[:, None]
-    finite = point > 0
-    cell = np.where(finite, part * battery + point - 1, 0)
-    row = np.where(finite, np.array(whole)[:, None] + order + 1, 0)
-    entry = cell * depth + row
+    origin = max(battery - 2, 0)
+    depth = origin + n_terms + 1
+    # Row n + 1 + v of part g on piece m of threshold_integrals' differences
+    # (N, 2B-1, R-1, G) is entry (m-1) L + k + v G, L = (R-1) G and k = n G + g
+    # the exponent's key: term v of shortfall B - r, on piece B - r + v, is
+    # [n, r, v] of a view with strides (-L, L + G), one view for each run of
+    # exponents whose keys are evenly spaced.
+    b, parts, width = battery, len(fracs), (n_rows - 1) * len(fracs)
+    slab = parts * (b + 1) * depth  # the Q, or the P, of one policy
+    keys = [n * parts + fracs.index(d - n) for d, n in zip(distinct, whole)]
+    runs = []  # (first exponent, count, first key, step)
+    for u, key in enumerate(keys):
+        if runs and (runs[-1][1] == 1 or key == runs[-1][2] + runs[-1][1] * runs[-1][3]):
+            first, count, start, step = runs[-1]
+            runs[-1] = (first, count + 1, start, key - start if count == 1 else step)
+        else:
+            runs.append((u, 1, key, 1))
+    item = np.dtype(float).itemsize
+
+    def view(shape, start, *steps):  # shape, offset and strides in bytes of a view of (N, ...)
+        return shape, start * item, tuple(s * item for s in steps)
+
+    e = np.asarray(distinct)
     f_col = np.asarray(fracs)[:, None, None]
     return _Layout(
         exponents=tuple(distinct),
-        s=e + order + 1.0,
-        pairs=np.stack(((lo, hi + p_block), (hi, lo + p_block))),
-        lo=(m - 1)[None],
-        lo_s=e + v + 1.0,
-        poch=np.array([_poch(battery, x) for x in distinct])[:, v],
-        head_scale=(1.0 / (e + 1.0))[:, 0],
-        head_power=e[:, 0],
-        cdf=cdf,
-        down=down,
+        poch=np.array([_poch(battery, x) for x in distinct])[:, None],
+        head_scale=1.0 / (e + 1.0),
+        head_power=e,
         fracs=tuple((f, math.gamma(1.0 + f)) for f in fracs[1:]),
         den=f_col + np.arange(1.0, n_terms),
         s_row=f_col + np.arange(float(n_rows)),
-        block=(2, len(fracs), battery, depth),
-        flat=np.stack((entry, entry + len(fracs) * battery * depth)),
+        origin=origin,
+        block=(2, parts, battery + 1, depth),
+        pieces=(2 * battery - 1, n_rows - 1, parts),
+        shears=tuple(
+            (u, count, *view((count, b, b), (b - 1) * width + key, (2 * b - 1) * width, step, -width, width + parts))
+            for u, count, key, step in runs
+        ),
+        # C[j, i] = P(1+i-j, z_i), i < B: row origin + 1 + i - j of the exponent-0 P at threshold i
+        cdf_shear=view((b, b), slab + origin + 1, 2 * slab, -1, depth + 1),
     )
 
 
 class GammaTable(NamedTuple):
     """Regularized incomplete gammas at the thresholds of a batch of policies."""
 
-    values: np.ndarray  # (N, 2, U, L): Q, then P, at s = layout.s and z
+    values: np.ndarray  # (N,) + layout.block: Q, then P, per fractional part, threshold (inf first) and row
     z: np.ndarray  # (N, B) the thresholds at unit rate
     layout: _Layout
+    upper: np.ndarray  # (N, G, B, R) z_i >= f + r: there P is 1 - Q, and pieces from z_i up upper tails
 
 
 def _upper_fraction(f: float, x: float) -> float:
@@ -337,11 +316,15 @@ def gamma_table(z: np.ndarray, exponents) -> GammaTable:
         x = np.minimum(x, _BIG)
         xs = x.ravel().tolist()
     x = x.reshape(n, 1, b, 1)
-    rows = lay.s_row.shape[-1]
+    o, rows = lay.origin, lay.s_row.shape[-1]
+    # Q = 0 and P = 1 wherever the recurrence below does not write: at
+    # z_0 = inf, and below row 0, where the exponent-0 P(n, z) is 1 for n <= 0
+    values = np.zeros((n,) + lay.block)
+    values[:, 1] = 1.0
     # block[:, 0, k, i] holds Q(f_k, x_i) and then the terms u_0..u_{W-1},
     # block[:, 1, k, i] the tail sums P(f_k + r, x_i) = sum_{w >= r} u_w;
     # the first R entries of each become Q(f_k + r, x_i) and P(f_k + r, x_i).
-    block = np.zeros((n,) + lay.block)
+    block = values[:, :, :, 1:, o:]
     decay = [math.exp(-t) for t in xs]
     block[:, 0, 0, :, 1].flat = decay
     for k, (f, g1) in enumerate(lay.fracs, 1):
@@ -355,9 +338,9 @@ def gamma_table(z: np.ndarray, exponents) -> GammaTable:
     q = block[:, 0, :, :, :rows]
     np.add.accumulate(q, axis=-1, out=q)
     # P is the tail sum where x < s, where it can be small, and 1 - Q elsewhere.
-    np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=x >= lay.s_row)
-    values = block.reshape(n, -1).take(lay.flat, axis=-1)
-    return GammaTable(values, z, lay)
+    upper = x >= lay.s_row
+    np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=upper)
+    return GammaTable(values, z, lay, upper)
 
 
 def _fractional_base(block, xs, top, fracs):
@@ -374,53 +357,79 @@ def _fractional_base(block, xs, top, fracs):
                     qf[i // b, k, i % b] = base[i // b, k, i % b] * _upper_fraction(f, t)
 
 
-def threshold_integrals(table: GammaTable, head: np.ndarray | None = None) -> np.ndarray:
+def threshold_integrals(
+    table: GammaTable, head: np.ndarray | None = None, scale: np.ndarray | None = None
+) -> np.ndarray:
     """Every integral the conditional moments add up, for every exponent.
 
     With z_0 = inf, piece m is [z_m, z_{m-1}). Returns J of shape
-    (N, U, 1 + M), U the number of distinct exponents (table.layout.exponents)
-    and M = B(B+1)/2. Column 0 is the head [0, h), h = z_B unless the
-    (N, 1) array head gives another end, where every start state's
+    (N, U, 1 + B^2), U the number of distinct exponents
+    (table.layout.exponents). Column 0 is the head [0, h), h = z_B unless
+    the (N, 1) array head gives another end, where every start state's
     survival is 1:
 
         J[n, u, 0] = int_0^h z^e_u dz,
 
     computed as h * (1 / (e_u+1) * h^e_u), which keeps z and z^2 / 2
-    exact. Column 1 + i is the Poisson term v on piece m of entry i of
-    piece_orders(B), clamped at zero:
+    exact. The other columns are the Poisson terms by shortfall d = m - v:
+    row r = B - d of a (B, B) grid holds shortfall d's terms in ascending
+    order v, clamped at zero, and zeros past its last, v = r:
 
-        J[n, u, 1 + i] = 1 / v! int_{piece m} z^(e_u + v) e^{-z} dz.
+        J[n, u, 1 + r B + v] = scale_u / v! int_{piece B-r+v} z^(e_u + v) e^{-z} dz,
+
+    scale, a (U,) array, 1 where it is None. Start state j adds the head
+    and the rows of shortfall d > j, so one running sum along a row of J,
+    read at column (B - j) B, gives every state.
+
+    Piece m of order v is the difference of threshold rows m and m-1 of
+    the table at its order's row: one array of differences, B pieces long
+    and padded with B-1 pieces of zeros, then sheared views of it, one per
+    run of exponents (_Layout.shears), times poch(v+1, e) scale_u.
     """
-    values, z, lay = table
-    ends = values.reshape(len(z), -1).take(lay.pairs, axis=-1)
-    diff = ends[:, 0] - ends[:, 1]
-    d = diff[:, 1]  # lower tails before the mode, upper tails past it
-    np.copyto(d, diff[:, 0], where=z.take(lay.lo, axis=-1) >= lay.lo_s)
+    values, z, lay = table.values, table.z, table.layout
+    n, b = z.shape
+    o = lay.origin
+    rows = values[..., o + 1:o + lay.s_row.shape[-1]]  # rows 1..R-1 of Q and P
+    diff = np.zeros((n,) + lay.pieces)
+    d = diff[:, :b].transpose(0, 3, 1, 2)
+    np.subtract(rows[:, 1, :, :-1], rows[:, 1, :, 1:], out=d)  # lower tails before the mode
+    np.subtract(rows[:, 0, :, 1:], rows[:, 0, :, :-1], out=d, where=table.upper[..., 1:])  # upper tails past it
     np.maximum(d, 0.0, out=d)
-    d *= lay.poch
+    coef = lay.poch if scale is None else lay.poch * scale[:, None, None]
+    J = np.empty((n, len(coef), 1 + b * b))
+    terms = J[:, :, 1:].reshape(n, -1, b, b)
+    for u, count, shape, offset, strides in lay.shears:
+        # numpy refuses a view that would reach outside diff
+        view = np.ndarray((n,) + shape, float, diff, offset, strides)
+        np.multiply(view, coef[u:u + count], out=terms[:, u:u + count])
     h = z[:, -1:] if head is None else head
     rise = h**lay.head_power
     rise *= lay.head_scale
-    np.multiply(h, rise, out=d[..., 0])
-    return d
+    np.multiply(h, rise, out=J[..., 0])
+    return J
 
 
 def threshold_cdfs(table: GammaTable) -> np.ndarray:
     """C[n, j, i] = Pr(Y_{1+i-j} <= z_i) for i < B, with z_0 = inf, and C[n, j, B] = 0.
 
-    Shape (N, B, B+1): the exponent-0 entries of the table, gathered.
+    Shape (N, B, B+1): P(1+i-j, z_i) of exponent 0, a sheared view of its
+    rows at the thresholds z_0..z_{B-1}, where the rows below 0 give 1.
     """
-    return table.values.reshape(len(table.z), -1).take(table.layout.cdf, axis=-1)
+    n, b = table.z.shape
+    shape, offset, strides = table.layout.cdf_shear
+    c = np.zeros((n, b, b + 1))
+    c[..., :b] = np.ndarray((n,) + shape, float, table.values, offset, strides)  # bounds-checked by numpy
+    return c
 
 
 def down_rates(table: GammaTable) -> np.ndarray:
     """Q[n, k] = Pr(Y_1 > z_k) = Q(1, z_k), with z_0 = inf, so Q[n, 0] = 0.
 
-    Shape (N, B): the upper tails of the table's exponent-0 entries, read
-    as such rather than as 1 - P, so that they keep their relative
-    accuracy where they are small.
+    Shape (N, B): a copy of the exponent-0 upper tails at row 1, read as
+    such rather than as 1 - P, so that they keep their relative accuracy
+    where they are small.
     """
-    return table.values.reshape(len(table.z), -1).take(table.layout.down, axis=-1)
+    return table.values[:, 0, 0, : table.z.shape[1], table.layout.origin + 1].copy()
 
 
 def _check_interval(a: float, b: float):
@@ -436,10 +445,9 @@ def _interval_integral(mu: float, a: float, b: float, terms, order: int) -> floa
     last, by ldexp, so a term leaves double range only where it does."""
     z = np.full((1, order + 1), mu * float(b))
     z[0, -1] = mu * a
-    m, v = piece_orders(order + 1)
     table = gamma_table(z, [e for _, e in terms])
-    J = threshold_integrals(table)[0, :, 1:]
-    pieces = J[:, (m == order + 1) & (v < order)].sum(axis=1).tolist()
+    # order v on the last piece has shortfall order + 1 - v: column 1 + v (order + 2)
+    pieces = threshold_integrals(table)[0, :, 1::order + 2][:, :order].sum(axis=1).tolist()
     row = table.layout.exponents.index
     k = math.frexp(mu)[1] - 1
     scale = math.ldexp(mu, -k)

@@ -34,10 +34,11 @@ over every piece, one row per distinct exponent, from one table of
 incomplete gammas at the unit-rate thresholds, the table whose exponent-0
 entries also give the battery chain (erlang.threshold_cdfs). Start state
 j thus collects the head and exactly the terms whose shortfall m - v
-exceeds j: with the terms in descending shortfall, one running sum, read
-where each state's terms end, gives every state at once. That is O(B^2) numpy work with no loop over states or
-pieces. Every array carries a leading policy axis, so one call evaluates a
-batch of policies (batch_metrics); policy_metrics is the batch of one.
+exceeds j. The integrals come in descending shortfall, so one running
+sum, read where each state's terms end, gives every state at once. That
+is O(B^2) numpy work, with no loop over states or pieces. Every array
+carries a leading policy axis, so one call evaluates a batch of policies
+(batch_metrics); policy_metrics is the batch of one.
 Long-run averages are stationary mixtures of the per-state moments; the
 average penalty is the renewal-reward ratio E[P(X)] / E[X] (for identity
 penalty this is the classic E[X^2] / 2 E[X] average age).
@@ -114,31 +115,17 @@ _RATIO = np.array([2.0, 1.0])  # avg_age = m2 / (2 m1), avg_penalty = E[P(X)] / 
 @lru_cache(maxsize=32)
 def _rows(p_powers: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
     """The distinct exponents e of the integrands 1, x and p's terms
-    (p_powers = p.exponents), increasing (0 first); -(e+1) of each, as a
-    column; the rows of 1, x and p's first term among them, which give the
-    three moments; and the rows of p's other terms. Keyed by the exponents
-    alone, never by a coefficient or a rate."""
+    (p_powers = p.exponents), increasing (0 first); -(e+1) of each; the
+    rows of 1, x and p's first term among them, which give the three
+    moments; and the rows of p's other terms. Keyed by the exponents alone,
+    never by a coefficient or a rate."""
     exponents = tuple(sorted({0.0, 1.0, *p_powers}))
     row = exponents.index
-    powers = -(np.array(exponents)[:, None] + 1.0)
+    powers = -(np.array(exponents) + 1.0)
     first = np.array([0, row(1.0), row(p_powers[0])])
     powers.setflags(write=False)
     first.setflags(write=False)
     return exponents, powers, first, tuple(map(row, p_powers[1:]))
-
-
-@lru_cache(maxsize=32)
-def _state_ends(battery: int) -> np.ndarray:
-    """Column of threshold_integrals' running sum that ends each start state's terms.
-
-    State j adds the head and the Poisson terms of shortfall m - v > j, which
-    come first in piece_orders' descending-shortfall order: shortfall d has
-    B - d + 1 terms, so (B-j)(B-j+1)/2 of them.
-    """
-    k = battery - np.arange(battery)
-    ends = k * (k + 1) // 2
-    ends.setflags(write=False)
-    return ends
 
 
 def _rate_exponent(mu: float) -> int:
@@ -174,19 +161,21 @@ def _rated_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTa
     One running sum along each exponent's row of threshold_integrals, the
     head first and then the Poisson terms from the largest shortfall down,
     read at the end of each state's terms. Each row is at rate rho: its
-    Poisson terms are those at rate 1 times m^-(e+1), and its head
-    int_0^{rho tau_B} z^e dz, so that every factor rho^-(e+1) that takes
-    it to time units is a power of two. rho^2 E[X^2|j] is twice the row of
-    x, and rho E[P(X)|j] the sum over p's terms of c rho^-e times the row
-    of x^e (_rated_terms).
+    Poisson terms are those at rate 1 times m^-(e+1), folded into their
+    poch factors, and its head int_0^{rho tau_B} z^e dz, so that every
+    factor rho^-(e+1) that takes it to time units is a power of two.
+    rho^2 E[X^2|j] is twice the row of x, and rho E[P(X)|j] the sum over
+    p's terms of c rho^-e times the row of x^e (_rated_terms).
     """
     exponents, powers, first, others = _rows(p.exponents)
     a = _rate_exponent(mu)
     (c, w), *rest = _rated_terms(p, a)
+    m = math.ldexp(mu, -a)
     table = gamma_table(mu * taus, exponents)
-    J = threshold_integrals(table, np.ldexp(taus[:, -1:], a) if a else taus[:, -1:])
-    J[..., 1:] *= math.ldexp(mu, -a) ** powers
-    rows = np.add.accumulate(J, axis=-1).take(_state_ends(taus.shape[1]), axis=-1)
+    J = threshold_integrals(table, np.ldexp(taus[:, -1:], a) if a else taus[:, -1:], None if m == 1.0 else m**powers)
+    np.add.accumulate(J, axis=-1, out=J)
+    b = taus.shape[1]
+    rows = J[..., b * b:0:-b]  # state j's terms end with shortfall j + 1, at column (B - j) B
     rated = rows.take(first, axis=1)
     rated *= np.array([[1.0], [2.0], [c]])
     for r, (c, v) in zip(others, rest):

@@ -69,7 +69,12 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize(
         "mu,taus",
-        [(1.0, [1.5, 0.72]), (0.8, [2.0, 1.0, 1.0, 0.0]), (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2])],
+        [
+            (1.0, [1.5, 0.72]),
+            (0.8, [2.0, 1.0, 1.0, 0.0]),
+            (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
+            (1.0, [3.2 - 0.05 * k for k in range(64)]),
+        ],
     )
     def test_entries_are_cdf_differences_bitwise(self, mu, taus):
         # the same differences one entry at a time, Pr(Y_n <= tau) = P(n, mu tau)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -18,7 +19,6 @@ from aoiharvest.erlang import (
     erlang_survival,
     gamma_table,
     penalty_weighted_integral,
-    piece_orders,
     survival_weighted_integral,
     threshold_cdfs,
     threshold_integrals,
@@ -130,18 +130,22 @@ class TestSurvivalWeightedIntegral:
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def piece_orders(battery):
+    """Piece m and threshold_integrals column of every Poisson term v < m:
+    shortfall d = m - v fills row B - d of the (B, B) grid after the head."""
+    r, v = np.divmod(np.arange(battery * battery), battery)
+    keep = v <= r
+    return (battery - r + v)[keep], 1 + (r * battery + v)[keep]
+
+
 def piece_terms(mu, a, b, terms, orders):
     """The terms of orders v < `orders` on [a, b) at rate mu: threshold_integrals'
     terms on the last piece of the unit-rate thresholds mu (b, ..., b, a),
     orders + 1 of them, each exponent's row times c / mu^(e+1). Row r is term r."""
-    m, v = piece_orders(orders + 1)
     table = gamma_table(mu * np.array([[b] * orders + [a]], dtype=float), [e for _, e in terms])
-    J = threshold_integrals(table)[0, :, 1:]
-    last = m == orders + 1
-    out = np.zeros((len(terms), orders + 1))
-    for r, (c, e) in enumerate(terms):
-        out[r, v[last]] = c * J[table.layout.exponents.index(e), last] / mu ** (e + 1.0)
-    return out[:, :orders]
+    # order v on the last piece has shortfall orders + 1 - v: column 1 + v (orders + 2)
+    J = threshold_integrals(table)[0, :, 1::orders + 2]
+    return np.array([c * J[table.layout.exponents.index(e), :orders] / mu ** (e + 1.0) for c, e in terms])
 
 
 class TestWeightedPrefix:
@@ -160,10 +164,10 @@ class TestWeightedPrefix:
 
     def test_empty_interval_gives_exact_zeros(self):
         # tied thresholds make empty pieces, which renewal adds unconditionally
-        m, _ = piece_orders(6)
+        m, column = piece_orders(6)
         taus = np.array([[2.0, 0.7, 0.7, 0.7, 0.7, 0.7]])
         J = threshold_integrals(gamma_table(1.3 * taus, (0.5,)))
-        assert np.all(J[0, :, 1:][:, m > 2] == 0.0) and np.all(J[0, :, 1:][:, m <= 2] > 0.0)
+        assert np.all(J[0][:, column[m > 2]] == 0.0) and np.all(J[0][:, column[m <= 2]] > 0.0)
 
     def test_head_column_integrates_the_terms_below_tau_b(self):
         # column 0 is int_0^{z_B} z^e dz, one row per exponent; 1 and z give
@@ -267,12 +271,20 @@ class TestGammaTable:
     EXPONENTS = (0.0, 1.0, 0.5, 0.25, 2.5)
 
     @staticmethod
-    def points(table):
-        """z of each table entry, z_0 = inf first."""
-        N, B = table.z.shape
-        point = np.repeat(np.arange(B + 1), np.minimum(np.arange(B + 1), B - 1) + 1)
-        x = np.concatenate((np.full((N, 1), INF), table.z), axis=1)
-        return x[:, point]
+    def entries(table):
+        """s, z, Q and P of every entry threshold_integrals reads, each of
+        shape (N, U, B+1, B): exponent e = n + f (u), threshold z_i, z_0 = inf
+        first, and order v < B, row n + v + 1 of f, at s = e + v + 1."""
+        values, z, lay = table.values, table.z, table.layout
+        N, B = z.shape
+        points = np.concatenate((np.full((N, 1), INF), z), axis=1)
+        x = np.broadcast_to(points[:, None, :, None], (N, len(lay.exponents), B + 1, B))
+        s = np.broadcast_to(np.add.outer(lay.exponents, np.arange(1.0, B + 1.0))[None, :, None, :], x.shape)
+        fracs = [0.0] + [f for f, _ in lay.fracs]
+        start = [lay.origin + math.floor(e) + 1 for e in lay.exponents]
+        part = [fracs.index(e - math.floor(e)) for e in lay.exponents]
+        rows = np.stack([values[:, :, g, :, r:r + B] for g, r in zip(part, start)], axis=2)
+        return s, x, rows[:, 0], rows[:, 1]
 
     def test_entries_match_mpmath(self):
         # bound 1e-13 relative on every entry of a normal double
@@ -281,13 +293,10 @@ class TestGammaTable:
         for B, scale in ((1, 3.0), (2, 8.0), (4, 0.5), (4, 12.0), (8, 4.0), (16, 40.0), (16, 2.0)):
             taus = np.sort(rng.uniform(0.0, scale, (1, B)))[:, ::-1]
             table = gamma_table(taus, self.EXPONENTS)
-            points = np.broadcast_to(self.points(table)[0], table.layout.s.shape)
-            for (u, entry), x in np.ndenumerate(points):
+            for s, x, q, p in zip(*(a[0].ravel().tolist() for a in self.entries(table))):
                 if x == INF:
                     continue
-                q, p = table.values[0, :, u, entry]
                 with mpmath.workdps(50):
-                    s = table.layout.s[u, entry]
                     upper = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
                     lower = mpmath.gammainc(s, 0, x, regularized=True)
                     for got, want in ((q, upper), (p, lower)):
@@ -316,30 +325,32 @@ class TestGammaTable:
             assert np.array_equal(batch.values[n], gamma_table(mu * row[None], self.EXPONENTS).values[0])
         # Q(1, x) is the first term alone, e^{-x} from libm: numpy's vector
         # exp differs from it in the last bit on about one input in twenty
-        x = np.broadcast_to(self.points(batch)[:, None, :], batch.values[:, 0].shape)
-        first = (batch.layout.s == 1.0) & (x < INF)
-        assert batch.values[:, 0][first].tolist() == [math.exp(-t) for t in x[first].tolist()]
+        s, x, q, _ = self.entries(batch)
+        first = (s == 1.0) & (x < INF)
+        assert q[first].tolist() == [math.exp(-t) for t in x[first].tolist()]
 
     @pytest.mark.parametrize("B", [1, 2, 4, 16, 32])
     @pytest.mark.parametrize("exponents", [EXPONENTS[:2], EXPONENTS[:3]], ids=["id", "pow0.5"])
     def test_tail_sums_at_the_truncation_bound(self, B, exponents):
         # the series for P is cut where it is longest: every threshold just
         # below the top row's shape parameter; bound 5e-15 relative
-        top = float(gamma_table(np.zeros((1, B)), exponents).layout.s.max())
+        top = float(self.entries(gamma_table(np.zeros((1, B)), exponents))[0].max())
         x = float(np.nextafter(top, 0.0))
         table = gamma_table(np.full((1, B), x), exponents)
-        worst = 0.0
+        s, _, _, p = self.entries(table)
+        worst, want = 0.0, {}
         with mpmath.workdps(50):
-            for (u, entry), s in np.ndenumerate(table.layout.s[:, 1:]):
-                want = mpmath.gammainc(s, 0, x, regularized=True)
-                worst = max(worst, float(abs(table.values[0, 1, u, entry + 1] - want) / want))
+            for got, shape in zip(p[0, :, 1:].ravel().tolist(), s[0, :, 1:].ravel().tolist()):
+                if shape not in want:
+                    want[shape] = mpmath.gammainc(shape, 0, x, regularized=True)
+                worst = max(worst, float(abs(got - want[shape]) / want[shape]))
         assert worst <= 5e-15
 
     def test_infinite_threshold_reads_like_tau_0(self):
         # Q = 0 and P = 1 at tau_0 and at a user's infinite threshold alike
         table = gamma_table(1.3 * np.array([[INF, INF, 2.0, 1.0]]), self.EXPONENTS)
-        q, p = table.values[0]
-        far = np.broadcast_to(self.points(table)[0] == INF, q.shape)
+        _, x, q, p = (a[0] for a in self.entries(table))
+        far = x == INF
         assert np.all(q[far] == 0.0) and np.all(p[far] == 1.0)
         assert np.all(q[~far] > 0.0) and np.all(p[~far] > 0.0)
         assert np.all(threshold_cdfs(table)[0, :2, 1] == 1.0)
@@ -368,3 +379,19 @@ class TestPochRange:
     def test_huge_exponent_refused_before_any_work(self, exponent):
         with pytest.raises(OverflowError, match="policy metrics outside double range"):
             gamma_table(np.array([[1.0, 0.5]]), (0.0, exponent))
+
+
+class TestLayoutSize:
+    """A layout holds O(B) numbers: the table is read by slices and views,
+    so no index array over the (piece, order) grid is cached per battery."""
+
+    @staticmethod
+    def nbytes(battery):
+        layout = erlang._layout(battery, (0.0, 1.0))
+        fields = (getattr(layout, f.name) for f in dataclasses.fields(layout))
+        return sum(a.nbytes for a in fields if isinstance(a, np.ndarray))
+
+    def test_grows_at_most_linearly_in_the_battery(self):
+        sizes = [self.nbytes(b) for b in (128, 256, 512, 1024, 2048)]
+        assert all(big <= 2.1 * small for small, big in zip(sizes, sizes[1:]))
+        assert sizes[-1] < 1 << 20

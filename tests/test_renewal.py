@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aoiharvest.erlang import gamma_table, piece_orders, threshold_integrals
+from aoiharvest.erlang import gamma_table, threshold_integrals
 from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
@@ -92,13 +92,13 @@ def per_piece_moments(params, policy, p):
     here), mu = m rho.
     threshold_integrals gives, at the thresholds z = mu tau and for each
     exponent e of 1, x and p's term c x^e, every Poisson term v of every
-    piece m at rate 1; at rate rho each is that times m^-(e+1). State j
-    adds the head int_0^{rho tau_B} z^e dz, then the terms of shortfall
-    d = m - v from d = B down to j + 1, each shortfall's in ascending v:
-    the evaluator's running sum. E[X|j] is the sum of 1's row over rho,
-    E[X^2|j] twice x's over rho^2, and E[P(X)|j] c rho^-e times x^e's over
-    rho, the powers of two applied by ldexp; so the evaluator's moments
-    must match bitwise.
+    piece m at rate 1; at rate rho each is that times m^-(e+1), which it
+    folds into the term's poch factor. State j adds the head
+    int_0^{rho tau_B} z^e dz, then the terms of shortfall d = m - v from
+    d = B down to j + 1, each shortfall's in ascending v: the evaluator's
+    running sum. E[X|j] is the sum of 1's row over rho, E[X^2|j] twice x's
+    over rho^2, and E[P(X)|j] c rho^-e times x^e's over rho, the powers of
+    two applied by ldexp; so the evaluator's moments must match bitwise.
     """
     mu, B = params.mu_h, params.battery
     [(c, e)] = p.terms  # one penalty term: E[P(X)] is its row alone
@@ -106,18 +106,17 @@ def per_piece_moments(params, policy, p):
     a = a if abs(a) > 64 else 0
     t = math.ldexp(policy.thresholds[-1], a)
     table = gamma_table(mu * np.array([policy.thresholds]), (0.0, 1.0, e))
-    J = threshold_integrals(table)[0]
-    column = {(m, v): 1 + i for i, (m, v) in enumerate(zip(*piece_orders(B)))}
     # m^-(e+1) of every exponent from one numpy power, as the evaluator takes them
-    factors = math.ldexp(mu, -a) ** -(np.array(table.layout.exponents)[:, None] + 1.0)
+    factors = math.ldexp(mu, -a) ** -(np.array(table.layout.exponents) + 1.0)
+    J = threshold_integrals(table, scale=factors)[0]
     sums = {}
-    for power, row, (factor,) in zip(table.layout.exponents, J, factors):
+    for power, row in zip(table.layout.exponents, J):
         acc = []
         for j in range(B):
             total = t * (t**power * (1.0 / (power + 1.0)))
             for d in range(B, j, -1):
                 for v in range(B - d + 1):
-                    total += row[column[d + v, v]] * factor
+                    total += row[1 + (B - d) * B + v]  # term v of piece d + v
             acc.append(total)
         sums[power] = acc
     w = math.floor(-a * e)
@@ -141,6 +140,7 @@ class TestPrefixRows:
             (2.0, [1.2, 0.9, 0.9, 0.4, 0.0]),
             (1.3, [3.0, 2.6, 2.1, 1.7, 1.2, 0.8, 0.5, 0.2]),
             (0.4, [9.0, 7.5, 7.5, 6.0, 4.4, 3.1, 1.0, 0.0]),
+            (1.0, [3.2 - 0.05 * k for k in range(64)]),
         ],
     )
     @pytest.mark.parametrize(
