@@ -53,11 +53,10 @@ array. So a batch of policies gets bitwise the table each policy gets
 alone.
 
 The table is the recurrence's working block itself, read by slices and
-strided views and never gathered. values[n, 0, g, i, origin + r] is
-Q(f_g + r, z_i) and values[n, 1, g, i, origin + r] is P(f_g + r, z_i),
-for each fractional part f_g, each threshold z_i (z_0 = inf first, where
-Q = 0 and P = 1) and each row r < R; below row 0, P is 1, the CDF of Y_n
-for n <= 0. Piece m = [z_m, z_{m-1}) is the difference of threshold rows
+strided views and never gathered. values[n, 0, g, i, r] is Q(f_g + r, z_i)
+and values[n, 1, g, i, r] is P(f_g + r, z_i), for each fractional part
+f_g, each threshold z_i (z_0 = inf first, where Q = 0 and P = 1) and each
+row r < R. Piece m = [z_m, z_{m-1}) is the difference of threshold rows
 m and m-1, and orders v = 0..B-1 of exponent e = n + f are rows
 n+1..n+B of f. threshold_integrals differences each piece on its own: in
 upper tails Q once a >= e+v+1, where P rounds toward 1, and in lower
@@ -66,8 +65,9 @@ digits the accuracy contract needs. It lays the terms out by shortfall
 m - v, the order in which renewal adds them up, through a sheared view of
 the differences over a zero-padded buffer. threshold_cdfs reads the
 Erlang CDFs at the thresholds, Pr(Y_n <= z) = P(n, z), for the battery
-chain as the same kind of shear of the exponent-0 rows, and down_rates
-the upper tails Q(1, z) = e^{-z}, the chain's down-rates, as one slice.
+chain as the same kind of shear of the exponent-0 rows, and sets those of
+Y_n, n <= 0, to 1 itself; down_rates reads the upper tails
+Q(1, z) = e^{-z}, the chain's down-rates, as one slice.
 A layout holds O(B) numbers: no index array is built.
 """
 
@@ -137,9 +137,9 @@ def erlang_cdf(k: ErlangKernel, x: float) -> float:
 @dataclass(frozen=True)
 class _Layout:
     """Shapes and constants of the gamma tables of one battery size and
-    exponent list, O(B) numbers in all: the table's shape and row origin
-    (module docstring; its G fractional parts f increase, 0 first), and the
-    views that threshold_integrals and threshold_cdfs read."""
+    exponent list, O(B) numbers in all: the table's shape (module
+    docstring; its G fractional parts f increase, 0 first), and the views
+    that threshold_integrals and threshold_cdfs read."""
 
     exponents: tuple  # the distinct exponents e, increasing, 0 first: one row of the integrals each
     poch: np.ndarray  # (U, 1, B) poch(v+1, e)
@@ -148,11 +148,11 @@ class _Layout:
     fracs: tuple  # (f, Gamma(f+1)) of each fractional part f > 0 of the exponents
     den: np.ndarray  # (G, 1, W-1) f + w: the ratios u_w / u_{w-1} are x / (f + w)
     s_row: np.ndarray  # (G, 1, R) f + r: P(f + r, x) is the tail sum where x < f + r
-    origin: int  # index of row 0; the P rows below it, down to order 2 - B, are 1
-    block: tuple  # (2, G, B+1, origin + W+1), the table of one policy
+    block: tuple  # (2, G, B+1, W+1), the table of one policy
     pieces: tuple  # (2B-1, R-1, G), threshold_integrals' differences of one policy: B pieces, then zeros
     shears: tuple  # (first, count, shape, byte offset, byte strides) of threshold_integrals' views, per run
     cdf_shear: tuple  # (shape, byte offset, byte strides) of threshold_cdfs' view of the table
+    order_le_0: np.ndarray  # (2B-1,) bool: entry i - j + B - 1 is 1 + i - j <= 0, the CDF's ones
 
 
 def _tail_terms(a: float) -> int:
@@ -221,8 +221,7 @@ def _layout(battery: int, exponents: tuple[float, ...]) -> _Layout:
     n_rows = max(whole) + battery + 1
     n_terms = max(n_rows - 1 + _tail_terms(f + n_rows - 1) for f in fracs)
     n_terms = max([n_terms] + [_switch_terms(f) for f in fracs[1:]])
-    origin = max(battery - 2, 0)
-    depth = origin + n_terms + 1
+    depth = n_terms + 1
     # Row n + 1 + v of part g on piece m of threshold_integrals' differences
     # (N, 2B-1, R-1, G) is entry (m-1) L + k + v G, L = (R-1) G and k = n G + g
     # the exponent's key: term v of shortfall B - r, on piece B - r + v, is
@@ -253,15 +252,16 @@ def _layout(battery: int, exponents: tuple[float, ...]) -> _Layout:
         fracs=tuple((f, math.gamma(1.0 + f)) for f in fracs[1:]),
         den=f_col + np.arange(1.0, n_terms),
         s_row=f_col + np.arange(float(n_rows)),
-        origin=origin,
         block=(2, parts, battery + 1, depth),
         pieces=(2 * battery - 1, n_rows - 1, parts),
         shears=tuple(
             (u, count, *view((count, b, b), (b - 1) * width + key, (2 * b - 1) * width, step, -width, width + parts))
             for u, count, key, step in runs
         ),
-        # C[j, i] = P(1+i-j, z_i), i < B: row origin + 1 + i - j of the exponent-0 P at threshold i
-        cdf_shear=view((b, b), slab + origin + 1, 2 * slab, -1, depth + 1),
+        # C[j, i] = P(1+i-j, z_i), i < B: row 1 + i - j of the exponent-0 P at threshold i,
+        # which for j > i + 1 reads the rows before it
+        cdf_shear=view((b, b), slab + 1, 2 * slab, -1, depth + 1),
+        order_le_0=np.arange(2 * b - 1) < b - 2,
     )
 
 
@@ -316,15 +316,14 @@ def gamma_table(z: np.ndarray, exponents) -> GammaTable:
         x = np.minimum(x, _BIG)
         xs = x.ravel().tolist()
     x = x.reshape(n, 1, b, 1)
-    o, rows = lay.origin, lay.s_row.shape[-1]
-    # Q = 0 and P = 1 wherever the recurrence below does not write: at
-    # z_0 = inf, and below row 0, where the exponent-0 P(n, z) is 1 for n <= 0
+    rows = lay.s_row.shape[-1]
+    # Q = 0 and P = 1 at z_0 = inf, where the recurrence below does not write
     values = np.zeros((n,) + lay.block)
-    values[:, 1] = 1.0
+    values[:, 1, :, 0] = 1.0
     # block[:, 0, k, i] holds Q(f_k, x_i) and then the terms u_0..u_{W-1},
     # block[:, 1, k, i] the tail sums P(f_k + r, x_i) = sum_{w >= r} u_w;
     # the first R entries of each become Q(f_k + r, x_i) and P(f_k + r, x_i).
-    block = values[:, :, :, 1:, o:]
+    block = values[:, :, :, 1:]
     decay = [math.exp(-t) for t in xs]
     block[:, 0, 0, :, 1].flat = decay
     for k, (f, g1) in enumerate(lay.fracs, 1):
@@ -388,8 +387,7 @@ def threshold_integrals(
     """
     values, z, lay = table.values, table.z, table.layout
     n, b = z.shape
-    o = lay.origin
-    rows = values[..., o + 1:o + lay.s_row.shape[-1]]  # rows 1..R-1 of Q and P
+    rows = values[..., 1:lay.s_row.shape[-1]]  # rows 1..R-1 of Q and P
     diff = np.zeros((n,) + lay.pieces)
     d = diff[:, :b].transpose(0, 3, 1, 2)
     np.subtract(rows[:, 1, :, :-1], rows[:, 1, :, 1:], out=d)  # lower tails before the mode
@@ -413,12 +411,16 @@ def threshold_cdfs(table: GammaTable) -> np.ndarray:
     """C[n, j, i] = Pr(Y_{1+i-j} <= z_i) for i < B, with z_0 = inf, and C[n, j, B] = 0.
 
     Shape (N, B, B+1): P(1+i-j, z_i) of exponent 0, a sheared view of its
-    rows at the thresholds z_0..z_{B-1}, where the rows below 0 give 1.
+    rows at the thresholds z_0..z_{B-1}. Where 1+i-j <= 0, Y_{1+i-j} = 0
+    and the CDF is 1; the view reads other entries of the table there, so
+    those take 1 through a sheared view of _Layout.order_le_0.
     """
     n, b = table.z.shape
     shape, offset, strides = table.layout.cdf_shear
     c = np.zeros((n, b, b + 1))
-    c[..., :b] = np.ndarray((n,) + shape, float, table.values, offset, strides)  # bounds-checked by numpy
+    cdf = c[..., :b]
+    cdf[...] = np.ndarray((n,) + shape, float, table.values, offset, strides)  # bounds-checked by numpy
+    np.copyto(cdf, 1.0, where=np.ndarray((b, b), bool, table.layout.order_le_0, b - 1, (-1, 1)))
     return c
 
 
@@ -429,7 +431,7 @@ def down_rates(table: GammaTable) -> np.ndarray:
     such rather than as 1 - P, so that they keep their relative accuracy
     where they are small.
     """
-    return table.values[:, 0, 0, : table.z.shape[1], table.layout.origin + 1].copy()
+    return table.values[:, 0, 0, : table.z.shape[1], 1].copy()
 
 
 def _check_interval(a: float, b: float):

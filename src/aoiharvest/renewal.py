@@ -172,7 +172,7 @@ def _rated_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTa
     (c, w), *rest = _rated_terms(p, a)
     m = math.ldexp(mu, -a)
     table = gamma_table(mu * taus, exponents)
-    J = threshold_integrals(table, np.ldexp(taus[:, -1:], a) if a else taus[:, -1:], None if m == 1.0 else m**powers)
+    J = threshold_integrals(table, np.ldexp(taus[:, -1:], a) if a else taus[:, -1:], m**powers)
     np.add.accumulate(J, axis=-1, out=J)
     b = taus.shape[1]
     rows = J[..., b * b:0:-b]  # state j's terms end with shortfall j + 1, at column (B - j) B

@@ -180,6 +180,17 @@ class TestWeightedPrefix:
             assert head[n, 0] == zb and head[n, 2] == zb * zb / 2.0
             assert [head[n, 1], head[n, 3]] == pytest.approx([zb**1.5 / 1.5, zb**3 / 3.0], rel=1e-15)
 
+    def test_scale_multiplies_each_exponent_row_bitwise(self):
+        # keys n G + g of (0, 0.5, 1, 3.7) are 0, 1, 3, 11: two runs of views,
+        # each exponent with its own power of two, so both roundings agree
+        z = 1.7 * np.array([[3.0, 2.2, 2.2, 0.9, 0.4], [6.0, 5.0, 1.5, 1.0, 0.0]])
+        table = gamma_table(z, (0.5, 1.0, 3.7))
+        scale = np.array([0.5, 8.0, 2.0**-30, 2.0**40])
+        J, scaled = threshold_integrals(table), threshold_integrals(table, scale=scale)
+        assert np.array_equal(scaled[..., 0], J[..., 0])
+        for u, s in enumerate(scale.tolist()):
+            assert np.array_equal(scaled[:, u, 1:], J[:, u, 1:] * s)
+
 
 class TestPenaltyWeightedIntegral:
     def test_identity_full_line(self):
@@ -281,7 +292,7 @@ class TestGammaTable:
         x = np.broadcast_to(points[:, None, :, None], (N, len(lay.exponents), B + 1, B))
         s = np.broadcast_to(np.add.outer(lay.exponents, np.arange(1.0, B + 1.0))[None, :, None, :], x.shape)
         fracs = [0.0] + [f for f, _ in lay.fracs]
-        start = [lay.origin + math.floor(e) + 1 for e in lay.exponents]
+        start = [math.floor(e) + 1 for e in lay.exponents]
         part = [fracs.index(e - math.floor(e)) for e in lay.exponents]
         rows = np.stack([values[:, :, g, :, r:r + B] for g, r in zip(part, start)], axis=2)
         return s, x, rows[:, 0], rows[:, 1]
