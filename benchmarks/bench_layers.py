@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_14.json]
+        [--rounds 10] [--out BENCH_15.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -52,6 +52,10 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        per battery size: KERNEL_CYCLES cycles from an empty
                        battery on a stratified policy (the k-th smallest
                        threshold uniform on the k-th of B parts of [0, 4])
+    cycles_per_s_b1    the same at B = 1 for each mu tau_1 in KERNEL_B1_Z,
+                       the worst (0.2) and best (3.8) cases of the kernel's
+                       B = 1 screen, which skips the log of every uniform
+                       whose arrival falls below tau_1
 
 each as the best of REPEATS timings within the child (for cycles_per_s,
 higher is better). The output holds the median over rounds per tree, and
@@ -83,6 +87,7 @@ RESIDUAL_BATTERIES = (128, 256, 512)
 COLD_BATTERIES = (256, 512, 1024, 2048)
 STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
+KERNEL_B1_Z = (0.2, 3.8)
 KERNEL_CYCLES = 200_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
@@ -226,6 +231,14 @@ def child(src: str) -> dict:
             simulator._kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(b)))
 
         out["cycles_per_s"][str(b)] = KERNEL_CYCLES / _best(cycles)
+    out["cycles_per_s_b1"] = {}
+    for z in KERNEL_B1_Z:
+        taus = np.array([z])
+
+        def cycles():
+            simulator._kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(1)))
+
+        out["cycles_per_s_b1"][str(z)] = KERNEL_CYCLES / _best(cycles)
     return out
 
 
@@ -248,6 +261,7 @@ def _metrics(result: dict) -> dict:
     flat["grid_round_ms"] = result["grid_round_ms"]
     flat["fig_curve_ms"] = result["fig_curve_ms"]
     flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
+    flat.update({f"cycles_per_s_b1.z{z}": v for z, v in result["cycles_per_s_b1"].items()})
     return flat
 
 
@@ -255,7 +269,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_14.json")
+    ap.add_argument("--out", default="BENCH_15.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -4,20 +4,24 @@ Must stay behaviorally identical to _simcore.pyx: same uniform draw
 order (chunked refills from the numpy generator), same firing logic, so
 both kernels produce bitwise-identical sample paths from the same seed.
 
-The draws are turned into exponential variates one CHUNK at a time,
-``E = -(log(1 - u) / mu)``, so that ``t + E`` equals the compiled
-kernel's scalar ``t - log(1 - u) / mu`` bit for bit. The log is libm's,
-through ``math.log`` applied element by element, and never ``np.log``:
-numpy's SIMD log is not libm's and differs from it in the last bit on
-some inputs (7,055 of 2,000,000 draws on an AVX-512 machine), which
-would fork the sample path. A chunk is refilled only when a cycle needs
-one more draw, as in the compiled kernel, so the generator ends in the
-same state too.
+The compiled kernel moves the cycle age by ``t - log(1 - u) / mu`` per
+uniform u. Here the logs are taken one CHUNK of uniforms at a time, with
+libm's log through ``math.log`` applied element by element, and never
+``np.log``: numpy's SIMD log is not libm's and differs from it in the
+last bit on some inputs (7,055 of 2,000,000 draws on an AVX-512 machine),
+which would fork the sample path. A chunk is refilled only when a cycle
+needs one more draw, as in the compiled kernel, so the generator ends in
+the same state too.
+
+With more than one battery level a loop over the chunk's logs, as the
+Python floats ``math.log`` returned, follows the battery level and forms
+``t - g / mu`` itself; working memory stays at the size of one chunk.
 
 With one battery level every cycle takes exactly one draw and fires at
-max(tau_1, E), which is evaluated for a whole chunk at once. With more
-levels a loop over the chunk's draws, in Python floats, follows the
-battery level; working memory stays at the size of one chunk.
+max(tau_1, E), evaluated for a whole chunk at once. A uniform at or below
+a per-policy bound ``u_lo`` gives an arrival E below tau_1 for certain,
+so the cycle lasts tau_1 and its log is never taken; libm's log runs on
+the other uniforms only (on all of them when tau_1 = 0).
 """
 
 import math
@@ -27,6 +31,11 @@ import numpy as np
 CHUNK = 8192
 
 _libm_log = np.frompyfunc(math.log, 1, 1)
+
+# Relative margin of the B = 1 screen: the arrival at u_lo lies this far
+# below tau_1, about a million times the few ulps (2^-52 each) by which
+# libm's log and the division by mu can move it.
+MARGIN = 2.0**-30
 
 
 def run_cycles(thresholds, mu, n_cycles, start_state, rng):
@@ -54,39 +63,71 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng):
         s_out[0] = B - 1
         c = 1
         level = B - 1
+    if B == 1:
+        # back to level 0 after every update: one arrival, then fire at
+        # max(tau_1, its arrival time); every post state is 0
+        s_out[c:] = 0
+        u_lo = _screen_bound(taus[0], mu)
     t = 0.0
     while c < n_cycles:
-        e = -(_libm_log(1.0 - buf).astype(np.float64) / mu)
+        m = min(CHUNK, n_cycles - c)
         if B == 1:
-            # back to level 0 after every update: one arrival, then fire
-            # at max(tau_1, its arrival time)
-            arrival = 0.0 + e
-            xs = np.where(taus[0] < arrival, arrival, taus[0])
-            ss = np.zeros(CHUNK, dtype=np.int64)
+            x_out[c : c + m] = _fire_once(taus[0], mu, u_lo, buf)[:m]
         else:
-            xs, ss, level, t = _run_levels(taus, e.tolist(), level, t)
-        m = min(len(xs), n_cycles - c)
-        x_out[c : c + m] = xs[:m]
-        s_out[c : c + m] = ss[:m]
+            xs, ss, level, t = _run_levels(taus, mu, _libm_log(1.0 - buf).tolist(), level, t)
+            m = min(len(xs), m)
+            x_out[c : c + m] = xs[:m]
+            s_out[c : c + m] = ss[:m]
         c += m
         if c < n_cycles:
             buf = rng.random(CHUNK)
     return x_out, s_out
 
 
-def _run_levels(taus, draws, L, t):
+def _screen_bound(tau, mu):
+    """The bound u_lo of the B = 1 screen: a uniform at or below it fires at tau (-1.0: none does).
+
+    u_lo = 1 - exp(-mu tau (1 - MARGIN)), shrunk by the same margin and
+    capped at the largest uniform below 1, puts the exact arrival of u_lo
+    a relative MARGIN below tau. The arrival computed as the kernel
+    computes it must still lie half a margin below tau; the arrival grows
+    with u, so every smaller uniform's then lies below tau too. The
+    rounding of 1 - u, up to 2^-54, can swamp the margin where mu tau is
+    below about 2^-23: if it does, no uniform is screened.
+    """
+    u_lo = min(-math.expm1(-mu * tau * (1.0 - MARGIN)) * (1.0 - MARGIN), math.nextafter(1.0, 0.0))
+    if not u_lo > 0.0:
+        return -1.0
+    arrival = -(math.log(1.0 - u_lo) / mu)
+    return u_lo if arrival <= tau * (1.0 - 0.5 * MARGIN) else -1.0
+
+
+def _fire_once(tau, mu, u_lo, buf):
+    """The inter-update times of one chunk at B = 1: max(tau, arrival) per uniform."""
+    xs = np.full(CHUNK, tau)
+    late = np.flatnonzero(buf > u_lo)
+    # the arrival as the compiled kernel adds it to t = 0
+    arrival = 0.0 + -(_libm_log(1.0 - buf[late]).astype(np.float64) / mu)
+    xs[late] = np.where(tau < arrival, arrival, tau)
+    return xs
+
+
+def _run_levels(taus, mu, logs, L, t):
     """The cycles that one chunk of draws completes, for B >= 2.
 
+    Each draw is given as g = log(1 - u); its arrival comes at t - g / mu.
     The state between draws is the level L < B and the cycle age t at
     which L was reached; cand = max(tau_L, t) is the instant the update
-    fires unless the next arrival, at t + E, comes first. Level 0 has an
-    infinite threshold: it never fires. Returns the cycles' inter-update
-    times and post states, and the state after the last draw.
+    fires unless the next arrival comes first. Level 0 has an infinite
+    threshold: it never fires. Returns the cycles' inter-update times and
+    post states, and the state after the last draw.
     """
     B = len(taus)
     top = B - 1
     last = taus[-1]
     threshold = (math.inf,) + taus
+    # cand right after an update, where t = 0
+    floor = tuple(0.0 if tau < 0.0 else tau for tau in threshold)
     xs = []
     ss = []
     add_x = xs.append
@@ -94,13 +135,14 @@ def _run_levels(taus, draws, L, t):
     cand = threshold[L]
     if cand < t:
         cand = t
-    for e in draws:
-        t_next = t + e
+    for g in logs:
+        t_next = t - g / mu
         if cand < t_next:
             add_x(cand)
             L -= 1
             add_s(L)
             t = 0.0
+            cand = floor[L]
         else:
             t = t_next
             L += 1
@@ -113,7 +155,9 @@ def _run_levels(taus, draws, L, t):
                 add_s(top)
                 L = top
                 t = 0.0
-        cand = threshold[L]
-        if cand < t:
-            cand = t
+                cand = floor[top]
+            else:
+                cand = threshold[L]
+                if cand < t:
+                    cand = t
     return xs, ss, L, t

@@ -11,8 +11,8 @@ file, or a result outside double range), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
 JSON output is deterministic for fixed flags and seed; CSV uses a fixed
-header and 9 significant digits. optimize --stats adds one JSON line of
-diagnostics on stderr and leaves stdout as it is.
+header and 9 significant digits. optimize --stats and simulate --stats add
+one JSON line of diagnostics on stderr and leave stdout as it is.
 """
 
 from __future__ import annotations
@@ -139,6 +139,19 @@ def _stats_line(result, seconds: float) -> str:
     )
 
 
+def _simulate_stats_line(report) -> str:
+    """The simulator kernel's throughput as one JSON line."""
+    seconds = report.kernel_s
+    return _dumps(
+        {
+            "kernel": report.kernel,
+            "cycles": report.renewals,
+            "kernel_s": seconds,
+            "cycles_per_s": report.renewals / seconds if seconds > 0.0 else None,
+        }
+    )
+
+
 def cmd_optimize(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     config = _make_config(args)
@@ -254,6 +267,8 @@ def cmd_simulate(args) -> int:
         if z > 4.0:
             code = EXIT_CHECK
     _out(args, _dumps(payload))
+    if args.stats:
+        print(_simulate_stats_line(report), file=sys.stderr)
     return code
 
 
@@ -344,6 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", action="store_true", help="cross-check against analytic metrics")
     _add_penalty_flags(sp)
     sp.add_argument("--output")
+    sp.add_argument(
+        "--stats",
+        action="store_true",
+        help="also write one JSON line to stderr: kernel, cycles, kernel seconds, cycles per second",
+    )
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("table1", help="optimal thresholds for B=1..4 at mu=1")

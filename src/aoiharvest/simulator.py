@@ -11,18 +11,22 @@ with a bit-identical pure-Python fallback selected at import time.
 
 Randomness: numpy PCG64, exponential variates by inverse transform, so
 sample paths are reproducible across platforms and across kernels. Both
-kernels take uniforms from the generator CHUNK at a time and turn each
-into -log(1 - u) / mu with the C library's log: the compiled kernel one
-draw at a time, the pure-Python one a chunk at a time through
-``math.log``. numpy's own ``np.log`` is not used there, because its SIMD
-code differs from libm in the last bit on some inputs, and one such
-draw would fork the path.
+kernels take uniforms from the generator CHUNK at a time and move the
+cycle age by -log(1 - u) / mu with the C library's log: the compiled
+kernel one draw at a time; the pure-Python one takes a chunk's logs
+through ``math.log`` and, with one battery level, only the logs it reads:
+a uniform whose arrival is certain to fall below tau_1 gives a cycle of
+tau_1 with no log taken. numpy's own ``np.log`` is not used, because its
+SIMD code differs from libm in the last bit on some inputs, and one such
+draw would fork the path. ``SimReport.kernel_s`` times the kernel call,
+outside the report's equality and JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +76,8 @@ class SimReport:
     warmup: int
     generator: str = GENERATOR_ID
     kernel: str = KERNEL
+    # wall seconds of the cycle kernel: a diagnostic, outside equality and to_json
+    kernel_s: float = field(default=0.0, compare=False, repr=False)
 
     def to_json(self) -> str:
         d = {
@@ -109,6 +115,7 @@ def simulate(
     if cfg.initial_state > params.battery:
         raise ValueError("initial_state cannot exceed the battery size")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    start = time.perf_counter()
     x, states = _kernel.run_cycles(
         np.asarray(policy.thresholds, dtype=np.float64),
         params.mu_h,
@@ -116,6 +123,7 @@ def simulate(
         cfg.initial_state,
         rng,
     )
+    kernel_s = time.perf_counter() - start
     xm = x[cfg.warmup :]
     sm = states[cfg.warmup :]
     n = len(xm)
@@ -147,6 +155,7 @@ def simulate(
         seed=cfg.seed,
         renewals=cfg.renewals,
         warmup=cfg.warmup,
+        kernel_s=kernel_s,
     )
 
 

@@ -244,6 +244,28 @@ class TestOptimizeStats:
         assert stats["fixed_point_residual"] == r.fixed_point_residual
 
 
+class TestSimulateStats:
+    ARGVS = [
+        ["simulate", "--mu", "1", "--battery", "1", "--thresholds", "0.9", "--seed", "3", "--renewals", "20000"],
+        ["simulate", "--mu", "0.8", "--battery", "4", "--thresholds", "3,2,1,0.5", "--seed", "5", "--renewals", "20000", "--check"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["b1", "b4-check"])
+    def test_stdout_unchanged_and_stderr_one_json_line(self, capsys, argv):
+        from aoiharvest.simulator import KERNEL
+
+        code, plain, err = call(capsys, argv)
+        assert (code, err) == (0, "")
+        code, out, err = call(capsys, argv + ["--stats"])
+        assert code == 0 and out == plain
+        assert err.endswith("\n") and err.count("\n") == 1
+        stats = json.loads(err)
+        assert set(stats) == {"kernel", "cycles", "kernel_s", "cycles_per_s"}
+        assert stats["kernel"] == KERNEL and stats["cycles"] == 20000
+        assert stats["kernel_s"] > 0.0
+        assert stats["cycles_per_s"] == pytest.approx(stats["cycles"] / stats["kernel_s"])
+
+
 class TestSweep:
     def test_csv_shape(self, capsys):
         code, out = run(

@@ -114,6 +114,14 @@ class TestSurvivalWeightedIntegral:
         )
         assert split == pytest.approx(whole, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [1e-300, 1e-200, 1e-100, 1e-20])
+    def test_slow_rate_keeps_the_survival_mass(self, mu):
+        # Pr(Y_2 > x) is 1 to the last bit on [0, 1], so the integral is
+        # int_0^1 x^2 dx = 1/3, though the unit-rate piece (about (mu b)^3 / 3)
+        # is far below the smallest double at mu = 1e-200 and 1e-300
+        got = survival_weighted_integral(ErlangKernel(mu, 2), 0.0, 1.0, 2)
+        assert got == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(0.3, 3.0),

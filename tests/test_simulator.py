@@ -1,4 +1,5 @@
 import math
+import types
 from math import log
 
 import numpy as np
@@ -137,6 +138,91 @@ class TestExactPath:
 
     def test_no_cycles(self, kernel):
         assert_same_path(kernel, [1.5, 0.72], 1.0, 0, 0)
+
+
+class ScriptedGenerator:
+    """A stand-in for numpy's Generator whose random(n) hands out the
+    scripted uniforms first, then seeded PCG64 uniforms; its
+    bit_generator.state counts the uniforms handed out."""
+
+    def __init__(self, script, seed=0):
+        fill = np.random.Generator(np.random.PCG64(seed)).random(4 * 8192)
+        self._stream = np.concatenate([np.asarray(script, dtype=np.float64), fill])
+        self.bit_generator = types.SimpleNamespace(state={"drawn": 0})
+
+    def random(self, n):
+        start = self.bit_generator.state["drawn"]
+        if start + n > len(self._stream):
+            raise RuntimeError("scripted stream exhausted")
+        self.bit_generator.state = {"drawn": start + n}
+        return self._stream[start : start + n].copy()
+
+
+MU = 1.3
+U0 = 0.3
+E0 = -(log(1.0 - U0) / MU)  # the arrival U0 gives, as every kernel computes it
+
+
+def edge_script(tau):
+    """Uniforms at the kernels' edges for a policy whose tau_1 is tau: u = 0
+    (E = -0.0); U0, whose arrival E0 the thresholds are built from, and its
+    neighbours; the B = 1 screen bound u_lo and its neighbours; the exact
+    u at which the arrival reaches tau, and its neighbours."""
+    script = [0.0, 0.0, U0, 0.0, U0, U0]
+    script += [math.nextafter(U0, 0.0), math.nextafter(U0, 1.0)]
+    u_lo = _simcore_py._screen_bound(tau, MU)
+    u_tau = -math.expm1(-MU * tau)
+    for u in (u_lo, u_tau):
+        if 0.0 <= u < 1.0:
+            script += [u, math.nextafter(u, 0.0), math.nextafter(u, 1.0), 0.0, u]
+    return [u for u in script if 0.0 <= u < 1.0]
+
+
+def edge_policies():
+    """Policies (tau_1 first) with thresholds at, and one ulp either side of,
+    the arrival E0, and thresholds of 0.0 and -0.0. At mu tau_1 = 3e-12 the
+    rounding of 1 - u moves the arrival at 1 - exp(-mu tau_1 (1 - 2^-30))
+    above tau_1, so the B = 1 screen must not pass that uniform."""
+    below, above = math.nextafter(E0, 0.0), math.nextafter(E0, math.inf)
+    return {
+        "b1-at": [E0],
+        "b1-below": [below],
+        "b1-above": [above],
+        "b1-zero": [0.0],
+        "b1-negzero": [-0.0],
+        "b1-tiny": [3e-12 / MU],
+        "b2-at": [E0, E0],
+        "b2-around": [above, below],
+        "b2-zeros": [0.0, -0.0],
+        "b2-negzero-last": [E0, -0.0],
+        "b4-at": [3 * E0, 2 * E0, E0, E0],
+        "b4-around": [above, E0, below, 0.0],
+        "b4-zeros": [-0.0, -0.0, 0.0, -0.0],
+    }
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=list(KERNELS))
+class TestScriptedEdges:
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    @pytest.mark.parametrize("n_cycles", [40, 9000])
+    @pytest.mark.parametrize("name", list(edge_policies()))
+    def test_matches_scalar_loop(self, kernel, name, n_cycles, start):
+        taus = np.array(edge_policies()[name])
+        script = edge_script(taus[0])
+        state = 0 if start == "empty" else len(taus)
+        rng_ref, rng_new = ScriptedGenerator(script), ScriptedGenerator(script)
+        x_ref, s_ref = reference_run_cycles(taus, MU, n_cycles, state, rng_ref)
+        x_new, s_new = kernel.run_cycles(taus, MU, n_cycles, state, rng_new)
+        assert x_new.tobytes() == x_ref.tobytes()
+        assert np.array_equal(s_new, s_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_screen_sees_both_sides(self, kernel):
+        # the B = 1 policies put scripted uniforms on both sides of u_lo
+        u_lo = _simcore_py._screen_bound(E0, MU)
+        assert 0.0 < u_lo < U0
+        script = edge_script(E0)
+        assert any(0.0 < u <= u_lo for u in script) and any(u_lo < u < U0 for u in script)
 
 
 class TestAgreementWithAnalytics:
