@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_15.json]
+        [--rounds 10] [--out BENCH_16.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -12,22 +12,19 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     import_s           median of IMPORTS fresh interpreters importing
                        aoiharvest.cli from the tree (what every CLI call pays)
     gamma_table_us     one erlang.gamma_table call (L0) for the identity
-                       penalty's moments, per battery size: gamma_table(z,
-                       exponents) at unit rate, or, in a tree from before
-                       the unit-rate evaluator, gamma_table(mu, taus, terms)
+                       penalty's moments at unit rate, per battery size
     stationary_us      one chain.stationary call (L1) on the battery chain
-                       of a batch of one policy, per battery size: the
-                       cut-balance recursion stationary(C, Q) on
-                       chain.cut_tables, or, in a tree from before it,
-                       the LU solve stationary(T) on transition_matrix
+                       of a batch of one policy (chain.cut_tables), per
+                       battery size
     policy_metrics_us  one policy_metrics call, per battery size
     policy_metrics_pow05_us
                        the same with the power-0.5 penalty, whose fractional
                        exponent adds a second family of incomplete gammas
-    policy_metrics_mu13_us
+    policy_metrics_mu07_us
                        policy_metrics with the identity penalty at
-                       mu = 1.3 on the same policies divided by 1.3, the
-                       path of every rate but 1
+                       mu = 0.7 on the same policies divided by 0.7, where
+                       the evaluator takes its rows at rate 1/2 and scales
+                       them to time units by ldexp (mu in [1, 2) skips that)
     step_us            microseconds per policy-iteration step (L3): one
                        optimizer call divided by its evaluations, for
                        optimize_penalty under the identity and the power-0.5
@@ -40,7 +37,8 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        count in evaluations (one run: both are the same in
                        every round)
     grid_round_ms      one round of the default 15-point grid at B = 2
-                       (optimizer._zoomed_grid, 225 vertices)
+                       (optimizer._zoomed_grid, 225 vertices; a tree whose
+                       _zoomed_grid still takes the outer bounds gets them)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
     cold_s, cold_rss_mb
                        wall seconds and peak resident set size (MB, the
@@ -70,6 +68,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.metadata
+import inspect
 import io
 import json
 import os
@@ -151,41 +150,28 @@ def child(src: str) -> dict:
         raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
     identity = PenaltySpec.identity()
     root = PenaltySpec.power(0.5)
-    if hasattr(renewal, "_rows"):
-        exponents = renewal._rows(identity.exponents)[0]
-
-        def table(taus):
-            return gamma_table(taus, exponents)
-    else:
-        terms = renewal._terms(identity)
-
-        def table(taus):
-            return gamma_table(1.0, taus, terms)
-
+    exponents = renewal._rows(identity.exponents)[0]
     out = {"kernel": simulator.KERNEL, "import_s": import_s}
     out["cold_s"] = {b: seconds for b, (seconds, _) in cold.items()}
     out["cold_rss_mb"] = {b: rss for b, (_, rss) in cold.items()}
-    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us"):
+    for key in ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu07_us"):
         out[key] = {}
     for b in BATTERIES:
         rng = np.random.default_rng(b)
         policy = Policy(tuple(float(t) for t in sorted(rng.uniform(0.0, 4.0, b), reverse=True)))
         params = SystemParams(1.0, b)
         taus = np.array([policy.thresholds])
-        out["gamma_table_us"][str(b)] = _best(lambda: table(taus)) * 1e6
+        out["gamma_table_us"][str(b)] = _best(lambda: gamma_table(taus, exponents)) * 1e6
         out["policy_metrics_us"][str(b)] = _best(lambda: policy_metrics(params, policy, identity)) * 1e6
         out["policy_metrics_pow05_us"][str(b)] = _best(lambda: policy_metrics(params, policy, root)) * 1e6
-        scaled = Policy(tuple(t / 1.3 for t in policy.thresholds))
-        rated = SystemParams(1.3, b)
-        out["policy_metrics_mu13_us"][str(b)] = _best(lambda: policy_metrics(rated, scaled, identity)) * 1e6
+        scaled = Policy(tuple(t / 0.7 for t in policy.thresholds))
+        rated = SystemParams(0.7, b)
+        out["policy_metrics_mu07_us"][str(b)] = _best(lambda: policy_metrics(rated, scaled, identity)) * 1e6
     out["stationary_us"] = {}
     for b in BATTERIES:
         rng = np.random.default_rng(b)
         taus = np.array([sorted(rng.uniform(0.0, 4.0, b), reverse=True)])
-        if hasattr(chain, "cut_tables"):
-            args = chain.cut_tables(SystemParams(1.0, b), taus)
-        else:
-            args = (chain.transition_matrix(SystemParams(1.0, b), taus),)
+        args = chain.cut_tables(SystemParams(1.0, b), taus)
         out["stationary_us"][str(b)] = _best(lambda: chain.stationary(*args)) * 1e6
     out["step_us"], out["evaluations"] = {}, {}
     runs = {
@@ -209,10 +195,12 @@ def child(src: str) -> dict:
         out["evaluations"]["optimize_penalty"][str(b)] = r.evaluations
     params = SystemParams(1.0, 2)
     lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
-    bounds = list(zip(lows, highs))
+    grid = [params, identity, lows, highs]
+    if "bounds" in inspect.signature(optimizer._zoomed_grid).parameters:
+        grid.append(list(zip(lows, highs)))
 
     def grid_round():
-        optimizer._zoomed_grid(params, identity, lows, highs, bounds, 15, 1)
+        optimizer._zoomed_grid(*grid, 15, 1)
 
     out["grid_round_ms"] = _best(grid_round) * 1e3
     args = cli.build_parser().parse_args(["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5"])
@@ -252,7 +240,7 @@ def _source_digest(src: str) -> str:
 
 def _metrics(result: dict) -> dict:
     flat = {"import_s": result["import_s"]}
-    keys = ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu13_us")
+    keys = ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu07_us")
     for key in keys + ("stationary_us", "bellman_residual", "cold_s", "cold_rss_mb"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
     for key in ("step_us", "evaluations"):
@@ -269,7 +257,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_15.json")
+    ap.add_argument("--out", default="BENCH_16.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -111,18 +111,54 @@ class ErlangKernel:
 
 
 def erlang_survival(k: ErlangKernel, x: float) -> float:
-    """Pr(Y_i > x) for x >= 0; zero when order <= 0."""
+    """Pr(Y_i > x) for x >= 0; zero when order <= 0.
+
+    The Poisson sum sum_{v<i} e^{-z} z^v / v! at z = rate x, from e^{-z}
+    up while e^{-z} is a normal double, and otherwise anchored at its
+    largest term (_anchored_poisson_sum).
+    """
     if x < 0:
         raise NegativeArgument(f"x must be >= 0, got {x}")
     if k.order <= 0:
         return 0.0
     z = k.rate * x
     term = math.exp(-z)
+    if term < sys.float_info.min:
+        return min(_anchored_poisson_sum(z, k.order), 1.0)
     total = term
     for v in range(1, k.order):
         term *= z / v
         total += term
     return min(total, 1.0)
+
+
+def _anchored_poisson_sum(z: float, order: int) -> float:
+    """sum_{v<order} e^{-z} z^v / v! where e^{-z} is below the normal doubles.
+
+    The terms are ratios to the largest one, u_t at t = min(order - 1,
+    floor(z)), by running products of v / z down from t and z / v up.
+    log u_t = t log(z / t) - (z - t) - (log t! - t log t + t), the last
+    term from Stirling's series from t = 100 on (the first term it drops
+    is below 1e-17), so that no part is much larger than log u_t, where
+    t log z - z - log t! would cancel digits of numbers about z log z.
+    """
+    if z == INF:
+        return 0.0
+    t = min(order - 1, math.floor(z))
+    if t < 100:
+        log_top = t * math.log(z) - z - math.lgamma(t + 1.0)
+    else:
+        series = 0.5 * math.log(2.0 * math.pi * t) + 1.0 / (12.0 * t) - 1.0 / (360.0 * t**3) + 1.0 / (1260.0 * t**5)
+        log_top = t * math.log1p((z - t) / t) - (z - t) - series
+    total = ratio = 1.0
+    for v in range(t, 0, -1):
+        ratio *= v / z
+        total += ratio
+    ratio = 1.0
+    for v in range(t + 1, order):
+        ratio *= z / v
+        total += ratio
+    return math.exp(log_top) * total
 
 
 def erlang_cdf(k: ErlangKernel, x: float) -> float:

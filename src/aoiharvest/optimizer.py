@@ -90,8 +90,8 @@ class OptimizerConfig:
     grid_rounds: int = 6
 
     def __post_init__(self):
-        if not 1 <= self.q <= MAX_Q or self.grid_points < 2:
-            raise ValueError(f"need 1 <= q <= {MAX_Q} and grid_points >= 2")
+        if not 1 <= self.q <= MAX_Q or self.grid_points < 2 or self.grid_rounds < 1:
+            raise ValueError(f"need 1 <= q <= {MAX_Q}, grid_points >= 2 and grid_rounds >= 1")
         if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
             raise ValueError(f"refine_tol must be positive and finite, got {self.refine_tol!r}")
 
@@ -126,19 +126,17 @@ def _build_thresholds(tau_b: float, gaps) -> tuple[float, ...]:
     return tuple(reversed(taus))
 
 
-def _zoomed_grid(params, penalty, lows, highs, bounds, points, rounds):
+def _zoomed_grid(params, penalty, lows, highs, points, rounds):
     """Deterministic multi-round grid refinement over (tau_b, gaps).
 
     Each round evaluates its points^ndim vertices in batches of at most
     GRID_BATCH, keeps the best vertex (ties broken by lexicographically
     smallest threshold vector; vertices whose objective leaves double range
     are passed over), and shrinks every dimension to one grid step around
-    it, clipped to the outer bounds.
+    it, clipped to the first round's box [lows, highs].
     """
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    blo = np.asarray([b[0] for b in bounds])
-    bhi = np.asarray([b[1] for b in bounds])
+    blo = lows = np.asarray(lows, dtype=float)
+    bhi = highs = np.asarray(highs, dtype=float)
     ndim = len(lows)
     total = points**ndim
     if total > 10**8:
@@ -199,10 +197,7 @@ def grid_search(params: SystemParams, config: OptimizerConfig) -> OptimizationRe
     penalty = _unit_penalty(config.penalty, params.mu_h)
     lows = [0.5] + [0.0] * (B - 1)
     highs = [1.0] + [UPPER_CAP_FACTOR] * (B - 1)
-    bounds = list(zip(lows, highs))
-    taus, val = _zoomed_grid(
-        SystemParams(1.0, B), penalty, lows, highs, bounds, config.grid_points, config.grid_rounds
-    )
+    taus, val = _zoomed_grid(SystemParams(1.0, B), penalty, lows, highs, config.grid_points, config.grid_rounds)
     return OptimizationResult(
         policy=validate_policy(params, [z / params.mu_h for z in taus]),
         objective=val,
@@ -323,8 +318,7 @@ def feasible(
     """
     _require_identity(config)
     z_b = tau_b * params.mu_h
-    level = z_b + 1e-9
-    return (search or _Search(params.battery, config.penalty)).run(z_b, stop_at=level).objective <= level
+    return (search or _Search(params.battery, config.penalty)).run(z_b, stop_at=z_b).objective <= z_b
 
 
 def _require_identity(config: OptimizerConfig):

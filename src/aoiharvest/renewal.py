@@ -16,18 +16,19 @@ start state j, the sum of the Poisson terms v < m-j.
 The rate enters here and only here, once per call. erlang works at unit
 rate, on the thresholds z = mu_h tau, and the moments follow from its
 integrals by scale invariance: with Z = mu_h X, E[X^n] = E[Z^n] / mu_h^n.
-_evaluate forms z once and takes each integral row at a rate rho = 2^a,
-a power of two so that rho tau and every rho^-n are exact: its Poisson
-terms are those at unit rate times m^-(e+1), m = mu_h / rho, its head
-int_0^{rho tau_B} z^e dz, and the penalty's term c x^e becomes
-c rho^-e z^e, the power of two applied to the row (ldexp) rather than to
-c. The averages come from the weighted sums at rate rho, and moments,
-sums and averages reach time units by ldexp. rho = 1 (time units) for
-every mu_h within 2^+-64 of 1; beyond, rho is the power of two at or
-below mu_h, so the rows keep their size at unit rate where E[X^2] ~
-mu_h^-2 would leave double range. A policy whose unit-rate tau_B passes
-CERTAIN updates at tau_B from every state, and _certain gives its
-metrics where its head leaves double range at rate rho.
+_evaluate forms z once and takes each integral row at rho = 2^a, the
+power of two at or below mu_h, so that m = mu_h / rho is in [1, 2) and
+rho tau and every rho^-n are exact: its Poisson terms are those at unit
+rate times m^-(e+1), its head int_0^{rho tau_B} z^e dz, and the
+penalty's term c x^e becomes c rho^-e z^e, the power of two applied to
+the row (ldexp) rather than to c. Every row thus has about its size at
+unit rate, whatever the rate, where E[X^2] ~ mu_h^-2 in time units may
+leave double range. The averages come from the weighted sums at rate
+rho, and moments, sums and averages reach time units by ldexp (none at
+a = 0, mu_h in [1, 2), where every optimizer evaluation runs). A policy
+whose unit-rate tau_B passes CERTAIN updates at tau_B from every state,
+and _certain gives its metrics where its head leaves double range at
+rate rho.
 
 erlang.threshold_integrals gives the head and every integrand's integral
 over every piece, one row per distinct exponent, from one table of
@@ -103,9 +104,6 @@ def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> f
     raise AssertionError("unreachable: pieces cover [tau_B, inf)")
 
 
-# The moments are taken in time units for every rate mu_h in
-# [2^-SCALE_FREE, 2^(SCALE_FREE+1)), and at a power of two near mu_h beyond.
-SCALE_FREE = 64
 # Past this unit-rate tau_B every Poisson term is 0: an arrival before
 # tau_B is certain to the last bit, and X = tau_B from every state.
 CERTAIN = 1024.0
@@ -128,19 +126,6 @@ def _rows(p_powers: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, n
     return exponents, powers, first, tuple(map(row, p_powers[1:]))
 
 
-def _rate_exponent(mu: float) -> int:
-    """a of the rate rho = 2^a at which the moments are taken.
-
-    a = 0 (time units, rho = 1) for mu_h in [2^-SCALE_FREE, 2^(SCALE_FREE+1)),
-    and otherwise floor(log2 mu_h), so that mu_h / rho is in [1, 2): then
-    each integral row at rate rho is about its size at unit rate, in range
-    where the moments in time units would not be (E[X^2] is about
-    mu_h^-2).
-    """
-    a = math.frexp(mu)[1] - 1
-    return a if abs(a) > SCALE_FREE else 0
-
-
 def _rated_terms(p: PenaltySpec, a: int) -> list[tuple[float, int]]:
     """(c 2^f, w) of each term c x^e of p, where c rho^-e = c 2^f 2^w at
     rho = 2^a: w = floor(-a e) and f in [0, 1), so that the power of two is
@@ -156,7 +141,8 @@ def _rated_terms(p: PenaltySpec, a: int) -> list[tuple[float, int]]:
 def _rated_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTable, int, int, np.ndarray]:
     """The gamma table at z = mu tau, a, w, and the (N, 3, B) array of
     rho E[X|j], rho^2 E[X^2|j] and 2^-w rho E[P(X)|j] for an (N, B) batch
-    of thresholds, at rho = 2^a (_rate_exponent), mu = m rho.
+    of thresholds, at rho = 2^a the power of two at or below mu, so that
+    mu = m rho with m in [1, 2).
 
     One running sum along each exponent's row of threshold_integrals, the
     head first and then the Poisson terms from the largest shortfall down,
@@ -168,7 +154,7 @@ def _rated_moments(mu: float, taus: np.ndarray, p: PenaltySpec) -> tuple[GammaTa
     p's terms of c rho^-e times the row of x^e (_rated_terms).
     """
     exponents, powers, first, others = _rows(p.exponents)
-    a = _rate_exponent(mu)
+    a = math.frexp(mu)[1] - 1
     (c, w), *rest = _rated_terms(p, a)
     m = math.ldexp(mu, -a)
     table = gamma_table(mu * taus, exponents)

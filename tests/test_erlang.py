@@ -60,6 +60,17 @@ class TestCdf:
         with pytest.raises(NegativeArgument):
             erlang_cdf(ErlangKernel(1.0, 1), -0.5)
 
+    @pytest.mark.parametrize(
+        "order,z", [(800, 760.0), (1000, 800.0), (2000, 1900.0), (3000, 3100.0), (5000, 4900.0), (200, 720.0)]
+    )
+    def test_survival_where_exp_minus_z_is_not_normal(self, order, z):
+        # e^{-z} is subnormal from z = 708 and 0 from 745, where the Poisson
+        # sum started from it lost digits or returned 0
+        got = erlang_survival(ErlangKernel(1.0, order), z)
+        want = mpmath.gammainc(order, mpmath.mpf(z), mpmath.inf, regularized=True)
+        assert abs(got - want) <= 1e-11 * want
+        assert erlang_cdf(ErlangKernel(2.0, order), z / 2.0) == 1.0 - got  # the same z at rate 2
+
     @given(
         st.floats(0.2, 4.0),
         st.integers(1, 8),

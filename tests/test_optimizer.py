@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -54,6 +55,10 @@ class TestGridSearch:
         r = grid_search(params, cfg(grid_points=9, grid_rounds=3))
         m = policy_metrics(params, r.policy)
         assert r.objective == pytest.approx(m.avg_penalty, rel=1e-12)
+
+    def test_rejects_zero_rounds(self):
+        with pytest.raises(ValueError, match="grid_rounds >= 1"):
+            OptimizerConfig(grid_rounds=0)
 
     def test_budget_guard(self):
         params = SystemParams(1.0, 9)
@@ -276,6 +281,16 @@ class TestAlgorithm1Bisection:
     def test_b4_objective_unchanged(self):
         r = algorithm1(SystemParams(1.0, 4), OptimizerConfig())
         assert r.objective == pytest.approx(ALGORITHM1_B4_OBJECTIVE, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [30, 50])
+    @pytest.mark.parametrize("battery", [1, 2, 3, 4])
+    def test_last_bracket_contains_the_optimum(self, battery, q):
+        # a feasibility test that accepted a witness up to 1e-9 above tau_B
+        # left the optimum about 1e-9 above the bracket once q reached 29
+        params = SystemParams(1.0, battery)
+        lo, hi = algorithm1(params, OptimizerConfig(q=q)).trace[-1]
+        best = optimize_penalty(params, OptimizerConfig()).objective
+        assert lo - 4 * math.ulp(best) <= best <= hi + 4 * math.ulp(best)
 
     def test_feasible_stops_at_first_witness(self, metrics_calls):
         # at tau_B = 1 the fixed start already has avg_age < 1

@@ -88,8 +88,8 @@ class TestConditionalMoments:
 def per_piece_moments(params, policy, p):
     """Each start state's moments, added up one integral at a time.
 
-    The evaluator takes them at rate rho = 2^a (rho = 1 at every rate
-    here), mu = m rho.
+    The evaluator takes them at rate rho = 2^a, the power of two at or
+    below mu, so mu = m rho with m in [1, 2).
     threshold_integrals gives, at the thresholds z = mu tau and for each
     exponent e of 1, x and p's term c x^e, every Poisson term v of every
     piece m at rate 1; at rate rho each is that times m^-(e+1), which it
@@ -103,7 +103,6 @@ def per_piece_moments(params, policy, p):
     mu, B = params.mu_h, params.battery
     [(c, e)] = p.terms  # one penalty term: E[P(X)] is its row alone
     a = math.frexp(mu)[1] - 1
-    a = a if abs(a) > 64 else 0
     t = math.ldexp(policy.thresholds[-1], a)
     table = gamma_table(mu * np.array([policy.thresholds]), (0.0, 1.0, e))
     # m^-(e+1) of every exponent from one numpy power, as the evaluator takes them

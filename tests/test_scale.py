@@ -9,10 +9,14 @@ rate and the evaluator takes its moments there, so from mu = 1e-300 to
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from aoiharvest import cli
+from aoiharvest.model import PenaltySpec, SystemParams
+from aoiharvest.renewal import avg_penalties
 
 RATES = (1e-300, 1e-8, 0.73, 1e8, 1e300)
 PENALTIES = {"identity": ([], 1.0), "power0.5": (["--penalty", "power", "--exponent", "0.5"], 0.5)}
@@ -91,12 +95,40 @@ EXACT = [
         ["--mu", "1e105", "--battery", "1", "--thresholds", "1e-40", "--penalty", "power", "--exponent", "3"],
         {"avg_penalty": 2.5e-121, "m1": 1e-40, "m2": 1e-80},
     ),
+    # unit-rate thresholds (1.5, 0.7) at mu = 2^64 under p(x) = x^16: the
+    # answer is 2^-1024 times the unit-rate one, in range, where the x^16
+    # row taken in time units underflows to 0
+    (
+        ["--mu", "1.8446744073709552e+19", "--battery", "2", "--thresholds", "8.131516293641283e-20,3.794707603699265e-20"]
+        + ["--penalty", "power", "--exponent", "16"],
+        {"avg_penalty": 3.4110640707996737e-296},
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,want", EXACT, ids=["head-1e300", "inf-threshold", "coef-1e-330", "coef-1e-315"])
+@pytest.mark.parametrize("argv,want", EXACT, ids=["head-1e300", "inf-threshold", "coef-1e-330", "coef-1e-315", "pow16-2^64"])
 def test_evaluate_answers_where_the_answer_is_in_range(capsys, argv, want):
     assert cli.main(["evaluate", *argv]) == 0
     got = json.loads(capsys.readouterr().out)
     for key, value in want.items():
         assert relative(got[key], value) <= TOL
+
+
+def test_power_penalty_scales_at_every_power_of_two_rate():
+    # at mu = 2^k and thresholds z 2^-k, avg_penalty is 2^(-k e) times its
+    # value at mu = 1: checked wherever that is a normal double
+    z = np.array([[1.5, 0.7], [2.5, 0.4]])
+    checked = 0
+    for exponent in (14.0, 16.0, 17.0, 20.0):
+        p = PenaltySpec.power(exponent)
+        ref = avg_penalties(SystemParams(1.0, 2), z, p).tolist()
+        for k in range(-70, 71, 2):
+            got = avg_penalties(SystemParams(math.ldexp(1.0, k), 2), np.ldexp(z, -k), p).tolist()
+            for g, r in zip(got, ref):
+                shift = round(-k * exponent)
+                if not -1021 <= math.frexp(r)[1] + shift <= 1024:
+                    continue  # r 2^shift is subnormal or past the largest double
+                want = math.ldexp(r, shift)
+                assert relative(g, want) <= 1e-13, (exponent, k, g, want)
+                checked += 1
+    assert checked >= 400
