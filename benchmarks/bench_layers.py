@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_16.json]
+        [--rounds 10] [--out BENCH_18.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -37,8 +37,7 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        count in evaluations (one run: both are the same in
                        every round)
     grid_round_ms      one round of the default 15-point grid at B = 2
-                       (optimizer._zoomed_grid, 225 vertices; a tree whose
-                       _zoomed_grid still takes the outer bounds gets them)
+                       (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
     cold_s, cold_rss_mb
                        wall seconds and peak resident set size (MB, the
@@ -68,7 +67,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.metadata
-import inspect
 import io
 import json
 import os
@@ -195,12 +193,9 @@ def child(src: str) -> dict:
         out["evaluations"]["optimize_penalty"][str(b)] = r.evaluations
     params = SystemParams(1.0, 2)
     lows, highs = [0.5, 0.0], [1.0, optimizer.UPPER_CAP_FACTOR]
-    grid = [params, identity, lows, highs]
-    if "bounds" in inspect.signature(optimizer._zoomed_grid).parameters:
-        grid.append(list(zip(lows, highs)))
 
     def grid_round():
-        optimizer._zoomed_grid(*grid, 15, 1)
+        optimizer._zoomed_grid(params, identity, lows, highs, 15, 1)
 
     out["grid_round_ms"] = _best(grid_round) * 1e3
     args = cli.build_parser().parse_args(["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5"])
@@ -257,7 +252,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_16.json")
+    ap.add_argument("--out", default="BENCH_18.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

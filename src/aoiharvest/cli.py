@@ -206,6 +206,8 @@ def _sweep_fig(args) -> int:
     rates = _parse_floats(args.mu)
     if len(rates) != 1:
         raise ValueError(f"--fig takes exactly one --mu rate, got {len(rates)}")
+    if args.penalty != "identity":
+        raise ValueError(f"--fig takes only --penalty identity, got {args.penalty}")
     mu = rates[0]
     params = SystemParams(mu_h=mu, battery=2)
     if args.fig == 5:

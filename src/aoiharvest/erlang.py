@@ -308,6 +308,7 @@ class GammaTable(NamedTuple):
     z: np.ndarray  # (N, B) the thresholds at unit rate
     layout: _Layout
     upper: np.ndarray  # (N, G, B, R) z_i >= f + r: there P is 1 - Q, and pieces from z_i up upper tails
+    top: float  # the largest threshold of the batch at unit rate (0 for no thresholds)
 
 
 def _upper_fraction(f: float, x: float) -> float:
@@ -375,7 +376,7 @@ def gamma_table(z: np.ndarray, exponents) -> GammaTable:
     # P is the tail sum where x < s, where it can be small, and 1 - Q elsewhere.
     upper = x >= lay.s_row
     np.subtract(1.0, q, out=block[:, 1, :, :, :rows], where=upper)
-    return GammaTable(values, z, lay, upper)
+    return GammaTable(values, z, lay, upper, top)
 
 
 def _fractional_base(block, xs, top, fracs):

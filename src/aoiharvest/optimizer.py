@@ -235,8 +235,10 @@ class _Search:
     reaches its Bellman level, tau_i = p^{-1}(level_i). With tau_b fixed,
     tau_B stays put, so a step whose only threshold is tau_B reads no
     levels. Every threshold is kept at or above the one below it, so the
-    policy stays monotone. The first run starts from one fixed point,
-    every later one from the gaps the previous run ended at. The search
+    policy stays monotone. The first run starts from even gaps of 0.4, or
+    of 1.25 / (B - 1) where that is smaller (B >= 5), so that from
+    tau_B = 0.75 it starts at z_1 <= 2 whatever B, not at 0.4 B; every
+    later run starts from the gaps the previous run ended at. The search
     runs at unit rate: its thresholds are z = mu_h tau and its penalty one
     of z. ``evaluations`` counts the policies evaluated over all runs,
     ``stop_reason`` says why the last run stopped.
@@ -245,7 +247,7 @@ class _Search:
     def __init__(self, battery: int, penalty: PenaltySpec):
         self.params = SystemParams(1.0, battery)
         self.penalty = penalty
-        self.gaps = [0.4] * (battery - 1)
+        self.gaps = [min(0.4, 1.25 / max(1, battery - 1))] * (battery - 1)
         self.evaluations = 0
         self.stop_reason = ""
 

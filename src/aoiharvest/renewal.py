@@ -26,9 +26,10 @@ unit rate, whatever the rate, where E[X^2] ~ mu_h^-2 in time units may
 leave double range. The averages come from the weighted sums at rate
 rho, and moments, sums and averages reach time units by ldexp (none at
 a = 0, mu_h in [1, 2), where every optimizer evaluation runs). A policy
-whose unit-rate tau_B passes CERTAIN updates at tau_B from every state,
-and _certain gives its metrics where its head leaves double range at
-rate rho.
+whose unit-rate tau_B passes CERTAIN updates at tau_B from every state;
+where its head leaves double range at rate rho, _certain gives its
+metrics, applied once at the end of _evaluate, so that every entry point
+reads them alike.
 
 erlang.threshold_integrals gives the head and every integrand's integral
 over every piece, one row per distinct exponent, from one table of
@@ -176,8 +177,9 @@ def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
     in double range where a moment leaves it. A moment outside double
     range is inf or NaN (0 where it underflows), and so is an average that
     leaves it; no floating-point warning is printed. Where mu tau_B is so
-    large that the head leaves double range at rate rho, the metrics are
-    inf or NaN too, and _certain gives them.
+    large that the head leaves double range at rate rho, _certain gives the
+    metrics; it runs only for a batch whose unit-rate thresholds pass
+    CERTAIN, so the common path pays one comparison.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table, a, w, moments = _rated_moments(params.mu_h, taus, p)
@@ -190,12 +192,14 @@ def _evaluate(params: SystemParams, taus: np.ndarray, p: PenaltySpec):
             powers = np.array((-a, -2 * a, w - a))
             moments = np.ldexp(moments, powers[:, None])
             weighted = np.ldexp(weighted, powers)
+        if table.top > CERTAIN:
+            _certain(table.z[:, -1], taus, p, moments, weighted, averages)
     return moments, cdfs, down, pi, weighted, averages
 
 
-def _certain(mu: float, taus: np.ndarray, p: PenaltySpec, moments, weighted, averages):
-    """The metrics of the policies with mu tau_B > CERTAIN whose metrics
-    are not all finite, in place.
+def _certain(z_b: np.ndarray, taus: np.ndarray, p: PenaltySpec, moments, weighted, averages):
+    """The metrics of the policies whose unit-rate tau_B, z_b = mu tau_B,
+    passes CERTAIN and whose metrics are not all finite, in place.
 
     Every Poisson term of such a policy is 0, so from every state
     X = tau_B: E[X|j] = tau_B, E[X^2|j] = tau_B^2, E[P(X)|j] = P(tau_B) with
@@ -203,27 +207,23 @@ def _certain(mu: float, taus: np.ndarray, p: PenaltySpec, moments, weighted, ave
     avg_penalty = P(tau_B) / tau_B, taken here in time units.
     """
     finite = np.isfinite(weighted).all(axis=1) & np.isfinite(averages).all(axis=1)
-    sel = np.flatnonzero(~finite & (taus[:, -1] > CERTAIN / mu))
+    sel = np.flatnonzero(~finite & (z_b > CERTAIN))
     if not len(sel):
         return
     c, e = np.array(p.terms).T
     t = taus[sel, -1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = (c * (t**e / (e + 1.0))).sum(axis=1, keepdims=True)  # P(tau_B) / tau_B
-        head = np.hstack((t, t * t, t * slope))
-        moments[sel] = head[:, :, None]
-        weighted[sel] = head
-        averages[sel] = np.hstack((t * 0.5, slope))
+    slope = (c * (t**e / (e + 1.0))).sum(axis=1, keepdims=True)  # P(tau_B) / tau_B
+    head = np.hstack((t, t * t, t * slope))
+    moments[sel] = head[:, :, None]
+    weighted[sel] = head
+    averages[sel] = np.hstack((t * 0.5, slope))
 
 
 def conditional_moments(
     params: SystemParams, policy: Policy, p: PenaltySpec
 ) -> ConditionalMoments:
     """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
-    taus = np.array([policy.thresholds], dtype=float)
-    moments, _, _, _, weighted, averages = _evaluate(params, taus, p)
-    if not np.isfinite(moments).all():
-        _certain(params.mu_h, taus, p, moments, weighted, averages)
+    moments = _evaluate(params, np.array([policy.thresholds], dtype=float), p)[0]
     ex, ex2, epx = moments[0]
     return ConditionalMoments(ex, ex2, epx)
 
@@ -249,13 +249,8 @@ def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarra
     Unlike batch_metrics this does not raise when a policy's metrics leave
     double range: its entry is inf, so a search can pass over it.
     """
-    taus = np.asarray(thresholds, dtype=float)
-    moments, _, _, _, weighted, averages = _evaluate(params, taus, p)
-    finite = np.isfinite(averages[:, 1])
-    if not finite.all():
-        _certain(params.mu_h, taus, p, moments, weighted, averages)
-        finite = np.isfinite(averages[:, 1])
-    return np.where(finite, averages[:, 1], np.inf)
+    averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[-1]
+    return np.where(np.isfinite(averages[:, 1]), averages[:, 1], np.inf)
 
 
 def batch_metrics(
@@ -268,12 +263,9 @@ def batch_metrics(
     them is outside double range.
     """
     taus = np.asarray(thresholds, dtype=float)
-    p = p or PenaltySpec.identity()
-    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p)
+    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
     if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
-        _certain(params.mu_h, taus, p, moments, weighted, averages)
-        if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
-            raise OverflowError(_RANGE_ERROR)
+        raise OverflowError(_RANGE_ERROR)
     return BatchMetrics(
         m1=weighted[:, 0],
         m2=weighted[:, 1],
@@ -289,14 +281,10 @@ def policy_metrics(
 ) -> PolicyMetrics:
     """Long-run average age and age-penalty of a monotone threshold policy: the batch of one."""
     taus = np.array([policy.thresholds], dtype=float)
-    p = p or PenaltySpec.identity()
-    moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p)
+    moments, cdfs, down, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
     values = weighted[0].tolist() + averages[0].tolist()
     if not all(map(math.isfinite, values)):
-        _certain(params.mu_h, taus, p, moments, weighted, averages)
-        values = weighted[0].tolist() + averages[0].tolist()
-        if not all(map(math.isfinite, values)):
-            raise OverflowError(_RANGE_ERROR)
+        raise OverflowError(_RANGE_ERROR)
     m1, m2, epx, avg_age, avg_penalty = values
     moments.setflags(write=False)
     return PolicyMetrics(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aoiharvest import cli
-from aoiharvest.chain import SingularSystem, cut_tables, stationary, transition_matrix, unit_values
+from aoiharvest.chain import TINY, SingularSystem, cut_tables, stationary, transition_matrix, unit_values
 from aoiharvest.erlang import ErlangKernel, erlang_cdf, gamma_table, threshold_cdfs
 from aoiharvest.model import Policy, SystemParams, validate_policy
 from aoiharvest.renewal import bellman_levels, policy_metrics
@@ -290,14 +290,33 @@ def mpmath_reference(C, Q, ex, epx, mu):
         return pi, levels, gamma
 
 
+# Thresholds U[low, high] / mu at these B leave pi_0 below _FLOOR = 2^-500
+# with no down-rate below TINY, so unit_values takes its cut rows from the
+# recursion of _prefix_rows (8 and 11 steps).
+PREFIX_RECURSION = {24: (20.0, 30.0), 32: (15.0, 25.0)}
+
+
 def contract_families(B, mu):
     rng = np.random.default_rng(B)
     yield "U[0,4]", sorted(rng.uniform(0.0, 4.0 / mu, B).tolist(), reverse=True)
     yield "linspace", (np.linspace(1.76, 0.5, B) / mu).tolist()
     yield "U[2,6]", sorted(rng.uniform(2.0 / mu, 6.0 / mu, B).tolist(), reverse=True)
+    if B in PREFIX_RECURSION:
+        low, high = PREFIX_RECURSION[B]
+        taus = np.random.default_rng(B).uniform(low / mu, high / mu, B)
+        yield f"U[{low:g},{high:g}]", sorted(taus.tolist(), reverse=True)
 
 
-@pytest.mark.parametrize("battery", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("battery", sorted(PREFIX_RECURSION))
+def test_prefix_recursion_family_reaches_the_recursion(battery):
+    mu = 0.8
+    *_, (_, taus) = contract_families(battery, mu)
+    params, pol = make(mu, taus)
+    _, Q = cut_tables(params, pol)
+    assert policy_metrics(params, pol).pi[0] < 2.0**-500 and Q[1:].min() >= TINY
+
+
+@pytest.mark.parametrize("battery", [2, 4, 8, 16, 24, 32, 64])
 def test_accuracy_contract_against_mpmath(battery):
     # pi within 1e-13 relative per entry, down to masses of 1e-100, and the
     # Bellman levels within 1e-13 of max |level - gamma|. Solving the rows

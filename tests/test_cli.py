@@ -311,6 +311,18 @@ class TestSweep:
         assert captured.err.startswith("error: ValueError: --fig takes exactly one --mu rate")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("fig", ["5", "6"])
+    def test_fig_rejects_a_power_penalty(self, capsys, fig):
+        # it printed the identity avg_age curve with exit code 0
+        argv = ["sweep", "--fig", fig, "--mu", "1", "--tau1", "1.5", "--tau2", "0.5", "--points", "5"]
+        code = run_without_warnings(argv + ["--penalty", "power", "--exponent", "3"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION and captured.out == ""
+        assert captured.err.startswith("error: ValueError: --fig takes only --penalty identity")
+        code, out = run(capsys, argv + ["--penalty", "identity"])
+        assert code == 0 and out == run(capsys, argv)[1]
+        assert out.startswith("tau_1,tau_2,avg_age\n") and out.count("\n") == 6
+
     def test_fractional_battery_exit_code(self, capsys):
         # it ran B = 1 silently
         code, out = run(capsys, ["sweep", "--battery", "1.5"])

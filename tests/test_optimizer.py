@@ -357,6 +357,13 @@ class TestPolicyIteration:
         assert r.fixed_point_residual <= 1e-10
         assert 0 < r.evaluations <= 30  # measured 10; L-BFGS-B took 592
 
+    @pytest.mark.parametrize("battery, budget", [(64, 8), (256, 10)])
+    def test_unit_scale_start_certified_within_budget(self, battery, budget):
+        # the start at z_1 <= 2; from z_1 = 0.4 B the halving took 12 and 16
+        r = optimize_penalty(SystemParams(1.0, battery), OptimizerConfig())
+        assert r.certified and r.bellman_residual <= 1e-10
+        assert 0 < r.evaluations <= budget
+
     @pytest.mark.parametrize("exponent", [10.0, 40.0])
     def test_steep_power_penalty_certified(self, exponent):
         # the certificate scales with the objective: 26002 at power 10, 1.9e40 at 40

@@ -316,8 +316,8 @@ class TestConfigAndErrors:
 
     def test_initial_state_bound(self):
         params, pol = make(1.0, [1.0])
-        with pytest.raises(ValueError):
-            simulate(params, pol, IDENT, SimConfig(seed=0, renewals=100, initial_state=5))
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate(params, pol, IDENT, SimConfig(seed=0, renewals=2000, initial_state=5))
 
     def test_greedy_b1(self):
         params = SystemParams(1.0, 1)
