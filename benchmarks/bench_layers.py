@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_18.json]
+        [--rounds 10] [--out BENCH_19.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -57,8 +57,11 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
 each as the best of REPEATS timings within the child (for cycles_per_s,
 higher is better). The output holds the median over rounds per tree, and
 for two or more trees each later tree's difference from and ratio to the
-first, plus the Python, numpy and (where installed) scipy versions, the
-CPU count, and each tree's simulator kernel and source digest (sha256
+first's median (diff, ratio) and its paired ratio: the median over rounds
+of later / first, both taken in the same round, which cancels the
+machine's drift from round to round where the ratio of medians does not.
+It also records the Python, numpy and (where installed) scipy versions,
+the CPU count, and each tree's simulator kernel and source digest (sha256
 over the package's .py, .pyx and .c files, as perfbench records it).
 """
 
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_18.json")
+    ap.add_argument("--out", default="BENCH_19.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -283,9 +286,9 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "trees": {},
     }
-    medians = {}
+    medians, flats = {}, {}
     for label, results in runs.items():
-        flat = [_metrics(res) for res in results]
+        flat = flats[label] = [_metrics(res) for res in results]
         medians[label] = {k: statistics.median(f[k] for f in flat) for k in flat[0]}
         report["trees"][label] = {
             "src_sha256": _source_digest(trees[label]),
@@ -294,8 +297,13 @@ def main(argv=None) -> int:
         }
     first, *later = list(trees)
     for label in later:
+        pairs = list(zip(flats[label], flats[first]))
         report["trees"][label]["vs_" + first] = {
-            k: {"diff": v - medians[first][k], "ratio": v / medians[first][k]}
+            k: {
+                "diff": v - medians[first][k],
+                "ratio": v / medians[first][k],
+                "paired_ratio": statistics.median(a[k] / b[k] for a, b in pairs),
+            }
             for k, v in medians[label].items()
         }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -5,22 +5,31 @@ order (chunked refills from the numpy generator), same firing logic, so
 both kernels produce bitwise-identical sample paths from the same seed.
 
 The compiled kernel moves the cycle age by ``t - log(1 - u) / mu`` per
-uniform u. Here the logs are taken one CHUNK of uniforms at a time, with
-libm's log through ``math.log`` applied element by element, and never
-``np.log``: numpy's SIMD log is not libm's and differs from it in the
-last bit on some inputs (7,055 of 2,000,000 draws on an AVX-512 machine),
-which would fork the sample path. A chunk is refilled only when a cycle
-needs one more draw, as in the compiled kernel, so the generator ends in
-the same state too.
+uniform u. Here the logs are taken one CHUNK of uniforms at a time, and
+they must be libm's: numpy's contiguous ``np.log`` runs SIMD code that
+differs from libm in the last bit on some inputs (6,959 of 2,000,000
+draws on an AVX-512 machine), which would fork the sample path.
+``_libm_log`` calls ``np.log`` with an output whose stride has the sign
+opposite to the input's; numpy then runs its scalar loop, which calls
+libm's log for each element (about 9 ns per element on that machine,
+against 140 ns for ``math.log`` applied element by element). As that is
+numpy's behaviour rather than its promise, the first ``run_cycles`` call
+compares ``_libm_log`` with ``math.log`` bit for bit on PROBE seeded
+draws and keeps ``math.log`` through ``np.frompyfunc`` if any bit
+differs; ``log_kind`` names the choice. A chunk is refilled only when a
+cycle needs one more draw, as in the compiled kernel, so the generator
+ends in the same state too.
 
-With more than one battery level a loop over the chunk's logs, as the
-Python floats ``math.log`` returned, follows the battery level and forms
-``t - g / mu`` itself; working memory stays at the size of one chunk.
+With more than one battery level a loop over the chunk's log(1 - u) / mu,
+as Python floats, follows the battery level and forms ``t - d`` itself;
+an IEEE divide is correctly rounded in numpy as in Python, so this is
+the compiled kernel's ``t - log(1 - u) / mu``. Working memory stays at
+the size of one chunk.
 
 With one battery level every cycle takes exactly one draw and fires at
 max(tau_1, E), evaluated for a whole chunk at once. A uniform at or below
 a per-policy bound ``u_lo`` gives an arrival E below tau_1 for certain,
-so the cycle lasts tau_1 and its log is never taken; libm's log runs on
+so the cycle lasts tau_1 and its log is never taken; the log runs on
 the other uniforms only (on all of them when tau_1 = 0).
 """
 
@@ -29,13 +38,51 @@ import math
 import numpy as np
 
 CHUNK = 8192
-
-_libm_log = np.frompyfunc(math.log, 1, 1)
+PROBE = 4096  # seeded draws on which the first run_cycles call checks _libm_log
 
 # Relative margin of the B = 1 screen: the arrival at u_lo lies this far
 # below tau_1, about a million times the few ulps (2^-52 each) by which
 # libm's log and the division by mu can move it.
 MARGIN = 2.0**-30
+
+_py_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _libm_log(v):
+    """libm's log of each element of the contiguous float64 array v, through numpy's scalar loop.
+
+    The output's stride runs opposite to the input's, which keeps numpy
+    off its SIMD log. A single element counts as contiguous whatever its
+    stride, so it goes to ``math.log`` directly.
+    """
+    if len(v) < 2:
+        return np.array([math.log(x) for x in v.tolist()])
+    out = np.empty(len(v))[::-1]
+    np.log(v, out=out)
+    return out
+
+
+def _frompyfunc_log(v):
+    """libm's log of each element of v through ``math.log``, one Python call per element."""
+    return _py_log(v).astype(np.float64)
+
+
+_log = None  # the log run_cycles takes, chosen by its first call
+
+
+def _chunk_log():
+    """``_libm_log`` if it equals ``math.log`` bit for bit on PROBE seeded draws, else ``_frompyfunc_log``."""
+    global _log
+    if _log is None:
+        v = 1.0 - np.random.Generator(np.random.PCG64(0)).random(PROBE)
+        libm = np.array([math.log(x) for x in v.tolist()])
+        _log = _libm_log if _libm_log(v).tobytes() == libm.tobytes() else _frompyfunc_log
+    return _log
+
+
+def log_kind():
+    """How run_cycles takes its logs: "numpy-scalar" (``_libm_log``) or "frompyfunc"."""
+    return "numpy-scalar" if _chunk_log() is _libm_log else "frompyfunc"
 
 
 def run_cycles(thresholds, mu, n_cycles, start_state, rng):
@@ -52,6 +99,7 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng):
     if not 0 <= start_state <= B:
         raise ValueError("start_state must lie in 0..B")
     mu = float(mu)
+    log = _chunk_log()
     x_out = np.empty(n_cycles)
     s_out = np.empty(n_cycles, dtype=np.int64)
     buf = rng.random(CHUNK)
@@ -72,9 +120,9 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng):
     while c < n_cycles:
         m = min(CHUNK, n_cycles - c)
         if B == 1:
-            x_out[c : c + m] = _fire_once(taus[0], mu, u_lo, buf)[:m]
+            x_out[c : c + m] = _fire_once(taus[0], mu, u_lo, buf, log)[:m]
         else:
-            xs, ss, level, t = _run_levels(taus, mu, _libm_log(1.0 - buf).tolist(), level, t)
+            xs, ss, level, t = _run_levels(taus, (log(1.0 - buf) / mu).tolist(), level, t)
             m = min(len(xs), m)
             x_out[c : c + m] = xs[:m]
             s_out[c : c + m] = ss[:m]
@@ -102,20 +150,20 @@ def _screen_bound(tau, mu):
     return u_lo if arrival <= tau * (1.0 - 0.5 * MARGIN) else -1.0
 
 
-def _fire_once(tau, mu, u_lo, buf):
+def _fire_once(tau, mu, u_lo, buf, log):
     """The inter-update times of one chunk at B = 1: max(tau, arrival) per uniform."""
     xs = np.full(CHUNK, tau)
     late = np.flatnonzero(buf > u_lo)
     # the arrival as the compiled kernel adds it to t = 0
-    arrival = 0.0 + -(_libm_log(1.0 - buf[late]).astype(np.float64) / mu)
+    arrival = 0.0 + -(log(1.0 - buf[late]) / mu)
     xs[late] = np.where(tau < arrival, arrival, tau)
     return xs
 
 
-def _run_levels(taus, mu, logs, L, t):
+def _run_levels(taus, ds, L, t):
     """The cycles that one chunk of draws completes, for B >= 2.
 
-    Each draw is given as g = log(1 - u); its arrival comes at t - g / mu.
+    Each draw is given as d = log(1 - u) / mu; its arrival comes at t - d.
     The state between draws is the level L < B and the cycle age t at
     which L was reached; cand = max(tau_L, t) is the instant the update
     fires unless the next arrival comes first. Level 0 has an infinite
@@ -135,8 +183,8 @@ def _run_levels(taus, mu, logs, L, t):
     cand = threshold[L]
     if cand < t:
         cand = t
-    for g in logs:
-        t_next = t - g / mu
+    for d in ds:
+        t_next = t - d
         if cand < t_next:
             add_x(cand)
             L -= 1

@@ -7,7 +7,8 @@ the analytic evaluator), table1 (optimal thresholds for B = 1..4 at
 mu = 1 next to the published reference values).
 
 Exit codes: 0 success, 2 validation failure (also an unwritable --output
-file, or a result outside double range), 3 search budget exceeded,
+file, a result outside double range, or a request too large to allocate,
+such as simulate --renewals 2^59), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
 JSON output is deterministic for fixed flags and seed; CSV uses a fixed
@@ -37,7 +38,7 @@ from .optimizer import (
     optimize_penalty,
 )
 from .renewal import batch_metrics, policy_metrics
-from .simulator import SimConfig, simulate
+from .simulator import SimConfig, log_kind, simulate
 
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
@@ -140,11 +141,12 @@ def _stats_line(result, seconds: float) -> str:
 
 
 def _simulate_stats_line(report) -> str:
-    """The simulator kernel's throughput as one JSON line."""
+    """The simulator kernel's throughput, and the log it takes, as one JSON line."""
     seconds = report.kernel_s
     return _dumps(
         {
             "kernel": report.kernel,
+            "log": log_kind(),
             "cycles": report.renewals,
             "kernel_s": seconds,
             "cycles_per_s": report.renewals / seconds if seconds > 0.0 else None,
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--stats",
         action="store_true",
-        help="also write one JSON line to stderr: kernel, cycles, kernel seconds, cycles per second",
+        help="also write one JSON line to stderr: kernel, its log, cycles, kernel seconds, cycles per second",
     )
     sp.set_defaults(func=cmd_simulate)
 
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PolicyError, ValueError, OSError, OverflowError, SingularSystem) as exc:
+    except (PolicyError, ValueError, OSError, OverflowError, MemoryError, SingularSystem) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -13,13 +13,18 @@ Randomness: numpy PCG64, exponential variates by inverse transform, so
 sample paths are reproducible across platforms and across kernels. Both
 kernels take uniforms from the generator CHUNK at a time and move the
 cycle age by -log(1 - u) / mu with the C library's log: the compiled
-kernel one draw at a time; the pure-Python one takes a chunk's logs
-through ``math.log`` and, with one battery level, only the logs it reads:
-a uniform whose arrival is certain to fall below tau_1 gives a cycle of
-tau_1 with no log taken. numpy's own ``np.log`` is not used, because its
-SIMD code differs from libm in the last bit on some inputs, and one such
-draw would fork the path. ``SimReport.kernel_s`` times the kernel call,
-outside the report's equality and JSON.
+kernel one draw at a time; the pure-Python one a chunk's logs at once,
+through ``np.log`` with an output stride opposite to the input's, which
+makes numpy call libm's log per element instead of running its SIMD log
+(that one differs from libm in the last bit on some inputs, and one such
+draw would fork the path). The first pure-Python ``run_cycles`` call
+checks that call against ``math.log`` bit for bit on seeded draws and
+falls back to ``math.log`` per element if any bit differs; ``log_kind``
+names the log in use. With one battery level the pure-Python kernel
+takes only the logs it reads: a uniform whose arrival is certain to fall
+below tau_1 gives a cycle of tau_1 with no log taken.
+``SimReport.kernel_s`` times the kernel call, outside the report's
+equality and JSON.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ except ImportError:  # pragma: no cover - depends on build environment
     KERNEL = "python"
 
 GENERATOR_ID = "numpy-pcg64"
+
+
+def log_kind() -> str:
+    """The log the active kernel takes: "libm" (compiled), else "numpy-scalar" or "frompyfunc"."""
+    if KERNEL == "cython":
+        return "libm"
+    from . import _simcore_py
+
+    return _simcore_py.log_kind()
 
 
 class ZeroMeasurementWindow(ValueError):

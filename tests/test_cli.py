@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from aoiharvest import cli
@@ -260,10 +261,28 @@ class TestSimulateStats:
         assert code == 0 and out == plain
         assert err.endswith("\n") and err.count("\n") == 1
         stats = json.loads(err)
-        assert set(stats) == {"kernel", "cycles", "kernel_s", "cycles_per_s"}
+        assert set(stats) == {"kernel", "log", "cycles", "kernel_s", "cycles_per_s"}
         assert stats["kernel"] == KERNEL and stats["cycles"] == 20000
         assert stats["kernel_s"] > 0.0
         assert stats["cycles_per_s"] == pytest.approx(stats["cycles"] / stats["kernel_s"])
+
+    def test_log_names_the_kernels_log(self, capsys, monkeypatch):
+        from aoiharvest import _simcore_py, simulator
+
+        argv = self.ARGVS[1] + ["--stats"]
+        if simulator.KERNEL == "cython":
+            assert json.loads(call(capsys, argv)[2])["log"] == "libm"
+            return
+        code, out, err = call(capsys, argv)
+        assert code == 0 and json.loads(err)["log"] == _simcore_py.log_kind()
+        assert _simcore_py.log_kind() in ("numpy-scalar", "frompyfunc")
+        # a numpy whose scalar log is not libm's: the kernel falls back, stdout stays
+        real = _simcore_py._libm_log
+        monkeypatch.setattr(_simcore_py, "_libm_log", lambda v: np.nextafter(real(v), np.inf))
+        monkeypatch.setattr(_simcore_py, "_log", None)
+        code, fallback, err = call(capsys, argv)
+        assert code == 0 and fallback == out
+        assert json.loads(err)["log"] == "frompyfunc"
 
 
 class TestSweep:
@@ -400,6 +419,15 @@ class TestSimulate:
     def test_requires_policy(self, capsys):
         code, _ = run(capsys, ["simulate", "--mu", "1", "--battery", "2"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("renewals", [2**59, 2**60], ids=["memory-error", "too-big"])
+    def test_unallocatable_renewals_exit_2(self, capsys, renewals):
+        # 2^59 cycles ask numpy for 4 EiB, which it refuses with a MemoryError
+        # (an exit-1 traceback before); 2^60 overflows its size check, a ValueError
+        argv = ["simulate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--renewals", str(renewals)]
+        code, out, err = call(capsys, argv)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,74 @@ class TestScriptedEdges:
         assert any(0.0 < u <= u_lo for u in script) and any(u_lo < u < U0 for u in script)
 
 
+def libm(v):
+    """math.log of each element, as float64."""
+    return np.fromiter(map(math.log, v.tolist()), np.float64, len(v))
+
+
+def simd_misses(v):
+    """The elements of v where numpy's contiguous np.log differs from math.log (none on some machines)."""
+    return v[np.log(v).view(np.int64) != libm(v).view(np.int64)]
+
+
+class TestLibmLog:
+    """_libm_log is the pure-Python kernel's log wherever its first-call
+    probe accepts it; it must be libm's log bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def accepted(self):
+        if _simcore_py.log_kind() != "numpy-scalar":
+            pytest.skip("the probe rejected numpy's scalar log here; the kernel takes math.log per element")
+
+    def test_equals_math_log_on_seeded_draws(self):
+        rng = np.random.Generator(np.random.PCG64(2024))
+        for _ in range(8):
+            v = 1.0 - rng.random(2**18)
+            assert _simcore_py._libm_log(v).tobytes() == libm(v).tobytes()
+
+    def test_edge_inputs(self):
+        v = np.array([1.0, math.nextafter(1.0, 0.0), 2.0**-53, np.finfo(np.float64).tiny, 5e-324])
+        assert _simcore_py._libm_log(v).tobytes() == libm(v).tobytes()
+        for x in v:
+            assert _simcore_py._libm_log(np.array([x])).tobytes() == libm(np.array([x])).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8192])
+    def test_any_length(self, n):
+        # B = 1 gathers the unscreened uniforms of a chunk, any number of them;
+        # the SIMD log's misses come first, so even n = 1 holds one where it has one
+        v = 1.0 - np.random.Generator(np.random.PCG64(5)).random(65536)
+        v = np.concatenate([simd_misses(v), v])[:n]
+        out = _simcore_py._libm_log(v)
+        assert out.shape == (n,) and out.dtype == np.float64
+        assert out.tobytes() == libm(v).tobytes()
+
+    def test_probe_falls_back_on_a_one_ulp_difference(self, monkeypatch):
+        real = _simcore_py._libm_log
+        probe = 1.0 - np.random.Generator(np.random.PCG64(0)).random(_simcore_py.PROBE)
+        target = probe[1234]
+
+        def one_ulp_off(v):
+            out = np.array(real(v))
+            hit = v == target
+            out[hit] = np.nextafter(out[hit], np.inf)
+            return out
+
+        real_fallback = _simcore_py._frompyfunc_log
+        calls = []
+
+        def counted(v):
+            calls.append(len(v))
+            return real_fallback(v)
+
+        monkeypatch.setattr(_simcore_py, "_libm_log", one_ulp_off)
+        monkeypatch.setattr(_simcore_py, "_frompyfunc_log", counted)
+        monkeypatch.setattr(_simcore_py, "_log", None)
+        assert _simcore_py.log_kind() == "frompyfunc"
+        for battery in (1, 4):
+            assert_same_path(_simcore_py, stratified(1.0, battery, seed=battery), 1.0, 20_000, 0)
+        assert calls
+
+
 class TestAgreementWithAnalytics:
     def test_b1_optimum(self):
         tau = 0.901201031729666
