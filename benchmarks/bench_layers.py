@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_19.json]
+        [--rounds 10] [--out BENCH_20.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -31,6 +31,9 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        penalty and for algorithm1, per battery size in
                        STEP_BATTERIES, at mu = 1 from the default config,
                        and again at mu = 1.3 (names ending in _mu13)
+    call_us            microseconds per optimizer call, for the same calls:
+                       where two trees take different numbers of steps per
+                       call, step_us alone does not compare them
     evaluations        the evaluation count of each of those calls
     bellman_residual   optimize_penalty's Bellman residual at the battery
                        sizes in RESIDUAL_BATTERIES, with its evaluation
@@ -174,7 +177,7 @@ def child(src: str) -> dict:
         taus = np.array([sorted(rng.uniform(0.0, 4.0, b), reverse=True)])
         args = chain.cut_tables(SystemParams(1.0, b), taus)
         out["stationary_us"][str(b)] = _best(lambda: chain.stationary(*args)) * 1e6
-    out["step_us"], out["evaluations"] = {}, {}
+    out["step_us"], out["call_us"], out["evaluations"] = {}, {}, {}
     runs = {
         "optimize_penalty": (optimizer.optimize_penalty, identity),
         "optimize_penalty_pow05": (optimizer.optimize_penalty, root),
@@ -183,11 +186,14 @@ def child(src: str) -> dict:
     for name, (run, penalty) in runs.items():
         config = optimizer.OptimizerConfig(penalty=penalty)
         for mu, suffix in ((1.0, ""), (1.3, "_mu13")):
-            out["step_us"][name + suffix], out["evaluations"][name + suffix] = {}, {}
+            for key in ("step_us", "call_us", "evaluations"):
+                out[key][name + suffix] = {}
             for b in STEP_BATTERIES:
                 params = SystemParams(mu, b)
                 evaluations = run(params, config).evaluations
-                out["step_us"][name + suffix][str(b)] = _best(lambda: run(params, config)) / evaluations * 1e6
+                call_us = _best(lambda: run(params, config)) * 1e6
+                out["call_us"][name + suffix][str(b)] = call_us
+                out["step_us"][name + suffix][str(b)] = call_us / evaluations
                 out["evaluations"][name + suffix][str(b)] = evaluations
     out["bellman_residual"] = {}
     for b in RESIDUAL_BATTERIES:
@@ -241,7 +247,7 @@ def _metrics(result: dict) -> dict:
     keys = ("gamma_table_us", "policy_metrics_us", "policy_metrics_pow05_us", "policy_metrics_mu07_us")
     for key in keys + ("stationary_us", "bellman_residual", "cold_s", "cold_rss_mb"):
         flat.update({f"{key}.b{b}": v for b, v in result[key].items()})
-    for key in ("step_us", "evaluations"):
+    for key in ("step_us", "call_us", "evaluations"):
         for name, per_battery in result[key].items():
             flat.update({f"{key}.{name}.b{b}": v for b, v in per_battery.items()})
     flat["grid_round_ms"] = result["grid_round_ms"]
@@ -255,7 +261,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_19.json")
+    ap.add_argument("--out", default="BENCH_20.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -14,16 +14,18 @@ penalty is below the average cost plus the value of one more stored unit.
 The paper's fixed point p(tau_B*) = gamma* is the i = B case. Two
 optimizers use it:
 
-* ``algorithm1``, a bisection on the full-battery threshold whose
-  feasibility test minimizes over the upper thresholds at fixed tau_B
-  (the same iteration with tau_B held and every tau_i kept at or above
-  it). It rests on the structural result that a monotone solution of the
-  moment condition 2 tau_B m1 = m2 exists iff tau_B is at least the
-  optimal average age, which yields a certified optimality gap of
-  1 / (2^{q+1} mu_h) after q iterations. Each test starts from the gaps
-  the previous one ended at and stops at the first policy whose average
-  age is at most tau_B, a witness of feasibility; only the final search at
-  the feasible endpoint runs to convergence;
+* ``algorithm1``, a bisection on the full-battery threshold. It rests
+  on the structural result that a monotone solution of the moment
+  condition 2 tau_B m1 = m2 exists iff tau_B is at least the optimal
+  average age, which yields a certified optimality gap of
+  1 / (2^{q+1} mu_h) after q iterations. One unpinned run of the
+  iteration gives gamma, the optimal unit-rate age, and every step is
+  answered by mid >= gamma, at no evaluation; the final search at the
+  feasible endpoint (the iteration with tau_B held and every tau_i kept
+  at or above it) starts from the optimum's gaps. ``feasible``, a
+  pinned search that stops at the first policy whose average age is at
+  most tau_B, is the per-step oracle: the tests check the steps against
+  it, and perfbench's tracer counts its calls;
 * ``optimize_penalty``, the iteration over all thresholds for any power
   penalty, certified by the fixed-point property
   p(tau_B) = optimal average penalty.
@@ -317,6 +319,8 @@ def feasible(
     policy with avg_age <= tau_B proves it, so the search stops at the
     first one. The search runs at unit rate, at z_B = mu_h tau_B, on the
     unit-rate age; ``search`` carries the warm start from test to test.
+    ``algorithm1`` answers the same question from the optimal age; this
+    test is its per-step oracle.
     """
     _require_identity(config)
     z_b = tau_b * params.mu_h
@@ -335,8 +339,12 @@ def _result(
     mu_h, and its objective, residuals, gap bound and trace by scale (mu_h
     where the search's penalty is the unit-rate age, 1 where it is
     p(z / mu_h)). Certified unless a tolerance is given and the fixed-point
-    residual exceeds it."""
-    policy = validate_policy(params, [z / params.mu_h for z in point.taus])
+    residual exceeds it. Raises OverflowError when a threshold or the
+    objective leaves double range at rate mu_h."""
+    thresholds = [z / params.mu_h for z in point.taus]
+    if any(map(math.isinf, thresholds)) or math.isinf(point.objective / scale):
+        raise OverflowError(_RANGE_ERROR)
+    policy = validate_policy(params, thresholds)
     p_taus = search.penalty(np.asarray(point.taus))
     fixed_point_residual = abs(float(p_taus[-1]) - point.objective)
     return OptimizationResult(
@@ -355,22 +363,31 @@ def _result(
 def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationResult:
     """Bisection on the full-battery threshold with a certified age gap.
 
-    Starts from the bracket [1/(2 mu), 1/mu]; each feasibility test
-    halves the interval containing the optimal average age. The returned
-    policy is the inner minimizer at the terminal feasible endpoint, so
-    its average age is within 1/(2^{q+1} mu) of optimal. The bisection
-    runs at unit rate, on [1/2, 1].
+    Starts from the bracket [1/(2 mu), 1/mu]; each step halves the
+    interval containing the optimal average age. The steps are answered
+    from gamma, the age of the optimum of one unpinned policy iteration:
+    tau_B is feasible exactly when it is at least the optimal age, and
+    gamma is the age of an evaluated policy, a witness for every
+    mid >= gamma. ``feasible``, the per-step oracle the tests check the
+    steps against, decides the same once its search converges. The
+    returned policy is the inner minimizer at the terminal feasible
+    endpoint, so its average age is within 1/(2^{q+1} mu) of optimal. The
+    bisection runs at unit rate, on [1/2, 1]; ``evaluations`` counts the
+    policy iteration and the final search.
     """
     _require_identity(config)
     search = _Search(params.battery, config.penalty)
-    unit = search.params
+    gamma = search.run().objective
     lo, hi = 0.5, 1.0
-    if not feasible(unit, config, hi, search):
-        raise BracketInvalid(f"upper bracket endpoint {hi / params.mu_h} is infeasible")
+    if not lo <= gamma <= hi:
+        raise BracketInvalid(
+            f"optimal average age {gamma / params.mu_h} is outside the bracket "
+            f"[{lo / params.mu_h}, {hi / params.mu_h}]"
+        )
     trace = [(lo, hi)]
     for _ in range(config.q):
         mid = 0.5 * (lo + hi)
-        if feasible(unit, config, mid, search):
+        if mid >= gamma:
             hi = mid
         else:
             lo = mid

@@ -4,9 +4,13 @@ The abstract says that "more than half the total possible reduction in age
 is attained when battery storage increases from one transmission's worth of
 energy to two". The share gained from B = 1 to B = 2 depends on what the
 total reduction is measured against; these tests pin the measured share
-under each reading (see the README section "Large batteries").
+under each reading (see the README section "Large batteries"). The last
+test pins how fast the optimal age approaches its limit as B grows.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from aoiharvest.model import SystemParams
@@ -51,3 +55,17 @@ def test_share_from_zero_wait(ages):
     zero_wait, limit = 1.0 / MU, 1.0 / (2.0 * MU)
     assert (zero_wait - ages[2]) / (zero_wait - limit) == pytest.approx(0.560, abs=5e-4)
     assert (zero_wait - ages[1]) / (zero_wait - limit) == pytest.approx(0.1976, abs=5e-4)
+
+
+def test_large_battery_law():
+    # (gamma* - 1/(2 mu)) B^2 -> pi^2 / 2 from below: the exact fit of
+    # C + D/B + E/B^2 through B = 128, 256, 512 gives C within 8.5e-6 of
+    # pi^2 / 2 and D = -32.1
+    batteries = (128, 256, 512)
+    scaled = [
+        (optimize_penalty(SystemParams(MU, b), OptimizerConfig()).objective - 0.5 / MU) * MU * b**2
+        for b in batteries
+    ]
+    c, d, _ = np.linalg.solve([[1.0, 1.0 / b, 1.0 / b**2] for b in batteries], scaled)
+    assert abs(c - math.pi**2 / 2) <= 1e-4 * math.pi**2 / 2
+    assert d < 0

@@ -197,6 +197,19 @@ class TestOptimize:
         assert code == cli.EXIT_VALIDATION
         assert captured.out == ""
         assert captured.err == "error: OverflowError: policy metrics outside double range\n"
+        # at mu = 1e-320 the unit-rate thresholds z / mu_h are past double
+        # range; algorithm1 and sweep said "NonFinite: threshold inf is not finite"
+        for argv in (
+            ["optimize", "--mu", "1e-320", "--battery", "2"],
+            ["optimize", "--mu", "1e-320", "--battery", "2", "--mode", "penalty"],
+            ["optimize", "--mu", "1e-320", "--battery", "2", "--mode", "grid", "--grid-points", "5"],
+            ["sweep", "--mu", "1e-320", "--battery", "1"],
+        ):
+            code = run_without_warnings(argv)
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_VALIDATION
+            assert captured.out == ""
+            assert captured.err == "error: OverflowError: policy metrics outside double range\n"
 
     def test_non_finite_result_is_not_printed(self, capsys):
         # the objective of this start point is NaN; it was printed as "objective": NaN

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -298,6 +299,60 @@ class TestAlgorithm1Bisection:
         assert len(metrics_calls) == 1
 
 
+def reference_algorithm1(params, config):
+    """algorithm1 as it ran with one witness-stopped feasibility test per step."""
+    optimizer._require_identity(config)
+    search = optimizer._Search(params.battery, config.penalty)
+    unit = search.params
+    lo, hi = 0.5, 1.0
+    if not feasible(unit, config, hi, search):
+        raise optimizer.BracketInvalid(f"upper bracket endpoint {hi / params.mu_h} is infeasible")
+    trace = [(lo, hi)]
+    for _ in range(config.q):
+        mid = 0.5 * (lo + hi)
+        if feasible(unit, config, mid, search):
+            hi = mid
+        else:
+            lo = mid
+        trace.append((lo, hi))
+    point = search.run(hi)
+    return optimizer._result(
+        params, search, point, params.mu_h, gap_bound=1.0 / 2.0 ** (config.q + 1), trace=trace
+    )
+
+
+class TestAlgorithm1FromTheOptimum:
+    """Steps answered by mid >= gamma decide as the per-step feasibility tests do."""
+
+    @pytest.mark.parametrize("q", [10, 30])
+    @pytest.mark.parametrize("battery", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("mu", [0.5, 0.73, 1.3, 2.0, 1e-200, 1e200])
+    def test_same_trace_and_objective_as_feasible(self, mu, battery, q):
+        params, config = SystemParams(mu, battery), OptimizerConfig(q=q)
+        r = algorithm1(params, config)
+        ref = reference_algorithm1(params, config)
+        assert r.trace == ref.trace
+        assert r.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
+        assert r.certified
+
+    @pytest.mark.parametrize("battery", [2, 3, 4])
+    def test_evaluation_budget(self, battery):
+        # measured 8, 7 and 8; one feasibility test per step took 25, 24 and 24
+        assert algorithm1(SystemParams(1.0, battery), OptimizerConfig()).evaluations <= 10
+
+    @pytest.mark.parametrize("gamma", [0.49, 1.01, math.nan])
+    def test_optimum_outside_the_bracket_raises(self, monkeypatch, gamma):
+        real = optimizer._Search.run
+
+        def run(self, tau_b=None, stop_at=-math.inf):
+            point = real(self, tau_b, stop_at)
+            return dataclasses.replace(point, objective=gamma) if tau_b is None else point
+
+        monkeypatch.setattr(optimizer._Search, "run", run)
+        with pytest.raises(optimizer.BracketInvalid):
+            algorithm1(SystemParams(1.0, 2), OptimizerConfig())
+
+
 @pytest.fixture
 def relative_value_solves(monkeypatch):
     """One entry per solve for the unit values (renewal.bellman_levels reads them)."""
@@ -331,8 +386,11 @@ class TestLevelsOnlyWhenRead:
         assert relative_value_solves == []
 
     def test_algorithm1_b1_solves_for_the_certificate_alone(self, relative_value_solves):
+        # four unpinned steps that read the levels (the optimum's gamma answers
+        # every bisection step), one pinned step at the final hi that reads
+        # none, and the certificate
         r = algorithm1(SystemParams(1.0, 1), OptimizerConfig())
-        assert r.evaluations == 12 and len(relative_value_solves) == 1
+        assert r.evaluations == 5 and len(relative_value_solves) == 5
         assert r.bellman_residual == r.fixed_point_residual
 
     @pytest.mark.parametrize("battery", [2, 3, 5])
