@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 10] [--out BENCH_20.json]
+        [--rounds 16] [--out BENCH_21.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -42,6 +42,11 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
     grid_round_ms      one round of the default 15-point grid at B = 2
                        (optimizer._zoomed_grid, 225 vertices)
     fig_curve_ms       one 61-row Fig. 5 curve (cli._sweep_fig, CSV to a buffer)
+    parse_us           the parse of each argv in PARSE_ARGVS, as cli.main
+                       parses it (cli._parse; _parser().parse_args in
+                       trees without it)
+    cli_us             one in-process cli.main call of each argv in
+                       CLI_ARGVS, stdout to a buffer
     cold_s, cold_rss_mb
                        wall seconds and peak resident set size (MB, the
                        whole process) of one cold policy_metrics call with
@@ -95,6 +100,19 @@ KERNEL_CYCLES = 200_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
 IMPORTS = 5  # fresh-interpreter imports per child; import_s is their median
+EVALUATE_B4 = ["evaluate", "--mu", "1", "--battery", "4", "--thresholds", "2.5,1.5,0.8,0.5"]
+EVALUATE_B32 = ["evaluate", "--mu", "1", "--battery", "32", "--thresholds", ",".join(f"{k / 10:g}" for k in range(32, 0, -1))]
+OPTIMIZE_B2 = ["optimize", "--mu", "1", "--battery", "2", "--mode", "penalty"]
+PARSE_ARGVS = {
+    "evaluate": EVALUATE_B4 + ["--penalty", "power", "--exponent", "0.5"],
+    "optimize": OPTIMIZE_B2 + ["--penalty", "power", "--exponent", "2"],
+}
+CLI_ARGVS = {
+    "evaluate_b4": EVALUATE_B4,
+    "evaluate_b32": EVALUATE_B32,
+    "fig5": ["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5"],
+    "optimize_penalty_b2": OPTIMIZE_B2,
+}
 
 
 def _best(fn) -> float:
@@ -214,6 +232,15 @@ def child(src: str) -> dict:
             cli._sweep_fig(args)
 
     out["fig_curve_ms"] = _best(curve) * 1e3
+    parse = getattr(cli, "_parse", None) or cli._parser().parse_args
+    out["parse_us"] = {name: _best(lambda: parse(argv)) * 1e6 for name, argv in PARSE_ARGVS.items()}
+
+    def call(argv):
+        with redirect_stdout(io.StringIO()):
+            if cli.main(list(argv)) != 0:
+                raise RuntimeError(f"exit code not 0: {argv}")
+
+    out["cli_us"] = {name: _best(lambda: call(argv)) * 1e6 for name, argv in CLI_ARGVS.items()}
     out["cycles_per_s"] = {}
     for b in KERNEL_BATTERIES:
         rng = np.random.default_rng(b)
@@ -252,6 +279,8 @@ def _metrics(result: dict) -> dict:
             flat.update({f"{key}.{name}.b{b}": v for b, v in per_battery.items()})
     flat["grid_round_ms"] = result["grid_round_ms"]
     flat["fig_curve_ms"] = result["fig_curve_ms"]
+    for key in ("parse_us", "cli_us"):
+        flat.update({f"{key}.{name}": v for name, v in result[key].items()})
     flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
     flat.update({f"cycles_per_s_b1.z{z}": v for z, v in result["cycles_per_s_b1"].items()})
     return flat
@@ -260,8 +289,8 @@ def _metrics(result: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_20.json")
+    ap.add_argument("--rounds", type=int, default=16)
+    ap.add_argument("--out", default="BENCH_21.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

@@ -11,6 +11,11 @@ file, a result outside double range, or a request too large to allocate,
 such as simulate --renewals 2^59), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
+main parses an argv once: where argv[0] names a subcommand, that
+subcommand's own parser reads the rest, and only an argv it does not
+accept whole, or one that names no subcommand, goes through the full
+parser. Either way the usage, help and error lines are argparse's own.
+
 JSON output is deterministic for fixed flags and seed; CSV uses a fixed
 header and 9 significant digits. optimize --stats and simulate --stats add
 one JSON line of diagnostics on stderr and leave stdout as it is.
@@ -230,12 +235,24 @@ def _sweep_fig(args) -> int:
         ]
     rows = ["tau_1,tau_2,avg_age"]
     for taus in curves:
-        for row in taus:
-            validate_policy(params, row)
+        _validate_curve(params, taus)
         ages = batch_metrics(params, taus).avg_age
-        rows += [",".join([_g(t1), _g(t2), _g(age)]) for (t1, t2), age in zip(taus, ages)]
+        rows += ["%.9g,%.9g,%.9g" % (t1, t2, age) for (t1, t2), age in zip(taus.tolist(), ages.tolist())]
     _out(args, "\n".join(rows))
     return 0
+
+
+def _validate_curve(params: SystemParams, taus: np.ndarray):
+    """validate_policy on every row of an (N, 2) curve, as one array test.
+
+    A row passes exactly when both thresholds are finite and
+    tau_1 >= tau_2 >= 0; validate_policy reruns on the first row that does
+    not, so the error is the one a row-by-row loop raises.
+    """
+    tau1, tau2 = taus.T
+    passes = np.isfinite(taus).all(axis=1) & (tau2 >= 0.0) & (tau1 >= tau2)
+    if not passes.all():
+        validate_policy(params, taus[np.argmin(passes)])
 
 
 def cmd_simulate(args) -> int:
@@ -383,8 +400,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of _parser(), by name: the choices of its subparsers action."""
+    return _parser()._subparsers._group_actions[0].choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), parsed once where argv[0] names a subcommand.
+
+    The full parser's only work before that subcommand's parser takes over
+    is to pick it, so that parser alone parses argv[1:] when it accepts
+    every argument. Any other argv (none, help, an unknown subcommand,
+    arguments left over) goes through the full parser, whose usage, help
+    and error lines are the ones printed. An argv the subcommand's parser
+    rejects exits from that parser, as it does under the full parser.
+    """
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    The argv is parsed once, by the named subcommand's parser, and falls
+    back to the full parser where that parser leaves arguments over or no
+    subcommand is named (see _parse). An argv argparse rejects exits with
+    code 2 from the parser; a command's own failure prints one
+    "error: ..." line on stderr and returns its exit code.
+    """
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BudgetExceeded as exc:

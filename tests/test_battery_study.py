@@ -69,3 +69,20 @@ def test_large_battery_law():
     c, d, _ = np.linalg.solve([[1.0, 1.0 / b, 1.0 / b**2] for b in batteries], scaled)
     assert abs(c - math.pi**2 / 2) <= 1e-4 * math.pi**2 / 2
     assert d < 0
+
+
+def test_threshold_profile_layers():
+    # the optimal thresholds z = mu tau at B = 64, 128, 256: the edge layers
+    # settle (z_1 -> 1.7554, z_2 -> 1.4420, z_{B-1} -> 0.7310, each move about
+    # a quarter of the one before) while the middle flattens toward 1, with
+    # z_{B/2} - 1 = 1.94e-3, 6.37e-4, 1.97e-4
+    profiles = [
+        optimize_penalty(SystemParams(MU, b), OptimizerConfig()).policy.thresholds for b in (64, 128, 256)
+    ]
+    for layer in (lambda z: z[0], lambda z: z[1], lambda z: z[-2]):
+        values = [MU * layer(z) for z in profiles]
+        first, second = (abs(b - a) for a, b in zip(values, values[1:]))
+        assert second < first
+    middle = [MU * z[len(z) // 2] - 1.0 for z in profiles]
+    assert all(m > 0 for m in middle)
+    assert middle[0] >= 2.5 * middle[1] and middle[1] >= 2.5 * middle[2]

@@ -12,12 +12,16 @@ import subprocess
 import sys
 import warnings
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aoiharvest import cli
-from aoiharvest.model import PolicyMetrics  # noqa: F401  (re-export sanity)
-from aoiharvest.renewal import policy_metrics
+from aoiharvest.model import PolicyError, PolicyMetrics  # noqa: F401  (re-export sanity)
+from aoiharvest.model import SystemParams, validate_policy
+from aoiharvest.renewal import batch_metrics, policy_metrics
 
 
 def run(capsys, argv):
@@ -523,6 +527,158 @@ def test_cached_parser_matches_fresh_parsers(capsys):
     assert cli._parser.cache_info().misses == 1
     assert cached == fresh + fresh
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]
+
+
+# argvs argparse handles before or instead of a command: no argv, help, an
+# unknown subcommand or flag, extra positionals, bad and missing values,
+# abbreviations, "--", a negative number and repeated flags
+EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["Evaluate"],
+    ["-x", "evaluate"],
+    ["--help", "evaluate"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--bogus"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "extra", "args"],
+    ["evaluate", "--mu", "x", "--battery", "2", "--thresholds", "1,0.5"],
+    ["evaluate", "--battery", "2", "--thresholds", "1,0.5"],
+    ["evaluate", "--mu=1", "--battery", "2", "--thresholds", "1,0.5"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thr", "1,0.5"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--"],
+    ["evaluate", "--", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5"],
+    ["evaluate", "--mu", "-1", "--battery", "2", "--thresholds", "1,0.5"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--thresholds", "2,1"],
+    ["evaluate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "-h"],
+    ["evaluate", "--he"],
+    ["table1", "--q", "3"],
+    ["table1", "--output"],
+    ["optimize", "--mu", "1", "--battery", "2", "--m", "penalty"],
+]
+HELP_ARGVS = [[command, "-h"] for command in cli._subcommands()]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    INTERLEAVED + [argv for argv in EDGE_ARGVS if argv not in INTERLEAVED] + HELP_ARGVS,
+    ids=lambda argv: " ".join(argv) or "no argv",
+)
+def test_one_parse_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main parses with the subcommand's own parser where argv[0] names one;
+    # the exit code, stdout and stderr are those of the full parser's path
+    fast = call(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_subcommands", dict)  # no subcommand is dispatched to
+        full = call(capsys, argv)
+    assert fast == full
+
+
+def test_an_accepted_argv_skips_the_full_parser(capsys, monkeypatch):
+    def refuse(argv):
+        raise AssertionError(f"full parser called on {argv}")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    for argv in INTERLEAVED[:2] + [INTERLEAVED[3]]:
+        assert call(capsys, argv)[0] == 0
+
+
+def _g(v: float) -> str:
+    return format(float(v), ".9g")
+
+
+def reference_sweep_fig(args) -> int:
+    """The Fig. 5/6 sweep with its checks and its CSV rows taken one row at a time."""
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    rates = cli._parse_floats(args.mu)
+    if len(rates) != 1:
+        raise ValueError(f"--fig takes exactly one --mu rate, got {len(rates)}")
+    if args.penalty != "identity":
+        raise ValueError(f"--fig takes only --penalty identity, got {args.penalty}")
+    mu = rates[0]
+    params = SystemParams(mu_h=mu, battery=2)
+    if args.fig == 5:
+        fixed = cli._parse_floats(args.tau2)
+        if not fixed:
+            raise ValueError("--tau2 required for --fig 5")
+        curves = [
+            np.column_stack((np.linspace(t2, t2 + 3.0 / mu, args.points), np.full(args.points, t2)))
+            for t2 in fixed
+        ]
+    else:
+        fixed = cli._parse_floats(args.tau1)
+        if not fixed:
+            raise ValueError("--tau1 required for --fig 6")
+        curves = [
+            np.column_stack((np.full(args.points, t1), np.linspace(0.0, t1, args.points)))
+            for t1 in fixed
+        ]
+    rows = ["tau_1,tau_2,avg_age"]
+    for taus in curves:
+        for row in taus:
+            validate_policy(params, row)
+        ages = batch_metrics(params, taus).avg_age
+        rows += [",".join([_g(t1), _g(t2), _g(age)]) for (t1, t2), age in zip(taus, ages)]
+    cli._out(args, "\n".join(rows))
+    return 0
+
+
+@pytest.mark.parametrize("mu", ["0.5", "1", "1.7", "3e-5", "2e8"])
+@pytest.mark.parametrize("fig,flag", [("5", "--tau2"), ("6", "--tau1")])
+@pytest.mark.parametrize("fixed,points", [("0", "61"), ("0.3", "61"), ("1,2.5", "7"), ("0.72,1e-9,7", "1")])
+def test_fig_csv_matches_the_row_loop(capsys, mu, fig, flag, fixed, points):
+    argv = ["sweep", "--fig", fig, "--mu", mu, flag, fixed, "--points", points]
+    code, out, err = call(capsys, argv)
+    assert code == reference_sweep_fig(cli.build_parser().parse_args(argv)) == 0
+    assert out == capsys.readouterr().out and err == ""
+    assert out.count("\n") == 1 + len(fixed.split(",")) * int(points)
+
+
+def _row_loop_error(params, taus):
+    try:
+        for row in taus:
+            validate_policy(params, row)
+    except PolicyError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _curve_error(params, taus):
+    try:
+        cli._validate_curve(params, taus)
+    except PolicyError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_threshold = st.one_of(
+    st.floats(min_value=-1.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, -1e-300, 5e-324, math.nan, math.inf, -math.inf]),
+)
+_row = st.tuples(_threshold, _threshold, st.booleans()).map(
+    lambda t: tuple(sorted(t[:2], reverse=True)) if t[2] and not any(map(math.isnan, t[:2])) else t[:2]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_row, min_size=1, max_size=8))
+@example([(2.0, 1.0), (1.0, math.nan), (1.0, -1.0)])  # NaN first
+@example([(2.0, 1.0), (1.0, -0.5), (-0.5, -1.0)])  # a negative value
+@example([(2.0, 1.0), (0.5, 1.0), (1.0, 0.5)])  # a non-monotone row
+@example([(1.0, -0.0), (0.0, 0.0)])  # -0.0 passes
+def test_curve_check_rejects_what_the_row_loop_rejects(rows):
+    params = SystemParams(mu_h=1.0, battery=2)
+    taus = np.array(rows, dtype=float)
+    assert _curve_error(params, taus) == _row_loop_error(params, taus)
+
+
+@pytest.mark.parametrize(
+    "tau2,error",
+    [("nan", "NonFinite: threshold nan is not finite"), ("-1", "NonFinite: threshold -1.0 is negative")],
+)
+def test_fig5_rejects_a_bad_curve_with_the_row_loops_error(capsys, tau2, error):
+    code, out, err = call(capsys, ["sweep", "--fig", "5", "--mu", "1", "--tau2", f"0.5,{tau2}"])
+    assert (code, out, err) == (cli.EXIT_VALIDATION, "", f"error: {error}\n")
 
 
 # Every command, in one process: optimize (grid, algorithm1 and the power-0.5

@@ -385,7 +385,7 @@ class TestLevelsOnlyWhenRead:
         assert search.stop_reason == "converged" and search.evaluations == 1
         assert relative_value_solves == []
 
-    def test_algorithm1_b1_solves_for_the_certificate_alone(self, relative_value_solves):
+    def test_algorithm1_b1_solves_for_four_unpinned_steps_and_the_certificate(self, relative_value_solves):
         # four unpinned steps that read the levels (the optimum's gamma answers
         # every bisection step), one pinned step at the final hi that reads
         # none, and the certificate
