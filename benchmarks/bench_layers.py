@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 16] [--out BENCH_21.json]
+        [--rounds 16] [--out BENCH_22.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -61,6 +61,14 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        the worst (0.2) and best (3.8) cases of the kernel's
                        B = 1 screen, which skips the log of every uniform
                        whose arrival falls below tau_1
+    sim_bytes_per_renewal
+                       the tracemalloc peak of one simulate() of
+                       SIM_RENEWALS renewals at B = 4 on the stratified
+                       policy, divided by the renewals, with the power-0.5
+                       penalty (one term) and with z + z^2 / 2 (two terms),
+                       each after a short run that keeps the kernel's
+                       one-off set-up out of the trace (deterministic: the
+                       same in every round)
 
 each as the best of REPEATS timings within the child (for cycles_per_s,
 higher is better). The output holds the median over rounds per tree, and
@@ -87,6 +95,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -97,6 +106,7 @@ STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_B1_Z = (0.2, 3.8)
 KERNEL_CYCLES = 200_000
+SIM_RENEWALS = 2_000_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
 IMPORTS = 5  # fresh-interpreter imports per child; import_s is their median
@@ -258,6 +268,18 @@ def child(src: str) -> dict:
             simulator._kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(1)))
 
         out["cycles_per_s_b1"][str(z)] = KERNEL_CYCLES / _best(cycles)
+    out["sim_bytes_per_renewal"] = {}
+    rng = np.random.default_rng(4)
+    policy = Policy(tuple(float(rng.uniform(k, k + 1.0)) for k in reversed(range(4))))
+    params = SystemParams(1.0, 4)
+    penalties = {"power05": root, "two_terms": PenaltySpec(((1.0, 1.0), (0.5, 2.0)))}
+    for name, penalty in penalties.items():
+        simulator.simulate(params, policy, penalty, simulator.SimConfig(seed=4, renewals=2000))
+        tracemalloc.start()
+        simulator.simulate(params, policy, penalty, simulator.SimConfig(seed=4, renewals=SIM_RENEWALS))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out["sim_bytes_per_renewal"][name] = peak / SIM_RENEWALS
     return out
 
 
@@ -283,6 +305,7 @@ def _metrics(result: dict) -> dict:
         flat.update({f"{key}.{name}": v for name, v in result[key].items()})
     flat.update({f"cycles_per_s.b{b}": v for b, v in result["cycles_per_s"].items()})
     flat.update({f"cycles_per_s_b1.z{z}": v for z, v in result["cycles_per_s_b1"].items()})
+    flat.update({f"sim_bytes_per_renewal.{name}": v for name, v in result["sim_bytes_per_renewal"].items()})
     return flat
 
 
@@ -290,7 +313,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=16)
-    ap.add_argument("--out", default="BENCH_21.json")
+    ap.add_argument("--out", default="BENCH_22.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

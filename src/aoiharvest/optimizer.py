@@ -21,8 +21,9 @@ optimizers use it:
   1 / (2^{q+1} mu_h) after q iterations. One unpinned run of the
   iteration gives gamma, the optimal unit-rate age, and every step is
   answered by mid >= gamma, at no evaluation; the final search at the
-  feasible endpoint (the iteration with tau_B held and every tau_i kept
-  at or above it) starts from the optimum's gaps. ``feasible``, a
+  feasible endpoint (the iteration with tau_B held there) starts at the
+  optimum with tau_B moved to that endpoint, every upper threshold kept
+  at or above it. ``feasible``, a
   pinned search that stops at the first policy whose average age is at
   most tau_B, is the per-step oracle: the tests check the steps against
   it, and perfbench's tracer counts its calls;
@@ -240,7 +241,8 @@ class _Search:
     policy stays monotone. The first run starts from even gaps of 0.4, or
     of 1.25 / (B - 1) where that is smaller (B >= 5), so that from
     tau_B = 0.75 it starts at z_1 <= 2 whatever B, not at 0.4 B; every
-    later run starts from the gaps the previous run ended at. The search
+    later run starts from the gaps the previous run ended at, or from
+    ``gaps`` as its caller sets them. The search
     runs at unit rate: its thresholds are z = mu_h tau and its penalty one
     of z. ``evaluations`` counts the policies evaluated over all runs,
     ``stop_reason`` says why the last run stopped.
@@ -377,7 +379,8 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
     """
     _require_identity(config)
     search = _Search(params.battery, config.penalty)
-    gamma = search.run().objective
+    optimum = search.run()
+    gamma = optimum.objective
     lo, hi = 0.5, 1.0
     if not lo <= gamma <= hi:
         raise BracketInvalid(
@@ -392,6 +395,10 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
         else:
             lo = mid
         trace.append((lo, hi))
+    # the final search starts at the optimum with tau_B moved to hi, every
+    # upper threshold kept at or above it
+    start = [max(z, hi) for z in optimum.taus[:-1]] + [hi]
+    search.gaps = [upper - lower for upper, lower in zip(start, start[1:])]
     point = search.run(hi)
     return _result(
         params, search, point, params.mu_h, gap_bound=1.0 / 2.0 ** (config.q + 1), trace=trace

@@ -25,6 +25,14 @@ takes only the logs it reads: a uniform whose arrival is certain to fall
 below tau_1 gives a cycle of tau_1 with no log taken.
 ``SimReport.kernel_s`` times the kernel call, outside the report's
 equality and JSON.
+
+Memory: a run's peak is the kernel's output, 8 bytes of inter-update time
+and 8 of post-update level per renewal. The levels are counted and
+released before the penalty work; the antiderivative (8 bytes a renewal
+per power term, and a 1-byte sign check) is released after its sums, and
+x is squared in place for E[X^2]. So a run peaks at about 17 bytes per
+renewal with one power term, as every CLI penalty has (10^8 renewals:
+about 1.7 GB), and about 25 with several.
 """
 
 from __future__ import annotations
@@ -138,22 +146,24 @@ def simulate(
         rng,
     )
     kernel_s = time.perf_counter() - start
+    # Peak memory is the kernel's output: each full-length array is
+    # released once its last sum is taken, and x is squared in place last.
     xm = x[cfg.warmup :]
-    sm = states[cfg.warmup :]
     n = len(xm)
-    total_x = float(xm.sum())
-    px = p.antiderivative(xm)
-    total_p = float(px.sum())
-    avg_penalty = total_p / total_x
-    mean_x = total_x / n
-    mean_x2 = float((xm * xm).sum()) / n
-    avg_age = mean_x2 / (2.0 * mean_x)
-    freq = np.bincount(sm, minlength=params.battery)[: params.battery] / n
-
+    freq = np.bincount(states[cfg.warmup :], minlength=params.battery)[: params.battery] / n
+    del states
     nb = min(cfg.batches, n)
     m = n // nb
-    bp = px[: nb * m].reshape(nb, m).sum(axis=1)
+    total_x = float(xm.sum())
     bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
+    px = p.antiderivative(xm)
+    total_p = float(px.sum())
+    bp = px[: nb * m].reshape(nb, m).sum(axis=1)
+    del px
+    mean_x2 = float(np.multiply(xm, xm, out=xm).sum()) / n
+    avg_penalty = total_p / total_x
+    mean_x = total_x / n
+    avg_age = mean_x2 / (2.0 * mean_x)
     ratios = bp / bx
     stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
 

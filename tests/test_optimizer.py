@@ -337,8 +337,35 @@ class TestAlgorithm1FromTheOptimum:
 
     @pytest.mark.parametrize("battery", [2, 3, 4])
     def test_evaluation_budget(self, battery):
-        # measured 8, 7 and 8; one feasibility test per step took 25, 24 and 24
+        # measured 7, 6 and 7; one feasibility test per step took 25, 24 and 24
         assert algorithm1(SystemParams(1.0, battery), OptimizerConfig()).evaluations <= 10
+
+    @pytest.mark.parametrize("battery, evaluations", [(1, 5), (2, 7), (3, 6), (4, 7), (8, 7)])
+    def test_final_search_starts_at_the_optimum(self, monkeypatch, battery, evaluations):
+        # the optimum's thresholds with tau_B moved to hi: one evaluation
+        # fewer at B >= 2 than a start that shifts every gap up to hi (8, 7,
+        # 8 and 8); B = 1 has no gap to keep
+        runs, evaluated = [], []
+        real_run, real_evaluate = optimizer._Search.run, optimizer._Search._evaluate
+
+        def run(self, tau_b=None, stop_at=-math.inf):
+            first = len(evaluated)
+            point = real_run(self, tau_b, stop_at)
+            runs.append((tau_b, evaluated[first], point))
+            return point
+
+        def evaluate(self, taus):
+            evaluated.append(taus)
+            return real_evaluate(self, taus)
+
+        monkeypatch.setattr(optimizer._Search, "run", run)
+        monkeypatch.setattr(optimizer._Search, "_evaluate", evaluate)
+        r = algorithm1(SystemParams(1.0, battery), OptimizerConfig())
+        assert r.evaluations == evaluations
+        (_, _, optimum), (hi, start, _) = runs
+        assert hi == r.trace[-1][1]
+        want = [max(z, hi) for z in optimum.taus[:-1]] + [hi]
+        assert start == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.49, 1.01, math.nan])
     def test_optimum_outside_the_bracket_raises(self, monkeypatch, gamma):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import struct
+import tracemalloc
 import types
 from math import log
 
@@ -12,6 +15,7 @@ from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import interupdate_cdf, policy_metrics
 from aoiharvest.simulator import (
     SimConfig,
+    SimReport,
     ZeroMeasurementWindow,
     simulate,
     simulate_greedy,
@@ -404,3 +408,106 @@ class TestConfigAndErrors:
         a = simulate_greedy(params, IDENT, SimConfig(seed=8, renewals=5000))
         b = simulate_greedy(params, IDENT, SimConfig(seed=8, renewals=5000))
         assert a == b
+
+
+def reference_report(params, p, cfg, x, states):
+    """The reductions simulate ran on the kernel's output while it kept every
+    array to the end, kept word for word as the oracle of the bit-identity
+    tests."""
+    xm = x[cfg.warmup :]
+    sm = states[cfg.warmup :]
+    n = len(xm)
+    total_x = float(xm.sum())
+    px = p.antiderivative(xm)
+    total_p = float(px.sum())
+    avg_penalty = total_p / total_x
+    mean_x = total_x / n
+    mean_x2 = float((xm * xm).sum()) / n
+    avg_age = mean_x2 / (2.0 * mean_x)
+    freq = np.bincount(sm, minlength=params.battery)[: params.battery] / n
+
+    nb = min(cfg.batches, n)
+    m = n // nb
+    bp = px[: nb * m].reshape(nb, m).sum(axis=1)
+    bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
+    ratios = bp / bx
+    stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+
+    return SimReport(
+        avg_penalty=avg_penalty,
+        avg_age=avg_age,
+        mean_x=mean_x,
+        mean_x2=mean_x2,
+        state_freq=tuple(float(f) for f in freq),
+        stderr=stderr,
+        elapsed_sim_time=total_x,
+        renewals_measured=n,
+        seed=cfg.seed,
+        renewals=cfg.renewals,
+        warmup=cfg.warmup,
+    )
+
+
+def bits(report):
+    """Every compared field of a report, floats as their IEEE bytes."""
+    out = []
+    for f in dataclasses.fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, float):
+            v = struct.pack("<d", v)
+        elif isinstance(v, tuple):
+            v = struct.pack(f"<{len(v)}d", *v)
+        if f.compare:
+            out.append((f.name, v))
+    return out
+
+
+REDUCTION_PENALTIES = {
+    "identity": IDENT,
+    "power0.5": PenaltySpec.power(0.5),
+    "two_terms": PenaltySpec(((1.0, 1.0), (0.25, 2.0))),
+}
+
+
+class TestReductions:
+    """simulate releases each kernel array after its last sum, bit for bit."""
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("batches", [1, 7, 100])
+    @pytest.mark.parametrize("warmup", [0, 1000, 4990])
+    @pytest.mark.parametrize("penalty", REDUCTION_PENALTIES)
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_fields_equal_the_keep_everything_reductions(self, seed, penalty, warmup, batches, start):
+        params, pol = make(1.3, [2.0, 1.1, 0.4])
+        p = REDUCTION_PENALTIES[penalty]
+        cfg = SimConfig(seed=seed, renewals=5000, warmup=warmup, initial_state=start, batches=batches)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x, states = simulator._kernel.run_cycles(np.asarray(pol.thresholds), 1.3, cfg.renewals, start, rng)
+        want = reference_report(params, p, cfg, x, states)
+        got = simulate(params, pol, p, cfg)
+        assert bits(got) == bits(want)
+        assert got.to_json() == want.to_json()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("penalty", ["identity", "power0.5"])
+    def test_peak_is_the_kernel_output(self, penalty):
+        # the kernel returns 8-byte inter-update times and 8-byte levels;
+        # simulate's reductions add no full-length array on top of them
+        params, pol = make(1.0, [2.5, 1.5, 0.8, 0.5])
+        p = REDUCTION_PENALTIES[penalty]
+        n = 200_000
+        # a first short run keeps the kernel's one-off set-up out of the trace
+        simulate(params, pol, p, SimConfig(seed=1, renewals=2000))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(params, pol, p, SimConfig(seed=1, renewals=n))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= n * (8 + 8) + 2**20
