@@ -12,29 +12,35 @@ import math
 from .model import NotMonotone
 
 
+# Halley iteration for W stops once the residual and the step are both
+# below LAMBERT_TOL, relative; the cap on its steps is defensive only.
+LAMBERT_TOL = 1e-12
+LAMBERT_MAX_ITER = 100
+
+
 class NonConvergence(RuntimeError):
     pass
 
 
-def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w0(z: float) -> float:
     """Principal-branch W(z) for z >= 0 by Halley iteration.
 
     Converges from the initial guess ln(1+z) in a handful of steps for
-    every non-negative argument; the iteration cap is defensive only.
+    every non-negative argument.
     """
     if z < 0:
         raise ValueError(f"only z >= 0 supported, got {z}")
     if z == 0.0:
         return 0.0
     w = math.log1p(z)
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
         # Halley step: f' = ew (w + 1), f'' = ew (w + 2)
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
         step = f / denom
         w -= step
-        if abs(f) <= tol * max(1.0, abs(z)) and abs(step) <= tol * max(1.0, abs(w)):
+        if abs(f) <= LAMBERT_TOL * max(1.0, abs(z)) and abs(step) <= LAMBERT_TOL * max(1.0, abs(w)):
             return w
     raise NonConvergence(f"Lambert W did not converge for z={z}")
 

@@ -46,7 +46,8 @@ class SystemParams:
     battery: int
 
     def __post_init__(self):
-        if not (isinstance(self.battery, int) and self.battery >= 1):
+        # a bool is an int, and policy_to_json would write "battery": true
+        if isinstance(self.battery, bool) or not (isinstance(self.battery, int) and self.battery >= 1):
             raise ValueError(f"battery must be a positive integer, got {self.battery!r}")
         if not (math.isfinite(self.mu_h) and self.mu_h > 0):
             raise ValueError(f"mu_h must be positive and finite, got {self.mu_h!r}")
@@ -113,6 +114,16 @@ def policy_from_json(text: str) -> tuple[SystemParams, Policy]:
     return params, validate_policy(params, obj["thresholds"])
 
 
+def _check_age(x):
+    """Raise NegativeAge unless x, a scalar or a numpy array, is a non-negative age."""
+    try:
+        neg = x < 0
+    except TypeError:
+        raise NegativeAge(f"age must be a non-negative number, got {x!r}")
+    if neg is True or (hasattr(neg, "any") and neg.any()):
+        raise NegativeAge("age must be non-negative")
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """Age-penalty function p as a positive combination of powers.
@@ -147,22 +158,12 @@ class PenaltySpec:
 
     def __call__(self, delta):
         """Evaluate p(delta). Accepts scalars or numpy arrays."""
-        try:
-            neg = delta < 0
-        except TypeError:
-            raise NegativeAge(f"age must be a non-negative number, got {delta!r}")
-        if neg is True or (hasattr(neg, "any") and neg.any()):
-            raise NegativeAge("age must be non-negative")
+        _check_age(delta)
         return sum(c * delta**a for c, a in self.terms)
 
     def antiderivative(self, x):
         """P(x) = integral of p from 0 to x, exact for the power family."""
-        try:
-            neg = x < 0
-        except TypeError:
-            raise NegativeAge(f"age must be a non-negative number, got {x!r}")
-        if neg is True or (hasattr(neg, "any") and neg.any()):
-            raise NegativeAge("age must be non-negative")
+        _check_age(x)
         return sum(c * x ** (a + 1) / (a + 1) for c, a in self.terms)
 
     @cached_property

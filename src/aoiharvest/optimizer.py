@@ -21,12 +21,11 @@ optimizers use it:
   1 / (2^{q+1} mu_h) after q iterations. One unpinned run of the
   iteration gives gamma, the optimal unit-rate age, and every step is
   answered by mid >= gamma, at no evaluation; the final search at the
-  feasible endpoint (the iteration with tau_B held there) starts at the
+  feasible endpoint (the iteration with tau_B pinned there) starts at the
   optimum with tau_B moved to that endpoint, every upper threshold kept
-  at or above it. ``feasible``, a
-  pinned search that stops at the first policy whose average age is at
-  most tau_B, is the per-step oracle: the tests check the steps against
-  it, and perfbench's tracer counts its calls;
+  at or above it. ``feasible``, one cold pinned search, asks the step's
+  question directly and stays as the oracle the tests check the steps
+  against;
 * ``optimize_penalty``, the iteration over all thresholds for any power
   penalty, certified by the fixed-point property
   p(tau_B) = optimal average penalty.
@@ -121,11 +120,14 @@ class OptimizationResult:
     bellman_residual: float = math.nan
 
 
-def _build_thresholds(tau_b: float, gaps) -> tuple[float, ...]:
-    """tau_B = tau_b; tau_i = tau_{i+1} + gaps[i-1] walking upward."""
-    taus = [tau_b]
-    for g in reversed(gaps):
-        taus.append(taus[-1] + g)
+def _cold_start(battery: int, z_b: float = 0.75) -> tuple[float, ...]:
+    """tau_B = z_b; tau_i = tau_{i+1} + gap walking upward, with an even gap
+    of 0.4, or of 1.25 / (B - 1) where that is smaller (B >= 5): from
+    tau_B = 0.75 the start has z_1 <= 2 whatever B, not 0.4 B."""
+    gap = min(0.4, 1.25 / max(1, battery - 1))
+    taus = [z_b]
+    for _ in range(battery - 1):
+        taus.append(taus[-1] + gap)
     return tuple(reversed(taus))
 
 
@@ -235,23 +237,18 @@ class _Search:
     Each iteration evaluates the policy (one policy_metrics call, and one
     recursion for the relative values when a step or the certificate reads
     them) and moves every threshold to the age at which the penalty
-    reaches its Bellman level, tau_i = p^{-1}(level_i). With tau_b fixed,
-    tau_B stays put, so a step whose only threshold is tau_B reads no
+    reaches its Bellman level, tau_i = p^{-1}(level_i). A pinned run keeps
+    tau_B at its start's, so a step whose only threshold is tau_B reads no
     levels. Every threshold is kept at or above the one below it, so the
-    policy stays monotone. The first run starts from even gaps of 0.4, or
-    of 1.25 / (B - 1) where that is smaller (B >= 5), so that from
-    tau_B = 0.75 it starts at z_1 <= 2 whatever B, not at 0.4 B; every
-    later run starts from the gaps the previous run ended at, or from
-    ``gaps`` as its caller sets them. The search
-    runs at unit rate: its thresholds are z = mu_h tau and its penalty one
-    of z. ``evaluations`` counts the policies evaluated over all runs,
-    ``stop_reason`` says why the last run stopped.
+    policy stays monotone. The search runs at unit rate: its thresholds
+    are z = mu_h tau and its penalty one of z. ``evaluations`` counts the
+    policies evaluated over all runs, ``stop_reason`` says why the last
+    run stopped.
     """
 
     def __init__(self, battery: int, penalty: PenaltySpec):
         self.params = SystemParams(1.0, battery)
         self.penalty = penalty
-        self.gaps = [min(0.4, 1.25 / max(1, battery - 1))] * (battery - 1)
         self.evaluations = 0
         self.stop_reason = ""
 
@@ -260,25 +257,23 @@ class _Search:
         m = policy_metrics(self.params, Policy(taus), self.penalty)
         return _Point(taus, m.avg_penalty, self.params, m)
 
-    def _improve(self, point: _Point, tau_b: float | None) -> np.ndarray:
-        """Every threshold at p^{-1} of its Bellman level, tau_B at tau_b when given."""
-        if tau_b is not None and len(point.taus) == 1:
-            return np.array([tau_b], dtype=float)  # the only threshold is pinned
+    def _improve(self, point: _Point, pinned: bool) -> np.ndarray:
+        """Every threshold at p^{-1} of its Bellman level, tau_B kept when pinned."""
+        if pinned and len(point.taus) == 1:
+            return np.array(point.taus)  # the only threshold is pinned
         improved = self.penalty.inverse(point.levels)
-        if tau_b is not None:
-            improved[-1] = tau_b
+        if pinned:
+            improved[-1] = point.taus[-1]
         return improved
 
-    def run(self, tau_b: float | None = None, stop_at: float = -math.inf) -> _Point:
-        """Iterate to the optimum; returns the best policy evaluated.
+    def run(self, taus, pinned: bool = False) -> _Point:
+        """Iterate from the thresholds taus; returns the best policy evaluated.
 
-        Stops when no threshold moves more than STEP_TOL, when the
-        objective stops falling by more than OBJECTIVE_TIE, or at the first
-        evaluated policy whose objective is at most stop_at.
+        Stops when no threshold moves more than STEP_TOL or when the
+        objective stops falling by more than OBJECTIVE_TIE. With pinned,
+        tau_B stays at taus[-1].
         """
-        if tau_b is not None and tau_b <= 0:
-            raise ValueError("tau_b must be positive")
-        taus = _build_thresholds(0.75 if tau_b is None else tau_b, self.gaps)
+        taus = tuple(taus)
         best = None
         self.stop_reason = "iteration limit"
         for _ in range(MAX_ITERATIONS):
@@ -290,10 +285,7 @@ class _Search:
             if not falling:
                 self.stop_reason = "objective stopped falling"
                 break
-            if point.objective <= stop_at:
-                self.stop_reason = "witness"
-                break
-            improved = self._improve(point, tau_b).tolist()
+            improved = self._improve(point, pinned).tolist()
             if not all(map(math.isfinite, improved)):
                 self.stop_reason = "non-finite thresholds"
                 break
@@ -306,27 +298,26 @@ class _Search:
                 self.stop_reason = "converged"
                 break
             taus = tuple(improved)
-        self.gaps = [hi - lo for hi, lo in zip(best.taus, best.taus[1:])]
         return best
 
 
-def feasible(
-    params: SystemParams, config: OptimizerConfig, tau_b: float, search: _Search | None = None
-) -> bool:
+def feasible(params: SystemParams, config: OptimizerConfig, tau_b: float) -> bool:
     """Does a monotone solution of 2 tau_B m1 = m2 exist at this tau_B?
 
     The moment condition rewrites as avg_age = tau_B; avg_age is
     continuous in the upper thresholds and grows without bound, so a
-    root exists iff the minimum over upper thresholds is <= tau_B. Any
-    policy with avg_age <= tau_B proves it, so the search stops at the
-    first one. The search runs at unit rate, at z_B = mu_h tau_B, on the
-    unit-rate age; ``search`` carries the warm start from test to test.
-    ``algorithm1`` answers the same question from the optimal age; this
-    test is its per-step oracle.
+    root exists iff the minimum over upper thresholds is <= tau_B. One
+    cold search with tau_B pinned at z_B = mu_h tau_B finds that minimum,
+    at unit rate, on the unit-rate age. ``algorithm1`` answers the same
+    question from the optimal age; this test asks it directly, so it
+    stays as the per-step oracle the tests check the steps against.
     """
     _require_identity(config)
+    if not tau_b > 0:  # NaN too
+        raise ValueError("tau_b must be positive")
     z_b = tau_b * params.mu_h
-    return (search or _Search(params.battery, config.penalty)).run(z_b, stop_at=z_b).objective <= z_b
+    search = _Search(params.battery, config.penalty)
+    return search.run(_cold_start(params.battery, z_b), pinned=True).objective <= z_b
 
 
 def _require_identity(config: OptimizerConfig):
@@ -369,9 +360,9 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
     interval containing the optimal average age. The steps are answered
     from gamma, the age of the optimum of one unpinned policy iteration:
     tau_B is feasible exactly when it is at least the optimal age, and
-    gamma is the age of an evaluated policy, a witness for every
-    mid >= gamma. ``feasible``, the per-step oracle the tests check the
-    steps against, decides the same once its search converges. The
+    gamma is the age of an evaluated policy, which shows every
+    mid >= gamma feasible. ``feasible``, the per-step oracle the tests
+    check the steps against, decides the same. The
     returned policy is the inner minimizer at the terminal feasible
     endpoint, so its average age is within 1/(2^{q+1} mu) of optimal. The
     bisection runs at unit rate, on [1/2, 1]; ``evaluations`` counts the
@@ -379,7 +370,7 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
     """
     _require_identity(config)
     search = _Search(params.battery, config.penalty)
-    optimum = search.run()
+    optimum = search.run(_cold_start(params.battery))
     gamma = optimum.objective
     lo, hi = 0.5, 1.0
     if not lo <= gamma <= hi:
@@ -397,9 +388,7 @@ def algorithm1(params: SystemParams, config: OptimizerConfig) -> OptimizationRes
         trace.append((lo, hi))
     # the final search starts at the optimum with tau_B moved to hi, every
     # upper threshold kept at or above it
-    start = [max(z, hi) for z in optimum.taus[:-1]] + [hi]
-    search.gaps = [upper - lower for upper, lower in zip(start, start[1:])]
-    point = search.run(hi)
+    point = search.run([max(z, hi) for z in optimum.taus[:-1]] + [hi], pinned=True)
     return _result(
         params, search, point, params.mu_h, gap_bound=1.0 / 2.0 ** (config.q + 1), trace=trace
     )
@@ -412,6 +401,6 @@ def optimize_penalty(params: SystemParams, config: OptimizerConfig) -> Optimizat
     |p(tau_B) - objective| <= 10 * refine_tol * max(1, objective).
     """
     search = _Search(params.battery, _unit_penalty(config.penalty, params.mu_h))
-    point = search.run()
+    point = search.run(_cold_start(params.battery))
     tolerance = 10.0 * config.refine_tol * max(1.0, point.objective)
     return _result(params, search, point, tolerance=tolerance)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,21 +102,7 @@ class SimReport:
     kernel_s: float = field(default=0.0, compare=False, repr=False)
 
     def to_json(self) -> str:
-        d = {
-            "avg_penalty": self.avg_penalty,
-            "avg_age": self.avg_age,
-            "mean_x": self.mean_x,
-            "mean_x2": self.mean_x2,
-            "state_freq": list(self.state_freq),
-            "stderr": self.stderr,
-            "elapsed_sim_time": self.elapsed_sim_time,
-            "renewals_measured": self.renewals_measured,
-            "seed": self.seed,
-            "renewals": self.renewals,
-            "warmup": self.warmup,
-            "generator": self.generator,
-            "kernel": self.kernel,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kernel_s"}
         return json.dumps(d, sort_keys=True)
 
 

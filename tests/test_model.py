@@ -30,8 +30,9 @@ class TestSystemParams:
                 SystemParams(mu_h=mu, battery=1)
 
     def test_rejects_bad_battery(self):
-        with pytest.raises(ValueError):
-            SystemParams(mu_h=1.0, battery=0)
+        for battery in (0, True, 2.0):
+            with pytest.raises(ValueError, match="battery must be a positive integer"):
+                SystemParams(mu_h=1.0, battery=battery)
 
 
 class TestValidatePolicy:

@@ -28,7 +28,8 @@ SRC = pathlib.Path(optimizer.__file__).resolve().parents[1]
 def inner_minimize(params, config, tau_b):
     """The upper thresholds and objective of the policy iteration at fixed tau_B, at mu = 1."""
     assert params.mu_h == 1.0, "the search runs at unit rate"
-    point = optimizer._Search(params.battery, config.penalty).run(tau_b)
+    search = optimizer._Search(params.battery, config.penalty)
+    point = search.run(optimizer._cold_start(params.battery, tau_b), pinned=True)
     return point.taus[:-1], point.objective
 
 
@@ -119,6 +120,19 @@ class TestFeasible:
         flags = [feasible(params, cfg(), t) for t in (0.55, 0.65, 0.75, 0.85, 0.95)]
         # once feasible, stays feasible
         assert flags == sorted(flags)
+
+    @pytest.mark.parametrize("battery", [1, 2, 3, 4, 5])
+    def test_feasible_exactly_at_or_above_the_optimal_age(self, battery):
+        params, config = SystemParams(1.0, battery), OptimizerConfig()
+        gamma = optimize_penalty(params, config).objective
+        grid = [*np.linspace(0.5, 1.0, 21), gamma - 1e-8, gamma + 1e-8]
+        taus = [tau for tau in grid if abs(tau - gamma) > 1e-9]
+        assert [feasible(params, config, tau) for tau in taus] == [tau >= gamma for tau in taus]
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_rejects_a_tau_that_is_not_positive(self, tau):
+        with pytest.raises(ValueError, match="tau_b must be positive"):
+            feasible(SystemParams(1.0, 2), cfg(), tau)
 
 
 class TestAlgorithm1:
@@ -267,7 +281,7 @@ class TestObservability:
 
 
 class TestAlgorithm1Bisection:
-    """Warm-started, witness-stopped tests decide every step as a cold full search does."""
+    """Every bisection step holds under a cold full search at its endpoints."""
 
     @pytest.mark.parametrize("battery", [2, 3, 4, 5])
     def test_trace_steps_hold_under_cold_search(self, battery):
@@ -293,29 +307,24 @@ class TestAlgorithm1Bisection:
         best = optimize_penalty(params, OptimizerConfig()).objective
         assert lo - 4 * math.ulp(best) <= best <= hi + 4 * math.ulp(best)
 
-    def test_feasible_stops_at_first_witness(self, metrics_calls):
-        # at tau_B = 1 the fixed start already has avg_age < 1
-        assert feasible(SystemParams(1.0, 4), OptimizerConfig(), 1.0)
-        assert len(metrics_calls) == 1
-
 
 def reference_algorithm1(params, config):
-    """algorithm1 as it ran with one witness-stopped feasibility test per step."""
+    """algorithm1 with one cold feasibility test per step and a cold final search."""
     optimizer._require_identity(config)
-    search = optimizer._Search(params.battery, config.penalty)
-    unit = search.params
+    unit = SystemParams(1.0, params.battery)
     lo, hi = 0.5, 1.0
-    if not feasible(unit, config, hi, search):
+    if not feasible(unit, config, hi):
         raise optimizer.BracketInvalid(f"upper bracket endpoint {hi / params.mu_h} is infeasible")
     trace = [(lo, hi)]
     for _ in range(config.q):
         mid = 0.5 * (lo + hi)
-        if feasible(unit, config, mid, search):
+        if feasible(unit, config, mid):
             hi = mid
         else:
             lo = mid
         trace.append((lo, hi))
-    point = search.run(hi)
+    search = optimizer._Search(params.battery, config.penalty)
+    point = search.run(optimizer._cold_start(params.battery, hi), pinned=True)
     return optimizer._result(
         params, search, point, params.mu_h, gap_bound=1.0 / 2.0 ** (config.q + 1), trace=trace
     )
@@ -348,10 +357,10 @@ class TestAlgorithm1FromTheOptimum:
         runs, evaluated = [], []
         real_run, real_evaluate = optimizer._Search.run, optimizer._Search._evaluate
 
-        def run(self, tau_b=None, stop_at=-math.inf):
+        def run(self, taus, pinned=False):
             first = len(evaluated)
-            point = real_run(self, tau_b, stop_at)
-            runs.append((tau_b, evaluated[first], point))
+            point = real_run(self, taus, pinned)
+            runs.append((pinned, evaluated[first], point))
             return point
 
         def evaluate(self, taus):
@@ -362,18 +371,18 @@ class TestAlgorithm1FromTheOptimum:
         monkeypatch.setattr(optimizer._Search, "_evaluate", evaluate)
         r = algorithm1(SystemParams(1.0, battery), OptimizerConfig())
         assert r.evaluations == evaluations
-        (_, _, optimum), (hi, start, _) = runs
-        assert hi == r.trace[-1][1]
-        want = [max(z, hi) for z in optimum.taus[:-1]] + [hi]
-        assert start == pytest.approx(want, rel=1e-15, abs=0.0)
+        (unpinned, _, optimum), (pinned, start, _) = runs
+        hi = r.trace[-1][1]
+        assert not unpinned and pinned
+        assert list(start) == [max(z, hi) for z in optimum.taus[:-1]] + [hi]
 
     @pytest.mark.parametrize("gamma", [0.49, 1.01, math.nan])
     def test_optimum_outside_the_bracket_raises(self, monkeypatch, gamma):
         real = optimizer._Search.run
 
-        def run(self, tau_b=None, stop_at=-math.inf):
-            point = real(self, tau_b, stop_at)
-            return dataclasses.replace(point, objective=gamma) if tau_b is None else point
+        def run(self, taus, pinned=False):
+            point = real(self, taus, pinned)
+            return point if pinned else dataclasses.replace(point, objective=gamma)
 
         monkeypatch.setattr(optimizer._Search, "run", run)
         with pytest.raises(optimizer.BracketInvalid):
@@ -399,16 +408,10 @@ def relative_value_solves(monkeypatch):
 class TestLevelsOnlyWhenRead:
     """A step solves for the relative values only when it reads the Bellman levels."""
 
-    def test_witness_stop_solves_nothing(self, relative_value_solves):
-        search = optimizer._Search(4, PenaltySpec.identity())
-        assert feasible(SystemParams(1.0, 4), OptimizerConfig(), 1.0, search)
-        assert search.stop_reason == "witness" and search.evaluations == 1
-        assert relative_value_solves == []
-
     def test_pinned_only_threshold_solves_nothing(self, relative_value_solves):
-        # 0.6 is below the B = 1 optimum 0.9012: no witness, one step, converged
+        # 0.6 is below the B = 1 optimum 0.9012: infeasible, one step, converged
         search = optimizer._Search(1, PenaltySpec.identity())
-        assert not feasible(SystemParams(1.0, 1), OptimizerConfig(), 0.6, search)
+        assert search.run([0.6], pinned=True).objective > 0.6
         assert search.stop_reason == "converged" and search.evaluations == 1
         assert relative_value_solves == []
 
@@ -448,6 +451,29 @@ class TestPolicyIteration:
         r = optimize_penalty(SystemParams(1.0, battery), OptimizerConfig())
         assert r.certified and r.bellman_residual <= 1e-10
         assert 0 < r.evaluations <= budget
+
+    @pytest.mark.parametrize(
+        "exponent, battery, evaluations, stop_reason",
+        [
+            (1.0, 1, 4, "converged"),
+            (1.0, 2, 5, "objective stopped falling"),
+            (1.0, 3, 4, "objective stopped falling"),
+            (1.0, 4, 5, "objective stopped falling"),
+            (1.0, 8, 5, "converged"),
+            (1.0, 16, 6, "objective stopped falling"),
+            (0.5, 1, 4, "objective stopped falling"),
+            (0.5, 2, 4, "converged"),
+            (0.5, 3, 5, "objective stopped falling"),
+            (0.5, 4, 5, "objective stopped falling"),
+            (0.5, 8, 5, "converged"),
+            (0.5, 16, 6, "objective stopped falling"),
+        ],
+    )
+    def test_cold_start_evaluations_and_stop_reason(self, exponent, battery, evaluations, stop_reason):
+        # the cold start's counts: a start with other bits would change them
+        config = OptimizerConfig(penalty=PenaltySpec.power(exponent))
+        r = optimize_penalty(SystemParams(1.0, battery), config)
+        assert (r.evaluations, r.stop_reason) == (evaluations, stop_reason)
 
     @pytest.mark.parametrize("exponent", [10.0, 40.0])
     def test_steep_power_penalty_certified(self, exponent):

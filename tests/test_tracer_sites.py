@@ -13,6 +13,8 @@ import pathlib
 import pytest
 
 from aoiharvest import cli, optimizer
+from aoiharvest.model import SystemParams
+from aoiharvest.optimizer import OptimizerConfig
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,3 +46,10 @@ def test_traced_call_and_restore(argv, capsys):
     if argv[0] == "optimize":
         # algorithm1 answers its steps from one policy iteration, not from feasible
         assert tracer.counts["optimizer.feasible_calls"] == 0
+
+
+def test_traced_feasible_passes_its_arguments_through():
+    tracer = load_tracer().Tracer()
+    with tracer:
+        assert optimizer.feasible(SystemParams(1.0, 2), OptimizerConfig(), 0.8) is True
+    assert tracer.counts["optimizer.feasible_calls"] == 1
