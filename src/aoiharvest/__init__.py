@@ -26,10 +26,8 @@ from .optimizer import (
 )
 from .renewal import (
     BatchMetrics,
-    ConditionalMoments,
     batch_metrics,
     bellman_levels,
-    conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
     policy_metrics,
@@ -39,7 +37,6 @@ from .simulator import KERNEL, SimConfig, SimReport, simulate, simulate_greedy
 __all__ = [
     "KERNEL",
     "BatchMetrics",
-    "ConditionalMoments",
     "OptimizationResult",
     "OptimizerConfig",
     "PenaltySpec",
@@ -54,7 +51,6 @@ __all__ = [
     "b2_average_age",
     "batch_metrics",
     "bellman_levels",
-    "conditional_moments",
     "cut_tables",
     "feasible",
     "grid_search",

@@ -65,22 +65,24 @@ class SingularSystem(RuntimeError):
 
 
 def cut_tables(params: SystemParams, policy) -> tuple[np.ndarray, np.ndarray]:
-    """C and Q of a Policy, shapes (B, B+1) and (B,), or of an (N, B) array of thresholds."""
+    """C and Q of a Policy, shapes (B, B) and (B,), or of an (N, B) array of thresholds."""
     taus = np.asarray(policy.thresholds if isinstance(policy, Policy) else policy, dtype=float)
     B = params.battery
     table = gamma_table(params.mu_h * taus.reshape(-1, B), _CDF_EXPONENTS)
     lead = taus.shape[:-1]
-    return threshold_cdfs(table).reshape(lead + (B, B + 1)), down_rates(table).reshape(lead + (B,))
+    return threshold_cdfs(table).reshape(lead + (B, B)), down_rates(table).reshape(lead + (B,))
 
 
 def transition_matrix(params: SystemParams, policy) -> np.ndarray:
     """T[j, i] = Pr(next post-update level = i | previous = j) = C[j, i] - C[j, i+1], for the tests.
 
     Landing on level i means the inter-update time fell in [tau_{i+1}, tau_i),
-    tau_0 = +inf; level B-1 collects everything below tau_{B-1}.
+    tau_0 = +inf; level B-1 collects everything below tau_{B-1} (C[j, B] = 0).
     """
     cdfs = cut_tables(params, policy)[0]
-    return cdfs[..., :-1] - cdfs[..., 1:]
+    T = cdfs.copy()
+    T[..., :-1] -= cdfs[..., 1:]
+    return T
 
 
 @lru_cache(maxsize=32)
@@ -97,7 +99,7 @@ def _rescale(flow: np.ndarray, rate: np.ndarray, k: int):
 
 
 def stationary(cdfs: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """pi = pi T by cut balance, from C and Q of shapes (..., B, B+1) and (..., B).
+    """pi = pi T by cut balance, from C and Q of shapes (..., B, B) and (..., B).
 
     Level by level, the flow x_k = pi_k Q_k across cut k is complete, and
     level k adds pi_k C[k, i] = x_k (C[k, i] / Q_k) to every cut i > k.
@@ -130,7 +132,7 @@ def stationary(cdfs: np.ndarray, down: np.ndarray) -> np.ndarray:
                 total = bits
     if tiny is not None:
         rate[:, :-1][tiny[:, 1:]] = np.inf  # pi_j = 0 below the last tiny level
-    push = (cdfs.reshape(-1, B, B + 1)[:, :, :B] / rate[:, :, None]).transpose(1, 2, 0)
+    push = (cdfs.reshape(-1, B, B) / rate[:, :, None]).transpose(1, 2, 0)
     push *= _above_diagonal(B)[:, :, None]
     for k in range(B - 1):
         if k in rescale:
@@ -146,7 +148,7 @@ def stationary(cdfs: np.ndarray, down: np.ndarray) -> np.ndarray:
 def _prefix_rows(table: np.ndarray, down: np.ndarray, count: int) -> np.ndarray:
     """The first count cut rows over their mass below, G_m = F_m / sum_{j<m} pi_j.
 
-    table[j] holds C[j, :B], then c_j. Cut balance gives the next level's
+    table[j] holds C[j], then c_j. Cut balance gives the next level's
     share r = pi_m / sum_{j<m} pi_j = G_m[m] / Q_m, so from G_1 = table[0],
     G_{m+1} = (G_m + r table[m]) / (1 + r), or table[m] past a tiny
     down-rate. All terms are positive and in double range where pi underflows.
@@ -167,7 +169,7 @@ def _prefix_rows(table: np.ndarray, down: np.ndarray, count: int) -> np.ndarray:
 def unit_values(cdfs: np.ndarray, down: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """d_m = h_{m-1} - h_m, m = 1..B-1, for the relative values h of a cost c with pi . c = 0.
 
-    One chain: C (B, B+1) and Q (B,) as for stationary, and its pi. The
+    One chain: C (B, B) and Q (B,) as for stationary, and its pi. The
     cut rows come from one running sum over the levels, or from
     _prefix_rows where the mass below the cut is under _FLOOR; from m = B-1
     down, each d_m is pushed into the rows above it. Raises SingularSystem
@@ -177,13 +179,13 @@ def unit_values(cdfs: np.ndarray, down: np.ndarray, pi: np.ndarray, c: np.ndarra
     if B == 1:
         return np.empty(0)
     # cuts[m-1, k] = F_m[k]; F_m[0] is the mass below m, as C[j, 0] = 1
-    cuts = np.add.accumulate(pi[:, None] * cdfs[:, :B], axis=0)
+    cuts = np.add.accumulate(pi[:, None] * cdfs, axis=0)
     pc = pi * c
     above = np.add.accumulate(pc[::-1])[-2::-1]  # sum_{j>=m} pi_j c_j
     rhs = np.where(cuts[:-1, 0] <= 0.5, np.add.accumulate(pc)[:-1], -above)  # -S_m
     if cuts[0, 0] < _FLOOR:
         low = np.count_nonzero(cuts[:-1, 0] < _FLOOR)
-        prefix = _prefix_rows(np.concatenate((cdfs[:, :B], c[:, None]), axis=1), down, low)
+        prefix = _prefix_rows(np.concatenate((cdfs, c[:, None]), axis=1), down, low)
         cuts[:low] = prefix[:, :B]
         rhs[:low] = prefix[:, B]
     rows = cuts[:-1, 1:]  # rows[m-1, k-1] = F_m[k], read for k >= m

@@ -102,8 +102,8 @@ def cmd_evaluate(args) -> int:
                 "m2": m.m2,
                 "avg_age": m.avg_age,
                 "avg_penalty": m.avg_penalty,
-                "per_state": [list(t) for t in m.per_state],
-                "stationary": list(m.pi),
+                "per_state": m.moments.T.tolist(),
+                "stationary": m.pi.tolist(),
             }
         ),
     )
@@ -333,6 +333,7 @@ def _add_optimizer_flags(sp):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="aoiharvest", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.subcommands = sub.choices  # the subcommand parsers by name, filled in by add_parser
 
     sp = sub.add_parser("evaluate", help="analytic metrics of a threshold policy")
     sp.add_argument("--mu", type=float, required=True)
@@ -401,8 +402,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    """The subcommand parsers of _parser(), by name: the choices of its subparsers action."""
-    return _parser()._subparsers._group_actions[0].choices
+    """The subcommand parsers of _parser(), by name, as build_parser kept them."""
+    return _parser().subcommands
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -445,19 +445,18 @@ def threshold_integrals(
 
 
 def threshold_cdfs(table: GammaTable) -> np.ndarray:
-    """C[n, j, i] = Pr(Y_{1+i-j} <= z_i) for i < B, with z_0 = inf, and C[n, j, B] = 0.
+    """C[n, j, i] = Pr(Y_{1+i-j} <= z_i), with z_0 = inf.
 
-    Shape (N, B, B+1): P(1+i-j, z_i) of exponent 0, a sheared view of its
+    Shape (N, B, B): P(1+i-j, z_i) of exponent 0, a sheared view of its
     rows at the thresholds z_0..z_{B-1}. Where 1+i-j <= 0, Y_{1+i-j} = 0
     and the CDF is 1; the view reads other entries of the table there, so
     those take 1 through a sheared view of _Layout.order_le_0.
     """
     n, b = table.z.shape
     shape, offset, strides = table.layout.cdf_shear
-    c = np.zeros((n, b, b + 1))
-    cdf = c[..., :b]
-    cdf[...] = np.ndarray((n,) + shape, float, table.values, offset, strides)  # bounds-checked by numpy
-    np.copyto(cdf, 1.0, where=np.ndarray((b, b), bool, table.layout.order_le_0, b - 1, (-1, 1)))
+    c = np.empty((n, b, b))
+    c[...] = np.ndarray((n,) + shape, float, table.values, offset, strides)  # bounds-checked by numpy
+    np.copyto(c, 1.0, where=np.ndarray((b, b), bool, table.layout.order_le_0, b - 1, (-1, 1)))
     return c
 
 

@@ -206,20 +206,19 @@ class PenaltySpec:
 class PolicyMetrics:
     """Analytic long-run metrics of a monotone threshold policy.
 
-    per_state[j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
+    moments[:, j] = (E[X|E=j], E[X^2|E=j], E[P(X)|E=j]) for post-update
     battery level j, where X is the inter-update time and P the penalty
-    antiderivative; pi[j] is the stationary probability of level j and
-    moments the (read-only) 3 x B array whose columns are per_state's rows.
-    cdfs and down are the battery chain's C (B x (B+1)) and Q (B) of
-    chain.stationary, read by renewal.bellman_levels.
+    antiderivative, and pi[j] is the stationary probability of level j:
+    read-only arrays of shapes (3, B) and (B,). cdfs and down are the
+    battery chain's C (B x B) and Q (B) of chain.stationary, read by
+    renewal.bellman_levels.
     """
 
     m1: float
     m2: float
     avg_age: float
     avg_penalty: float
-    per_state: tuple[tuple[float, float, float], ...]
-    pi: tuple[float, ...]
+    pi: np.ndarray = field(compare=False, repr=False)
     moments: np.ndarray = field(compare=False, repr=False)
     cdfs: np.ndarray = field(compare=False, repr=False)
     down: np.ndarray = field(compare=False, repr=False)

@@ -79,15 +79,6 @@ class StepBreaksMonotonicity(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Per-start-state moments of the inter-update time."""
-
-    ex: np.ndarray
-    ex2: np.ndarray
-    epx: np.ndarray
-
-
 def interupdate_cdf(params: SystemParams, policy: Policy, j: int, x: float) -> float:
     """CDF of the inter-update time given post-update battery level j."""
     B = params.battery
@@ -219,15 +210,6 @@ def _certain(z_b: np.ndarray, taus: np.ndarray, p: PenaltySpec, moments, weighte
     averages[sel] = np.hstack((t * 0.5, slope))
 
 
-def conditional_moments(
-    params: SystemParams, policy: Policy, p: PenaltySpec
-) -> ConditionalMoments:
-    """Closed-form E[X|j], E[X^2|j], E[P(X)|j] for every start state."""
-    moments = _evaluate(params, np.array([policy.thresholds], dtype=float), p)[0]
-    ex, ex2, epx = moments[0]
-    return ConditionalMoments(ex, ex2, epx)
-
-
 @dataclass(frozen=True)
 class BatchMetrics:
     """policy_metrics of N policies; every field has a leading policy axis.
@@ -287,13 +269,13 @@ def policy_metrics(
         raise OverflowError(_RANGE_ERROR)
     m1, m2, epx, avg_age, avg_penalty = values
     moments.setflags(write=False)
+    pi.setflags(write=False)
     return PolicyMetrics(
         m1=m1,
         m2=m2,
         avg_age=avg_age,
         avg_penalty=avg_penalty,
-        per_state=tuple(zip(*moments[0].tolist())),
-        pi=tuple(pi[0].tolist()),
+        pi=pi[0],
         moments=moments[0],
         cdfs=cdfs[0],
         down=down[0],
@@ -312,7 +294,7 @@ def bellman_levels(params: SystemParams, metrics: PolicyMetrics) -> np.ndarray:
     gamma = metrics.avg_penalty
     levels = np.full(len(ex), gamma)
     c = epx - gamma * ex
-    levels[:-1] += params.mu_h * unit_values(metrics.cdfs, metrics.down, np.array(metrics.pi), c)
+    levels[:-1] += params.mu_h * unit_values(metrics.cdfs, metrics.down, metrics.pi, c)
     return levels
 
 
@@ -342,9 +324,7 @@ def moment_derivative_check(
         raise StepBreaksMonotonicity(
             f"perturbing tau_{i} by +-{h} leaves the monotone region"
         )
-    ident = PenaltySpec.identity()
-    cm_up = conditional_moments(params, Policy(tuple(up)), ident)
-    cm_dn = conditional_moments(params, Policy(tuple(dn)), ident)
-    d_ex = (cm_up.ex - cm_dn.ex) / (2.0 * h)
-    d_ex2 = (cm_up.ex2 - cm_dn.ex2) / (2.0 * h)
+    m_up = policy_metrics(params, Policy(tuple(up))).moments
+    m_dn = policy_metrics(params, Policy(tuple(dn))).moments
+    d_ex, d_ex2 = (m_up[:2] - m_dn[:2]) / (2.0 * h)
     return float(np.abs(d_ex2 - 2.0 * taus[i - 1] * d_ex).max())

@@ -18,7 +18,7 @@ import pytest
 
 from aoiharvest.chain import cut_tables, stationary
 from aoiharvest.model import PenaltySpec, SystemParams, validate_policy
-from aoiharvest.renewal import conditional_moments, policy_metrics
+from aoiharvest.renewal import policy_metrics
 
 ORACLE_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 REL_TOL = 1e-10
@@ -59,7 +59,7 @@ def test_matches_mpmath(mu, taus, exponent):
     m = policy_metrics(params, policy, PenaltySpec.power(exponent))
     for key in ("m1", "m2", "avg_age", "avg_penalty"):
         assert rel(getattr(m, key), ref[key]) <= REL_TOL, key
-    for j, (row, ref_row) in enumerate(zip(m.per_state, ref["per_state"])):
+    for j, (row, ref_row) in enumerate(zip(m.moments.T, ref["per_state"])):
         for x, r in zip(row, ref_row):
             assert rel(x, r) <= REL_TOL, f"state {j}"
     pi = stationary(*cut_tables(params, policy))
@@ -83,7 +83,7 @@ def test_per_state_moments(mu, taus, exponent):
     # tighter than the contract: 1e-12 relative on every conditional moment
     ref = load_oracle().policy_metrics(mu, taus, exponent)["per_state"]
     params = SystemParams(mu_h=mu, battery=len(taus))
-    cm = conditional_moments(params, validate_policy(params, taus), PenaltySpec.power(exponent))
+    moments = policy_metrics(params, validate_policy(params, taus), PenaltySpec.power(exponent)).moments
     for j, ref_row in enumerate(ref):
-        for x, r in zip((cm.ex[j], cm.ex2[j], cm.epx[j]), ref_row):
+        for x, r in zip(moments[:, j], ref_row):
             assert rel(x, r) <= 1e-12, f"state {j}"

@@ -136,7 +136,7 @@ class TestCutTables:
         # kept where 1 - P would have rounded to 0; Q_0 = 0 at tau_0 = inf
         params, pol = make(2.0, [30.0, 10.0, 1.0])
         C, Q = cut_tables(params, pol)
-        assert C.shape == (3, 4) and Q.shape == (3,)
+        assert C.shape == (3, 3) and Q.shape == (3,)
         assert Q[0] == 0.0
         for k in (1, 2):
             assert Q[k] == pytest.approx(math.exp(-2.0 * pol.thresholds[k - 1]), rel=1e-15)
@@ -262,12 +262,13 @@ class TestRelativeValues:
 def mpmath_reference(C, Q, ex, epx, mu):
     """pi, Bellman levels and gamma at 50 digits from the same float C and Q.
 
-    T[k, k-1] = Q_k and T[j, i] = C[j, i] - C[j, i+1] above, the diagonal
-    taking the rest of each row; gamma is recomputed from the float moments.
+    T[k, k-1] = Q_k and T[j, i] = C[j, i] - C[j, i+1] above, with C[j, B] = 0,
+    the diagonal taking the rest of each row; gamma is recomputed from the
+    float moments.
     """
     B = len(Q)
     with mpmath.workdps(50):
-        Cm = [[mpmath.mpf(float(x)) for x in row] for row in C]
+        Cm = [[mpmath.mpf(float(x)) for x in row] + [mpmath.mpf(0)] for row in C]
         T = mpmath.zeros(B, B)
         for j in range(B):
             if j:
@@ -316,7 +317,7 @@ def test_prefix_recursion_family_reaches_the_recursion(battery):
     assert policy_metrics(params, pol).pi[0] < 2.0**-500 and Q[1:].min() >= TINY
 
 
-@pytest.mark.parametrize("battery", [2, 4, 8, 16, 24, 32, 64])
+@pytest.mark.parametrize("battery", [2, 4, 8, 16, 24, 32, 64, 128])
 def test_accuracy_contract_against_mpmath(battery):
     # pi within 1e-13 relative per entry, down to masses of 1e-100, and the
     # Bellman levels within 1e-13 of max |level - gamma|. Solving the rows

@@ -131,6 +131,20 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out)["battery"] == 2
 
+    # (argv, stdout) pairs: B = 1, 4 and 32; the identity, power-0.5 and
+    # power-2 penalties; rates in and outside [1, 2); the certain regime
+    # (mu tau_B past 1024) and a zero down-rate (pi_0 = +0.0)
+    GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "evaluate_stdout.json").read_text())
+
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN,
+        ids=lambda case: "mu{2}-B{4}-".format(*case["argv"]) + ("pow" + case["argv"][-1] if "power" in case["argv"] else "id"),
+    )
+    def test_stdout_bytes_pinned(self, capsys, case):
+        # every byte of the JSON line, per_state and stationary included
+        assert run(capsys, case["argv"]) == (0, case["stdout"])
+
 
 class TestOptimize:
     def test_algorithm1_json(self, capsys):

@@ -9,11 +9,9 @@ from aoiharvest.model import PenaltySpec, Policy, SystemParams, validate_policy
 from aoiharvest.renewal import (
     BadState,
     avg_penalties,
-    ConditionalMoments,
     StepBreaksMonotonicity,
     batch_metrics,
     bellman_levels,
-    conditional_moments,
     interupdate_cdf,
     moment_derivative_check,
     policy_metrics,
@@ -60,29 +58,29 @@ class TestConditionalMoments:
     def test_b1_closed_form(self):
         # E[X] = tau + e^{-mu tau}/mu, E[X^2] = tau^2 + (2/mu^2 + 2 tau/mu) e^{-mu tau}
         params, pol = make(1.0, [1.0])
-        cm = conditional_moments(params, pol, IDENT)
-        assert cm.ex[0] == pytest.approx(1 + math.exp(-1), rel=1e-12)
-        assert cm.ex2[0] == pytest.approx(1 + 4 * math.exp(-1), rel=1e-12)
+        ex, ex2, _ = policy_metrics(params, pol, IDENT).moments
+        assert ex[0] == pytest.approx(1 + math.exp(-1), rel=1e-12)
+        assert ex2[0] == pytest.approx(1 + 4 * math.exp(-1), rel=1e-12)
 
     def test_b2_frozen_from_quadrature(self):
         # oracle: piecewise quadrature of the survival function
         params, pol = make(1.0, [1.5, 0.72])
-        cm = conditional_moments(params, pol, IDENT)
-        assert cm.ex[0] == pytest.approx(1.4861407358400482, rel=1e-10)
-        assert cm.ex2[0] == pytest.approx(2.8109606983339703, rel=1e-10)
-        assert cm.ex[1] == pytest.approx(0.9836220958115418, rel=1e-10)
-        assert cm.ex2[1] == pytest.approx(1.0771769597601535, rel=1e-10)
+        ex, ex2, _ = policy_metrics(params, pol, IDENT).moments
+        assert ex[0] == pytest.approx(1.4861407358400482, rel=1e-10)
+        assert ex2[0] == pytest.approx(2.8109606983339703, rel=1e-10)
+        assert ex[1] == pytest.approx(0.9836220958115418, rel=1e-10)
+        assert ex2[1] == pytest.approx(1.0771769597601535, rel=1e-10)
 
     def test_identity_penalty_reward_is_half_second_moment(self):
         params, pol = make(0.7, [2.1, 1.4, 0.9])
-        cm = conditional_moments(params, pol, IDENT)
-        assert np.allclose(cm.epx, cm.ex2 / 2, rtol=1e-12)
+        _, ex2, epx = policy_metrics(params, pol, IDENT).moments
+        assert np.allclose(epx, ex2 / 2, rtol=1e-12)
 
     def test_moment_inequalities(self):
         params, pol = make(1.2, [1.9, 1.3, 0.8, 0.8])
-        cm = conditional_moments(params, pol, IDENT)
-        assert np.all(cm.ex >= pol.tau_full)
-        assert np.all(cm.ex2 >= cm.ex**2)
+        ex, ex2, _ = policy_metrics(params, pol, IDENT).moments
+        assert np.all(ex >= pol.tau_full)
+        assert np.all(ex2 >= ex**2)
 
 
 def per_piece_moments(params, policy, p):
@@ -147,9 +145,9 @@ class TestPrefixRows:
     )
     def test_bitwise_equal_to_per_piece_sums(self, mu, taus, p):
         params, pol = make(mu, taus)
-        cm = conditional_moments(params, pol, p)
+        moments = policy_metrics(params, pol, p).moments
         want = per_piece_moments(params, pol, p)
-        assert [(cm.ex[j], cm.ex2[j], cm.epx[j]) for j in range(params.battery)] == want
+        assert [tuple(moments[:, j]) for j in range(params.battery)] == want
 
 
 class TestOverflow:
@@ -190,8 +188,8 @@ class TestBatch:
             m = policy_metrics(params, Policy(tuple(row)), PenaltySpec.power(2.0))
             got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
             assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
-            assert tuple(zip(*b.moments[n].tolist())) == m.per_state
-            assert tuple(b.pi[n].tolist()) == m.pi
+            assert b.moments[n].tolist() == m.moments.tolist()
+            assert b.pi[n].tolist() == m.pi.tolist()
 
     @pytest.mark.parametrize(
         "mu,taus,certain",
@@ -210,7 +208,7 @@ class TestBatch:
             m = policy_metrics(params, Policy(tuple(row)), p)
             got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
             assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
-            assert tuple(zip(*b.moments[n].tolist())) == m.per_state
+            assert b.moments[n].tolist() == m.moments.tolist()
         for n in certain:
             assert b.avg_age[n] * 2.0 == taus[n][-1] and b.m2[n] == taus[n][-1] ** 2
 
@@ -221,6 +219,15 @@ class TestPolicyMetrics:
         assert m.m1 == pytest.approx(1.1521569859942833, rel=1e-10)
         assert m.avg_age == pytest.approx(0.7198038206519034, rel=1e-10)
         assert m.avg_penalty == m.avg_age
+
+    def test_arrays_are_the_evaluators_read_only(self):
+        # one copy of each result: moments (3, B) and pi (B,), neither writable
+        params, pol = make(0.8, [2.0, 1.0, 0.5])
+        m = policy_metrics(params, pol)
+        assert m.moments.shape == (3, 3) and m.pi.shape == (3,) and m.cdfs.shape == (3, 3)
+        for a in (m.moments, m.pi):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_b1_direct(self):
         params, pol = make(1.0, [1.0])
@@ -288,9 +295,9 @@ class TestMomentDerivative:
         # dE[X]/dtau = 1 - e^{-mu tau}; dE[X^2]/dtau = 2 tau (1 - e^{-mu tau})
         params, pol = make(1.0, [0.9])
         h = 1e-6
-        up = conditional_moments(params, Policy((0.9 + h,)), IDENT)
-        dn = conditional_moments(params, Policy((0.9 - h,)), IDENT)
-        d_ex = (up.ex[0] - dn.ex[0]) / (2 * h)
+        up = policy_metrics(params, Policy((0.9 + h,)), IDENT).moments
+        dn = policy_metrics(params, Policy((0.9 - h,)), IDENT).moments
+        d_ex = (up[0, 0] - dn[0, 0]) / (2 * h)
         assert d_ex == pytest.approx(1 - math.exp(-0.9), abs=1e-8)
 
     def test_tied_thresholds_break_stencil(self):
@@ -323,10 +330,10 @@ def ex_derivatives(params, taus):
 
 
 def moment_derivatives(params, policy, p):
-    """d E[f(X)|j] / d tau_i = f(tau_i) d E[X|j] / d tau_i for f = 1, 2x and p."""
+    """d E[f(X)|j] / d tau_i = f(tau_i) d E[X|j] / d tau_i for f = 1, 2x and p, stacked in that order."""
     taus = np.asarray(policy.thresholds)
     K = ex_derivatives(params, taus)
-    return ConditionalMoments(K, K * (2.0 * taus), K * p(taus))
+    return np.stack([K, K * (2.0 * taus), K * p(taus)])
 
 
 def avg_penalty_gradient(params, policy, p, metrics):
@@ -334,7 +341,7 @@ def avg_penalty_gradient(params, policy, p, metrics):
     w_i = sum_j pi_j d E[X|j] / d tau_i: it checks the Bellman levels
     independently of the chain's equations."""
     taus = np.asarray(policy.thresholds)
-    w = np.asarray(metrics.pi) @ ex_derivatives(params, taus)
+    w = metrics.pi @ ex_derivatives(params, taus)
     return w * (p(taus) - bellman_levels(params, metrics)) / metrics.m1
 
 
@@ -396,21 +403,20 @@ class TestGradient:
         h = 1e-5 / mu
 
         def moments(q):
-            cm = conditional_moments(params, q, p)
-            return np.stack([cm.ex, cm.ex2, cm.epx])
+            return policy_metrics(params, q, p).moments
 
         for i in range(len(taus)):
             fd = difference_quotient(moments, taus, i, h)
-            exact = np.stack([d.ex[:, i], d.ex2[:, i], d.epx[:, i]])
+            exact = d[:, :, i]
             assert np.abs(exact - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max()), f"tau_{i + 1}"
 
     @pytest.mark.parametrize("mu,taus", GRADIENT_CASES)
     def test_second_moment_identity(self, mu, taus):
         # d E[X^2|j] = 2 tau_i d E[X|j], to rounding
         params, pol = make(mu, taus)
-        d = moment_derivatives(params, pol, IDENT)
-        assert np.allclose(d.ex2, 2.0 * np.asarray(taus) * d.ex, rtol=1e-15, atol=0.0)
-        assert np.allclose(d.epx, d.ex2 / 2.0, rtol=1e-15, atol=0.0)
+        d_ex, d_ex2, d_epx = moment_derivatives(params, pol, IDENT)
+        assert np.allclose(d_ex2, 2.0 * np.asarray(taus) * d_ex, rtol=1e-15, atol=0.0)
+        assert np.allclose(d_epx, d_ex2 / 2.0, rtol=1e-15, atol=0.0)
 
     def test_b1_closed_form(self):
         # avg_age = (tau^2 + (2/mu^2 + 2 tau/mu) e^{-mu tau}) / (2 (tau + e^{-mu tau}/mu))
@@ -426,7 +432,6 @@ class TestGradient:
         # pi does not depend on tau_B, so its gradient entry is moments alone
         params, pol = make(1.0, [1.5, 0.72])
         m = policy_metrics(params, pol)
-        pi = np.asarray(m.pi)
-        d = moment_derivatives(params, pol, IDENT)
-        want = (pi @ d.epx[:, -1] - m.avg_penalty * (pi @ d.ex[:, -1])) / m.m1
+        d_ex, _, d_epx = moment_derivatives(params, pol, IDENT)
+        want = (m.pi @ d_epx[:, -1] - m.avg_penalty * (m.pi @ d_ex[:, -1])) / m.m1
         assert avg_penalty_gradient(params, pol, IDENT, m)[-1] == pytest.approx(want, rel=1e-14)

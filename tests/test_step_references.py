@@ -48,8 +48,9 @@ def reference_relative_values(T, c):
 
 def reference_bellman_levels(params, policy, metrics):
     """renewal.bellman_levels before the cut rows, word for word but for the
-    transition matrix, which metrics no longer holds."""
-    ex, _, epx = np.asarray(metrics.per_state).T
+    transition matrix, which metrics no longer holds, and the moments, which
+    it holds as one (3, B) array."""
+    ex, _, epx = metrics.moments
     gamma = metrics.avg_penalty
     h = reference_relative_values(transition_matrix(params, policy), epx - gamma * ex)
     return gamma + params.mu_h * np.append(h[:-1] - h[1:], 0.0)
