@@ -25,8 +25,6 @@ from .optimizer import (
     optimize_penalty,
 )
 from .renewal import (
-    BatchMetrics,
-    batch_metrics,
     bellman_levels,
     interupdate_cdf,
     moment_derivative_check,
@@ -36,7 +34,6 @@ from .simulator import KERNEL, SimConfig, SimReport, simulate, simulate_greedy
 
 __all__ = [
     "KERNEL",
-    "BatchMetrics",
     "OptimizationResult",
     "OptimizerConfig",
     "PenaltySpec",
@@ -49,7 +46,6 @@ __all__ = [
     "b1_average_age",
     "b1_optimal",
     "b2_average_age",
-    "batch_metrics",
     "bellman_levels",
     "cut_tables",
     "feasible",

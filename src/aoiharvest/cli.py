@@ -34,6 +34,7 @@ import numpy as np
 
 from .chain import SingularSystem
 from .chain import stationary, transition_matrix  # noqa: F401  (patched by perfbench/tracer.py)
+from .erlang import _RANGE_ERROR
 from .model import PenaltySpec, PolicyError, policy_to_json, validate_policy, SystemParams
 from .optimizer import (
     BudgetExceeded,
@@ -42,7 +43,7 @@ from .optimizer import (
     grid_search,
     optimize_penalty,
 )
-from .renewal import batch_metrics, policy_metrics
+from .renewal import avg_penalties, policy_metrics
 from .simulator import SimConfig, log_kind, simulate
 
 EXIT_VALIDATION = 2
@@ -207,7 +208,11 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_fig(args) -> int:
-    """Average-age surfaces for B = 2: one curve per fixed threshold, one evaluator call per curve."""
+    """Average-age surfaces for B = 2: one curve per fixed threshold, one evaluator call per curve.
+
+    Under p(x) = x the average penalty is the average age, so a curve's
+    ages are its avg_penalties, and it answers wherever they are in range.
+    """
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     rates = _parse_floats(args.mu)
@@ -236,7 +241,9 @@ def _sweep_fig(args) -> int:
     rows = ["tau_1,tau_2,avg_age"]
     for taus in curves:
         _validate_curve(params, taus)
-        ages = batch_metrics(params, taus).avg_age
+        ages = avg_penalties(params, taus, PenaltySpec.identity())
+        if not np.isfinite(ages).all():
+            raise OverflowError(_RANGE_ERROR)
         rows += ["%.9g,%.9g,%.9g" % (t1, t2, age) for (t1, t2), age in zip(taus.tolist(), ages.tolist())]
     _out(args, "\n".join(rows))
     return 0

@@ -38,6 +38,11 @@ class NegativeAge(ValueError):
     """Penalty functions are only defined for age >= 0."""
 
 
+def is_int(value) -> bool:
+    """value is an int and not a bool: a bool is an int, and JSON would write it as true."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Harvest rate (Poisson, energy units per unit time) and battery size."""
@@ -46,8 +51,7 @@ class SystemParams:
     battery: int
 
     def __post_init__(self):
-        # a bool is an int, and policy_to_json would write "battery": true
-        if isinstance(self.battery, bool) or not (isinstance(self.battery, int) and self.battery >= 1):
+        if not (is_int(self.battery) and self.battery >= 1):
             raise ValueError(f"battery must be a positive integer, got {self.battery!r}")
         if not (math.isfinite(self.mu_h) and self.mu_h > 0):
             raise ValueError(f"mu_h must be positive and finite, got {self.mu_h!r}")

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .erlang import _RANGE_ERROR
-from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams, validate_policy
+from .model import PenaltySpec, Policy, PolicyMetrics, SystemParams, is_int, validate_policy
 from .renewal import avg_penalties, bellman_levels, policy_metrics
 
 # Largest gap on the grid oracle's axes, at unit rate.
@@ -92,6 +92,9 @@ class OptimizerConfig:
     grid_rounds: int = 6
 
     def __post_init__(self):
+        counts = (self.q, self.grid_points, self.grid_rounds)
+        if not all(map(is_int, counts)):
+            raise ValueError(f"q, grid_points and grid_rounds must be integers, got {counts!r}")
         if not 1 <= self.q <= MAX_Q or self.grid_points < 2 or self.grid_rounds < 1:
             raise ValueError(f"need 1 <= q <= {MAX_Q}, grid_points >= 2 and grid_rounds >= 1")
         if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):

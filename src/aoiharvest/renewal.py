@@ -40,7 +40,7 @@ exceeds j. The integrals come in descending shortfall, so one running
 sum, read where each state's terms end, gives every state at once. That
 is O(B^2) numpy work, with no loop over states or pieces. Every array
 carries a leading policy axis, so one call evaluates a batch of policies
-(batch_metrics); policy_metrics is the batch of one.
+(avg_penalties, the objective of each); policy_metrics is the batch of one.
 Long-run averages are stationary mixtures of the per-state moments; the
 average penalty is the renewal-reward ratio E[P(X)] / E[X] (for identity
 penalty this is the classic E[X^2] / 2 E[X] average age).
@@ -58,7 +58,6 @@ C, Q and pi as the evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -210,52 +209,18 @@ def _certain(z_b: np.ndarray, taus: np.ndarray, p: PenaltySpec, moments, weighte
     averages[sel] = np.hstack((t * 0.5, slope))
 
 
-@dataclass(frozen=True)
-class BatchMetrics:
-    """policy_metrics of N policies; every field has a leading policy axis.
-
-    moments[n, :, j] = (E[X|j], E[X^2|j], E[P(X)|j]) of policy n.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    avg_age: np.ndarray
-    avg_penalty: np.ndarray
-    moments: np.ndarray
-    pi: np.ndarray
-
-
 def avg_penalties(params: SystemParams, thresholds, p: PenaltySpec) -> np.ndarray:
     """avg_penalty of each row of an (N, B) array of monotone thresholds.
 
-    Unlike batch_metrics this does not raise when a policy's metrics leave
-    double range: its entry is inf, so a search can pass over it.
+    The evaluator's batch entry, one call for all rows, which are not
+    validated. Where policy_metrics answers for a row alone, the row's entry
+    is bitwise its avg_penalty (under p(x) = x, also its avg_age). Unlike
+    policy_metrics this does not raise when a moment leaves double range:
+    an entry is inf only where its own avg_penalty is not finite, so a
+    search can pass over it.
     """
     averages = _evaluate(params, np.asarray(thresholds, dtype=float), p)[-1]
     return np.where(np.isfinite(averages[:, 1]), averages[:, 1], np.inf)
-
-
-def batch_metrics(
-    params: SystemParams, thresholds, p: PenaltySpec | None = None
-) -> BatchMetrics:
-    """Long-run metrics of an (N, B) array of monotone thresholds, one policy per row.
-
-    The rows are not validated. Each policy's numbers are bitwise those
-    policy_metrics gives for it alone. Raises OverflowError when any of
-    them is outside double range.
-    """
-    taus = np.asarray(thresholds, dtype=float)
-    moments, _, _, pi, weighted, averages = _evaluate(params, taus, p or PenaltySpec.identity())
-    if not (np.isfinite(weighted).all() and np.isfinite(averages).all()):
-        raise OverflowError(_RANGE_ERROR)
-    return BatchMetrics(
-        m1=weighted[:, 0],
-        m2=weighted[:, 1],
-        avg_age=averages[:, 0],
-        avg_penalty=averages[:, 1],
-        moments=moments,
-        pi=pi,
-    )
 
 
 def policy_metrics(

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import PenaltySpec, Policy, SystemParams
+from .model import PenaltySpec, Policy, SystemParams, is_int
 
 try:
     from . import _simcore as _kernel
@@ -79,6 +79,9 @@ class SimConfig:
     batches: int = 100
 
     def __post_init__(self):
+        counts = (self.seed, self.renewals, self.warmup, self.initial_state, self.batches)
+        if not all(map(is_int, counts)):
+            raise ValueError(f"seed, renewals, warmup, initial_state and batches must be integers, got {counts!r}")
         if self.renewals < 1 or self.warmup < 0 or self.initial_state < 0 or self.batches < 1:
             raise ValueError("invalid simulation configuration")
 

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from aoiharvest import cli
 from aoiharvest.model import PolicyError, PolicyMetrics  # noqa: F401  (re-export sanity)
-from aoiharvest.model import SystemParams, validate_policy
-from aoiharvest.renewal import batch_metrics, policy_metrics
+from aoiharvest.model import Policy, SystemParams, validate_policy
+from aoiharvest.renewal import avg_penalties, policy_metrics
 
 
 def run(capsys, argv):
@@ -631,7 +631,7 @@ def reference_sweep_fig(args) -> int:
     for taus in curves:
         for row in taus:
             validate_policy(params, row)
-        ages = batch_metrics(params, taus).avg_age
+        ages = [policy_metrics(params, Policy(tuple(row))).avg_age for row in taus.tolist()]
         rows += [",".join([_g(t1), _g(t2), _g(age)]) for (t1, t2), age in zip(taus, ages)]
     cli._out(args, "\n".join(rows))
     return 0
@@ -646,6 +646,35 @@ def test_fig_csv_matches_the_row_loop(capsys, mu, fig, flag, fixed, points):
     assert code == reference_sweep_fig(cli.build_parser().parse_args(argv)) == 0
     assert out == capsys.readouterr().out and err == ""
     assert out.count("\n") == 1 + len(fixed.split(",")) * int(points)
+
+
+@pytest.mark.parametrize("mu", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("fig,flag,fixed", [("5", "--tau2", (0.1, 0.72, 5.0)), ("6", "--tau1", (0.1, 1.4, 5.0))])
+def test_fig_answers_wherever_its_ages_are_in_range(capsys, monkeypatch, mu, fig, flag, fixed):
+    # at thresholds of 0.1-5 / mu, m2 ~ tau^2 leaves double range while the
+    # ages, ~ 1 / mu, do not; a curve prints ages only, so it answers, and
+    # its ages scale as 1 / mu to the unit-rate sweep's
+    ages = []
+
+    def spy(params, taus, p):
+        got = avg_penalties(params, taus, p)
+        ages.append(got)
+        return got
+
+    monkeypatch.setattr(cli, "avg_penalties", spy)
+
+    def sweep(rate):
+        ages.clear()
+        values = ",".join(repr(t / rate) for t in fixed)
+        code, out, err = call(capsys, ["sweep", "--fig", fig, "--mu", repr(rate), flag, values, "--points", "9"])
+        assert (code, err) == (0, "")
+        got = np.concatenate(ages)
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == [_g(age) for age in got]
+        return got
+
+    scaled = sweep(mu) * mu
+    assert np.isfinite(scaled).all()
+    np.testing.assert_allclose(scaled, sweep(1.0), rtol=1e-14, atol=0.0)
 
 
 def _row_loop_error(params, taus):

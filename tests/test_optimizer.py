@@ -62,6 +62,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="grid_rounds >= 1"):
             OptimizerConfig(grid_rounds=0)
 
+    @pytest.mark.parametrize(
+        "counts", [dict(q=2.5), dict(q=True), dict(grid_points=2.5), dict(grid_rounds=1.5), dict(grid_rounds=True)]
+    )
+    def test_config_rejects_non_integer_counts(self, counts):
+        # each of these passed the range check and failed later, in algorithm1
+        # or grid_search, with a TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            OptimizerConfig(**counts)
+
     def test_budget_guard(self):
         params = SystemParams(1.0, 9)
         with pytest.raises(BudgetExceeded):

@@ -10,7 +10,6 @@ from aoiharvest.renewal import (
     BadState,
     avg_penalties,
     StepBreaksMonotonicity,
-    batch_metrics,
     bellman_levels,
     interupdate_cdf,
     moment_derivative_check,
@@ -160,14 +159,22 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="outside double range"):
                 policy_metrics(params, pol)
-            with pytest.raises(OverflowError, match="outside double range"):
-                batch_metrics(params, [pol.thresholds])
             ages = avg_penalties(params, [pol.thresholds], IDENT)
         want = policy_metrics(*make(1.0, [1.0, 0.1])).avg_age
         assert ages[0] * 1e-300 == pytest.approx(want, rel=1e-14)
 
 
 class TestBatch:
+    """avg_penalties, the evaluator's batch entry, row for row against policy_metrics."""
+
+    @staticmethod
+    def check_rows(params, taus, p):
+        got = avg_penalties(params, taus, p).tolist()
+        want = [policy_metrics(params, Policy(tuple(row)), p) for row in np.asarray(taus).tolist()]
+        assert got == [m.avg_penalty for m in want]
+        if p == IDENT:
+            assert got == [m.avg_age for m in want]
+
     def test_grid_round_matches_single_evaluations_bitwise(self):
         # one round of the B = 2 grid: every vertex in one call, bitwise the
         # avg_penalty that policy_metrics gives each vertex alone
@@ -176,21 +183,14 @@ class TestBatch:
         tau_b, gap = np.meshgrid(*axes, indexing="ij")
         taus = np.column_stack(((tau_b + gap).ravel(), tau_b.ravel()))
         for p in (IDENT, PenaltySpec.power(0.5), PenaltySpec(((1.0, 1.0), (0.5, 2.5)))):
-            got = batch_metrics(params, taus, p).avg_penalty
-            want = [policy_metrics(params, Policy(tuple(row)), p).avg_penalty for row in taus.tolist()]
-            assert got.tolist() == want
+            self.check_rows(params, taus, p)
 
-    def test_fields_match_policy_metrics(self):
+    @pytest.mark.parametrize("p", [PenaltySpec.power(2.0), IDENT], ids=["pow2", "id"])
+    def test_rows_match_policy_metrics(self, p):
         params = SystemParams(mu_h=0.8, battery=3)
-        taus = [[3.0, 2.0, 0.5], [1.0, 1.0, 1.0], [2.5, 0.4, 0.0]]
-        b = batch_metrics(params, taus, PenaltySpec.power(2.0))
-        for n, row in enumerate(taus):
-            m = policy_metrics(params, Policy(tuple(row)), PenaltySpec.power(2.0))
-            got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
-            assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
-            assert b.moments[n].tolist() == m.moments.tolist()
-            assert b.pi[n].tolist() == m.pi.tolist()
+        self.check_rows(params, [[3.0, 2.0, 0.5], [1.0, 1.0, 1.0], [2.5, 0.4, 0.0]], p)
 
+    @pytest.mark.parametrize("p", [PenaltySpec.power(0.5), IDENT], ids=["pow0.5", "id"])
     @pytest.mark.parametrize(
         "mu,taus,certain",
         [
@@ -201,16 +201,12 @@ class TestBatch:
             (1e-150, [[3e150, 2e150, 5e149], [1e150, 1e150, 1e150]], []),
         ],
     )
-    def test_fields_match_policy_metrics_at_extreme_rates(self, mu, taus, certain):
-        params, p = SystemParams(mu_h=mu, battery=3), PenaltySpec.power(0.5)
-        b = batch_metrics(params, taus, p)
-        for n, row in enumerate(taus):
-            m = policy_metrics(params, Policy(tuple(row)), p)
-            got = (b.m1[n], b.m2[n], b.avg_age[n], b.avg_penalty[n])
-            assert got == (m.m1, m.m2, m.avg_age, m.avg_penalty)
-            assert b.moments[n].tolist() == m.moments.tolist()
+    def test_rows_match_policy_metrics_at_extreme_rates(self, mu, taus, certain, p):
+        params = SystemParams(mu_h=mu, battery=3)
+        self.check_rows(params, taus, p)
+        ages = avg_penalties(params, taus, IDENT)
         for n in certain:
-            assert b.avg_age[n] * 2.0 == taus[n][-1] and b.m2[n] == taus[n][-1] ** 2
+            assert 2.0 * ages[n] == taus[n][-1]
 
 class TestPolicyMetrics:
     def test_b2_table_row(self):

@@ -386,6 +386,16 @@ class TestConfigAndErrors:
         with pytest.raises(ZeroMeasurementWindow):
             simulate(params, pol, IDENT, SimConfig(seed=0, renewals=10, warmup=10))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [dict(seed=True), dict(renewals=5000.5), dict(warmup=True), dict(initial_state=0.0), dict(batches=2.0)],
+    )
+    def test_config_rejects_non_integer_counts(self, counts):
+        # a float count failed late, in the kernel; a bool seed or warmup was
+        # written as true in SimReport.to_json
+        with pytest.raises(ValueError, match="must be integers"):
+            SimConfig(**{"seed": 1, "renewals": 5000, **counts})
+
     def test_initial_state_bound(self):
         params, pol = make(1.0, [1.0])
         with pytest.raises(ValueError, match="initial_state"):
