@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 16] [--out BENCH_26.json]
+        [--rounds 16] [--out BENCH_27.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -64,7 +64,8 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        smallest threshold uniform on the k-th of B parts of
                        [0, 4]). Each kernel is timed in a fresh interpreter
                        of its own, which runs nothing else: _simcore_py
-                       always, _simcore (compiled) where simulator loads it
+                       always, and "compiled", simulator's kernel, where it
+                       is not the pure-Python one
     cycles_per_s_b1    the same at B = 1 for each mu tau_1 in KERNEL_B1_Z,
                        the worst (0.2) and best (3.8) cases of the Python
                        kernel's B = 1 screen, which skips the log of every
@@ -115,7 +116,7 @@ STEP_BATTERIES = (1, 2, 3, 4, 8, 16)
 KERNEL_BATTERIES = (1, 4, 16)
 KERNEL_B1_Z = (0.2, 3.8)
 KERNEL_CYCLES = 200_000
-KERNELS = ("_simcore_py", "_simcore")
+KERNELS = ("_simcore_py", "compiled")
 SIM_RENEWALS = 2_000_000
 REPEATS = 3
 BLOCK_S = 0.05  # rough time per timing, to size the number of calls
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=16)
-    ap.add_argument("--out", default="BENCH_26.json")
+    ap.add_argument("--out", default="BENCH_27.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--kernel", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

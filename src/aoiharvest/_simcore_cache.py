@@ -1,40 +1,46 @@
-"""The compiled simulation kernel for a source checkout: the committed ``_simcore.c``, built once into a private user cache.
+"""The compiled simulation kernel: the level walk of ``_simcore.c``, built once into a private user cache.
 
-``simulator`` calls ``load`` only when no installed ``aoiharvest._simcore``
-imports. The cache is ``$XDG_CACHE_HOME/aoiharvest``, else
-``~/.cache/aoiharvest``; it is used only when it is a directory of the
-current user that no group or other user can write (it is made with mode
-0700). A base that is not an absolute path is not used at all.
+``simulator`` calls ``load`` at import, from a checkout and from an
+installed package alike (``_simcore.c`` ships as package data). The
+cache is ``$XDG_CACHE_HOME/aoiharvest``, else ``~/.cache/aoiharvest``;
+it is used only when it is a directory of the current user that no
+group or other user can write (it is made with mode 0700). A base that
+is not an absolute path is not used at all.
 
 The build is stored under a key that names ``_simcore.c`` (the first
 digits of SOURCE_SHA256 and the file's size) and the interpreter's
 extension suffix (its EXT_SUFFIX). The digest is a constant, which the
 tests check against the file, so an import hashes nothing: it takes a few
-``stat`` calls and one extension load.
+``stat`` calls and one ``ctypes.CDLL``.
 
 On a cache miss, ``load`` compiles the bytes of ``_simcore.c``, after
 checking their SHA-256 against SOURCE_SHA256, with the running
-interpreter's ``sysconfig`` settings (CC, CFLAGS, CCSHARED, LDSHARED and
-its include directory; the kernel needs no numpy headers) in a private
-temporary directory inside the cache. The build is used only once it
-matches ``_simcore_py`` bit for bit (inter-update times, levels and
-generator state) on short seeded runs at B = 1, 2, 4 and 16 from an
-empty and a full battery; only then is it moved into place, by an atomic
-``os.replace``. Any failure (no compiler or ``Python.h``, a compile that
-fails or outlasts BUILD_TIMEOUT_S, a mismatch) prints nothing, gives None
-and is recorded as a ``.failed`` file under the same key, so that later
-imports do not compile again. Deleting the cache directory clears the
-build and the record alike.
+interpreter's ``sysconfig`` CC, CFLAGS, CCSHARED and LDSHARED (the walk
+includes no Python header) in a private temporary directory inside the
+cache. The kernel, ``_simcore_py.run_cycles`` with the build's walk, is
+used only once it matches ``_simcore_py`` bit for bit (inter-update
+times, levels and generator state) on short seeded runs at B = 1, 2, 4
+and 16 from an empty and a full battery; only then is the build moved
+into place, by an atomic ``os.replace``. Any failure (no compiler, a
+compile that fails or outlasts BUILD_TIMEOUT_S, a mismatch) prints
+nothing, gives None and is recorded as a ``.failed`` file under the same
+key, so that later imports do not compile again. Deleting the cache
+directory clears the build and the record alike.
 """
 
+import ctypes
+import functools
 import os
 import stat
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+import types
+from importlib.machinery import EXTENSION_SUFFIXES
+
+import numpy as np
+
+from . import _simcore_py
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_simcore.c")
-SOURCE_SHA256 = "6e65022d550ba39ea048c30feea4dd15e611eb903a99b6e8e5a2146a193d642f"
-NAME = "aoiharvest._simcore"  # the module name _simcore.c initializes
+SOURCE_SHA256 = "008526df1ca9876ae5393aa38a827bda7ad5bd7ce156fecd569d4a71d264d570"
 BUILD_TIMEOUT_S = 120.0  # for the whole build: compile and link
 FAILED = ".failed"
 
@@ -97,11 +103,27 @@ def _private_file(path):
 
 
 def _load(path):
-    """The extension module at path, initialized as aoiharvest._simcore."""
-    loader = ExtensionFileLoader(NAME, path)
-    module = module_from_spec(spec_from_loader(NAME, loader))
-    loader.exec_module(module)
-    return module
+    """The kernel of the build at path: ``_simcore_py.run_cycles`` with the build's level walk."""
+    walk = ctypes.CDLL(path).walk_levels
+    walk.restype = ctypes.c_int64
+    p, n = ctypes.c_void_p, ctypes.c_int64
+    walk.argtypes = (p, n, ctypes.c_double, p, n, p, p, n, ctypes.POINTER(n), ctypes.POINTER(ctypes.c_double))
+
+    def walk_levels(taus, mu, level, x_out, s_out):
+        """``_simcore_py.walk_levels`` through the C walk, which writes into x_out and s_out in place."""
+        tau = np.array(taus)
+        L, t = n(level), ctypes.c_double(0.0)
+        tau_p, x_p, s_p, size = tau.ctypes.data, x_out.ctypes.data, s_out.ctypes.data, len(x_out)
+
+        def step(u, c):
+            u = np.ascontiguousarray(u, dtype=np.float64)
+            # x_out and s_out take 8 bytes an entry; len(tau) also keeps
+            # tau, which the walk reads at tau_p, alive
+            return c + walk(tau_p, len(tau), mu, u.ctypes.data, len(u), x_p + 8 * c, s_p + 8 * c, size - c, L, t)
+
+        return step
+
+    return types.SimpleNamespace(path=path, run_cycles=functools.partial(_simcore_py.run_cycles, walk=walk_levels))
 
 
 def _record_failure(path, exc):
@@ -113,13 +135,12 @@ def _record_failure(path, exc):
 
 
 class BuildError(Exception):
-    """The committed C could not be built into a kernel that matches _simcore_py."""
+    """_simcore.c could not be built into a kernel that matches _simcore_py."""
 
 
 def _build(path):
-    """Compile, check and store the kernel at path; return the loaded module."""
+    """Compile, check and store the build at path; return its kernel."""
     import hashlib
-    import sys
     import tempfile
     import time
 
@@ -139,12 +160,9 @@ def _build(path):
         os.chmod(built, 0o700)
         kernel = _load(built)
         if not _matches_reference(kernel):
-            # _simcore.c registers itself in sys.modules; a rejected build must not stay there
-            if sys.modules.get(NAME) is kernel:
-                del sys.modules[NAME]
             raise BuildError("the build differs from _simcore_py")
         os.replace(built, path)
-    kernel.__file__ = kernel.__spec__.origin = path
+    kernel.path = path
     return kernel
 
 
@@ -159,9 +177,9 @@ def _commands(src, obj, out):
             raise BuildError(f"sysconfig has no {name}")
         return shlex.split(value)
 
-    include = sysconfig.get_paths()["include"]
-    compile_ = config("CC") + config("CFLAGS") + config("CCSHARED") + ["-I", include, "-c", src, "-o", obj]
-    return compile_, config("LDSHARED") + [obj, "-o", out]
+    compile_ = config("CC") + config("CFLAGS") + config("CCSHARED") + ["-c", src, "-o", obj]
+    # the walk calls libm's log
+    return compile_, config("LDSHARED") + [obj, "-o", out, "-lm"]
 
 
 def _run(cmd, cwd, deadline):
@@ -192,10 +210,6 @@ def _matches_reference(kernel):
     from a full battery; the inter-update times, the post-update levels
     and the generator's final state must all agree.
     """
-    import numpy as np
-
-    from . import _simcore_py
-
     for b in CHECK_BATTERIES:
         rng = np.random.default_rng(b)
         taus = np.array([rng.uniform(k * 4.0 / b, (k + 1) * 4.0 / b) for k in reversed(range(b))])

@@ -1,36 +1,38 @@
-"""Pure-Python simulation kernel; fallback when the compiled one is absent.
+"""The cycle loop that both simulation kernels run, and its pure-Python level walk.
 
-Must stay behaviorally identical to _simcore.pyx: same uniform draw
-order (chunked refills from the numpy generator), same firing logic, so
-both kernels produce bitwise-identical sample paths from the same seed.
+``run_cycles`` drives both kernels: it checks the start state, fires a
+full battery's first cycle, screens B = 1, owns the output arrays and
+refills the uniforms CHUNK at a time, only when a cycle needs one more
+draw. At B >= 2 a level walk takes each chunk: ``walk_levels`` here or
+the C walk of ``_simcore.c`` (``_simcore_cache``), which must give the
+same bits and leave the generator in the same state.
 
-The compiled kernel moves the cycle age by ``t - log(1 - u) / mu`` per
-uniform u. Here the logs are taken one CHUNK of uniforms at a time, and
-they must be libm's: numpy's contiguous ``np.log`` runs SIMD code that
-differs from libm in the last bit on some inputs (6,959 of 2,000,000
-draws on an AVX-512 machine), which would fork the sample path.
-``_libm_log`` calls ``np.log`` with an output whose stride has the sign
-opposite to the input's; numpy then runs its scalar loop, which calls
-libm's log for each element (about 9 ns per element on that machine,
-against 140 ns for ``math.log`` applied element by element). As that is
-numpy's behaviour rather than its promise, the first ``run_cycles`` call
-compares ``_libm_log`` with ``math.log`` bit for bit on PROBE seeded
-draws and keeps ``math.log`` through ``np.frompyfunc`` if any bit
-differs; ``log_kind`` names the choice. A chunk is refilled only when a
-cycle needs one more draw, as in the compiled kernel, so the generator
-ends in the same state too.
+The C walk moves the cycle age by ``t - log(1 - u) / mu`` per uniform
+u, with libm's log. Here the logs are taken one CHUNK of uniforms at a
+time, and they must be libm's: numpy's contiguous ``np.log`` runs SIMD
+code that differs from libm in the last bit on some inputs (6,959 of
+2,000,000 draws on an AVX-512 machine), which would fork the sample
+path. ``_libm_log`` calls ``np.log`` with an output whose stride has the
+sign opposite to the input's; numpy then runs its scalar loop, which
+calls libm's log for each element (about 9 ns per element on that
+machine, against 140 ns for ``math.log`` applied element by element).
+As that is numpy's behaviour rather than its promise, the first call
+that takes a log here compares ``_libm_log`` with ``math.log`` bit for
+bit on PROBE seeded draws and keeps ``math.log`` through
+``np.frompyfunc`` if any bit differs; ``log_kind`` names the choice.
 
 With more than one battery level a loop over the chunk's log(1 - u) / mu,
 as Python floats, follows the battery level and forms ``t - d`` itself;
 an IEEE divide is correctly rounded in numpy as in Python, so this is
-the compiled kernel's ``t - log(1 - u) / mu``. Working memory stays at
-the size of one chunk.
+the C walk's ``t - log(1 - u) / mu``. Working memory stays at the size
+of one chunk.
 
-With one battery level every cycle takes exactly one draw and fires at
-max(tau_1, E), evaluated for a whole chunk at once. A uniform at or below
-a per-policy bound ``u_lo`` gives an arrival E below tau_1 for certain,
-so the cycle lasts tau_1 and its log is never taken; the log runs on
-the other uniforms only (on all of them when tau_1 = 0).
+With one battery level, under both kernels, every cycle takes exactly
+one draw and fires at max(tau_1, E), evaluated for a whole chunk at
+once. A uniform at or below a per-policy bound ``u_lo`` gives an arrival
+E below tau_1 for certain, so the cycle lasts tau_1 and its log is never
+taken; the log runs on the other uniforms only (on all of them when
+tau_1 = 0).
 """
 
 import math
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 CHUNK = 8192
-PROBE = 4096  # seeded draws on which the first run_cycles call checks _libm_log
+PROBE = 4096  # seeded draws on which the first log taken here checks _libm_log
 
 # Relative margin of the B = 1 screen: the arrival at u_lo lies this far
 # below tau_1, about a million times the few ulps (2^-52 each) by which
@@ -67,7 +69,7 @@ def _frompyfunc_log(v):
     return _py_log(v).astype(np.float64)
 
 
-_log = None  # the log run_cycles takes, chosen by its first call
+_log = None  # the log of the pure-Python walk and the B = 1 screen, chosen at first use
 
 
 def _chunk_log():
@@ -81,11 +83,11 @@ def _chunk_log():
 
 
 def log_kind():
-    """How run_cycles takes its logs: "numpy-scalar" (``_libm_log``) or "frompyfunc"."""
+    """How the pure-Python walk and the B = 1 screen take their logs: "numpy-scalar" (``_libm_log``) or "frompyfunc"."""
     return "numpy-scalar" if _chunk_log() is _libm_log else "frompyfunc"
 
 
-def run_cycles(thresholds, mu, n_cycles, start_state, rng):
+def run_cycles(thresholds, mu, n_cycles, start_state, rng, walk=None):
     """Simulate n_cycles update cycles; return (inter-update times, post states).
 
     A cycle starts right after an update with battery level j. Arrivals
@@ -93,43 +95,56 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng):
     the cycle age reaches the threshold of the currently occupied level,
     which is max(arrival time of that level, its threshold). Firing
     requires level >= 1, so energy causality holds by construction.
+
+    At B >= 2 ``walk`` (``walk_levels`` unless given) takes each chunk of
+    uniforms; B = 1 takes the screen whatever the walk.
     """
     taus = tuple(float(t) for t in thresholds)
     B = len(taus)
     if not 0 <= start_state <= B:
         raise ValueError("start_state must lie in 0..B")
     mu = float(mu)
-    log = _chunk_log()
     x_out = np.empty(n_cycles)
     s_out = np.empty(n_cycles, dtype=np.int64)
     buf = rng.random(CHUNK)
     c = 0
-    level = start_state
-    if level == B and n_cycles:
+    if start_state == B and n_cycles:
         # a full battery fires at tau_B without waiting for an arrival
         x_out[0] = 0.0 if taus[-1] < 0.0 else taus[-1]
         s_out[0] = B - 1
         c = 1
-        level = B - 1
     if B == 1:
-        # back to level 0 after every update: one arrival, then fire at
-        # max(tau_1, its arrival time); every post state is 0
+        # back to level 0 after every update: every post state is 0
         s_out[c:] = 0
-        u_lo = _screen_bound(taus[0], mu)
-    t = 0.0
+        step = _fire_once(taus[0], mu, x_out)
+    else:
+        step = (walk or walk_levels)(taus, mu, min(start_state, B - 1), x_out, s_out)
     while c < n_cycles:
-        m = min(CHUNK, n_cycles - c)
-        if B == 1:
-            x_out[c : c + m] = _fire_once(taus[0], mu, u_lo, buf, log)[:m]
-        else:
-            xs, ss, level, t = _run_levels(taus, (log(1.0 - buf) / mu).tolist(), level, t)
-            m = min(len(xs), m)
-            x_out[c : c + m] = xs[:m]
-            s_out[c : c + m] = ss[:m]
-        c += m
+        c = step(buf, c)
         if c < n_cycles:
             buf = rng.random(CHUNK)
     return x_out, s_out
+
+
+def walk_levels(taus, mu, L, x_out, s_out):
+    """The B >= 2 walk from level L at cycle age 0, as step(u, c) -> c, one chunk of uniforms u a call.
+
+    A step walks every uniform of u, writes the cycles it completes, as
+    many as fit, to x_out and s_out from index c, carries the level and
+    the cycle age to the next chunk, and returns the new count c.
+    """
+    log = _chunk_log()
+    t = 0.0
+
+    def step(u, c):
+        nonlocal L, t
+        xs, ss, L, t = _run_levels(taus, (log(1.0 - u) / mu).tolist(), L, t)
+        m = min(len(xs), len(x_out) - c)
+        x_out[c : c + m] = xs[:m]
+        s_out[c : c + m] = ss[:m]
+        return c + m
+
+    return step
 
 
 def _screen_bound(tau, mu):
@@ -150,14 +165,22 @@ def _screen_bound(tau, mu):
     return u_lo if arrival <= tau * (1.0 - 0.5 * MARGIN) else -1.0
 
 
-def _fire_once(tau, mu, u_lo, buf, log):
-    """The inter-update times of one chunk at B = 1: max(tau, arrival) per uniform."""
-    xs = np.full(CHUNK, tau)
-    late = np.flatnonzero(buf > u_lo)
-    # the arrival as the compiled kernel adds it to t = 0
-    arrival = 0.0 + -(log(1.0 - buf[late]) / mu)
-    xs[late] = np.where(tau < arrival, arrival, tau)
-    return xs
+def _fire_once(tau, mu, x_out):
+    """The B = 1 cycles as step(u, c) -> c (see walk_levels): each uniform fires once, at max(tau, its arrival)."""
+    u_lo = _screen_bound(tau, mu)
+    log = _chunk_log()
+
+    def step(u, c):
+        u = u[: len(x_out) - c]
+        x = x_out[c : c + len(u)]
+        x[:] = tau
+        late = np.flatnonzero(u > u_lo)
+        # the arrival as the level walk adds it to t = 0
+        arrival = 0.0 + -(log(1.0 - u[late]) / mu)
+        x[late] = np.where(tau < arrival, arrival, tau)
+        return c + len(u)
+
+    return step
 
 
 def _run_levels(taus, ds, L, t):

@@ -146,13 +146,13 @@ def _stats_line(result, seconds: float) -> str:
     )
 
 
-def _simulate_stats_line(report) -> str:
-    """The simulator kernel's throughput, and the log it takes, as one JSON line."""
+def _simulate_stats_line(report, battery: int) -> str:
+    """The simulator kernel's throughput, and the log it takes at this battery size, as one JSON line."""
     seconds = report.kernel_s
     return _dumps(
         {
             "kernel": report.kernel,
-            "log": log_kind(),
+            "log": log_kind(battery),
             "cycles": report.renewals,
             "kernel_s": seconds,
             "cycles_per_s": report.renewals / seconds if seconds > 0.0 else None,
@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
             code = EXIT_CHECK
     _out(args, _dumps(payload))
     if args.stats:
-        print(_simulate_stats_line(report), file=sys.stderr)
+        print(_simulate_stats_line(report, params.battery), file=sys.stderr)
     return code
 
 

@@ -6,28 +6,27 @@ instant the age reaches the level's threshold. No time discretization
 exists anywhere; per-cycle age-penalty mass is accumulated in closed
 form through the penalty antiderivative.
 
-The hot per-cycle loop lives in a compiled Cython kernel when available,
-with a bit-identical pure-Python fallback selected at import time. The
-kernel is the first of: the installed extension ``_simcore``; the
-committed ``_simcore.c`` built in the user cache (``_simcore_cache``,
-which compiles it at the first import that finds no build there and
-checks it against ``_simcore_py`` before use); ``_simcore_py``. KERNEL is
-"cython" for either compiled kernel and "python" for the fallback.
+One function, ``_simcore_py.run_cycles``, runs the cycles of both
+kernels. Its level walk at B >= 2 is compiled where it can be:
+``_simcore_cache`` builds the C walk of ``_simcore.c`` once into the
+user cache and checks it against ``_simcore_py`` before use. KERNEL is
+"c" for that kernel and "python" where no build can be had; B = 1 takes
+the pure-Python screen of ``run_cycles`` under both.
 
 Randomness: numpy PCG64, exponential variates by inverse transform, so
-sample paths are reproducible across platforms and across kernels. Both
-kernels take uniforms from the generator CHUNK at a time and move the
-cycle age by -log(1 - u) / mu with the C library's log: the compiled
-kernel one draw at a time; the pure-Python one a chunk's logs at once,
-through ``np.log`` with an output stride opposite to the input's, which
-makes numpy call libm's log per element instead of running its SIMD log
-(that one differs from libm in the last bit on some inputs, and one such
-draw would fork the path). The first pure-Python ``run_cycles`` call
-checks that call against ``math.log`` bit for bit on seeded draws and
-falls back to ``math.log`` per element if any bit differs; ``log_kind``
-names the log in use. With one battery level the pure-Python kernel
-takes only the logs it reads: a uniform whose arrival is certain to fall
-below tau_1 gives a cycle of tau_1 with no log taken.
+sample paths are reproducible across platforms and across kernels.
+``run_cycles`` takes uniforms from the generator CHUNK at a time, and
+each walk moves the cycle age by -log(1 - u) / mu with the C library's
+log: the C walk one draw at a time; the pure-Python one a chunk's logs
+at once, through ``np.log`` with an output stride opposite to the
+input's, which makes numpy call libm's log per element instead of
+running its SIMD log (that one differs from libm in the last bit on some
+inputs, and one such draw would fork the path). The first pure-Python
+walk checks that call against ``math.log`` bit for bit on seeded draws
+and falls back to ``math.log`` per element if any bit differs;
+``log_kind`` names the log in use. With one battery level
+``run_cycles`` takes only the logs it reads: a uniform whose arrival is
+certain to fall below tau_1 gives a cycle of tau_1 with no log taken.
 ``SimReport.kernel_s`` times the kernel call, outside the report's
 equality and JSON.
 
@@ -48,24 +47,18 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _simcore_py
+from . import _simcore_cache, _simcore_py
 from .model import PenaltySpec, Policy, SystemParams, is_int
 
-try:
-    from . import _simcore as _kernel
-except ImportError:  # no installed extension, as in a source checkout
-    from . import _simcore_cache
-
-    _kernel = _simcore_cache.load() or _simcore_py
-
-KERNEL = "python" if _kernel is _simcore_py else "cython"
+_kernel = _simcore_cache.load() or _simcore_py
+KERNEL = "python" if _kernel is _simcore_py else "c"
 
 GENERATOR_ID = "numpy-pcg64"
 
 
-def log_kind() -> str:
-    """The log the active kernel takes: "libm" (compiled), else "numpy-scalar" or "frompyfunc"."""
-    if KERNEL == "cython":
+def log_kind(battery: int) -> str:
+    """The log the active kernel takes at this battery size: "libm" (the C walk), else "numpy-scalar" or "frompyfunc"."""
+    if KERNEL == "c" and battery > 1:
         return "libm"
     return _simcore_py.log_kind()
 

@@ -301,9 +301,11 @@ class TestSimulateStats:
         from aoiharvest import _simcore_py, simulator
 
         argv = self.ARGVS[1] + ["--stats"]
-        if simulator.KERNEL == "cython":
+        # B = 1 takes the pure-Python screen under every kernel
+        assert json.loads(call(capsys, self.ARGVS[0] + ["--stats"])[2])["log"] == _simcore_py.log_kind()
+        if simulator.KERNEL == "c":
             assert json.loads(call(capsys, argv)[2])["log"] == "libm"
-            # the rest is the pure-Python kernel's, which a compiled one displaces
+            # the rest is the pure-Python walk's, which the C walk displaces
             monkeypatch.setattr(simulator, "_kernel", _simcore_py)
             monkeypatch.setattr(simulator, "KERNEL", "python")
         code, out, err = call(capsys, argv)

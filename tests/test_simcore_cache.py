@@ -1,4 +1,4 @@
-"""The user-cache build of the committed simulation kernel: its key, and every way it falls back to _simcore_py.
+"""The user-cache build of the C level walk: its key, its warning-free compile, and every way it falls back to _simcore_py.
 
 Each failure gives None from ``_simcore_cache.load`` (so ``simulator``
 takes the pure-Python kernel), writes nothing to stdout or stderr, and
@@ -10,14 +10,15 @@ built through an empty cache.
 import hashlib
 import os
 import pathlib
+import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
 
-import numpy as np
 import pytest
 
-from aoiharvest import _simcore_cache, _simcore_py, simulator
+from aoiharvest import _simcore_cache, simulator
 
 SRC = pathlib.Path(simulator.__file__).resolve().parents[1]
 
@@ -41,6 +42,14 @@ def compiler(tmp_path, monkeypatch):
     real = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: str(script) if name == "CC" else real(name))
     return log
+
+
+def missing_compiler():
+    """Why this interpreter cannot compile _simcore.c (sysconfig's CC is not on PATH), else None."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        return f"no C compiler: sysconfig CC is {cc!r}"
+    return None
 
 
 def calls(log):
@@ -169,23 +178,19 @@ def test_home_cache_is_made_private(tmp_path, monkeypatch):
     assert directory.stat().st_mode & 0o777 == 0o700
 
 
-@pytest.mark.skipif(simulator.KERNEL == "python", reason="no compiled kernel to copy as a build")
-def test_build_that_differs_from_the_python_kernel_is_rejected(cache, monkeypatch, capfd):
-    # the "compiler" copies the active compiled kernel; _simcore_py, moved
-    # by one ulp in one inter-update time, stands for a build that drifted
-    real_so = simulator._kernel.__file__
-    monkeypatch.setattr(_simcore_cache, "_commands", lambda src, obj, out: [["cp", real_so, out]])
-    real_run = _simcore_py.run_cycles
-
-    def one_ulp_off(*args):
-        x, s = real_run(*args)
-        x[-1] = np.nextafter(x[-1], np.inf)
-        return x, s
-
-    monkeypatch.setattr(_simcore_py, "run_cycles", one_ulp_off)
-    before = sys.modules.get(_simcore_cache.NAME)
+def test_build_that_differs_from_the_python_kernel_is_rejected(cache, tmp_path, monkeypatch, capfd):
+    # the "compiler" builds a walk that takes log1p(-u) for log(1 - u):
+    # a build that drifted from _simcore_py in the last bits of some draws
+    reason = missing_compiler()
+    if reason:
+        pytest.skip(reason)
+    drifted = tmp_path / "drifted.c"
+    source = pathlib.Path(_simcore_cache.SOURCE).read_text()
+    assert "log(1.0 - u[i])" in source
+    drifted.write_text(source.replace("log(1.0 - u[i])", "log1p(-u[i])"))
+    real = _simcore_cache._commands
+    monkeypatch.setattr(_simcore_cache, "_commands", lambda src, obj, out: real(str(drifted), obj, out))
     assert _simcore_cache.load() is None
-    assert sys.modules.get(_simcore_cache.NAME) is before
     path = _simcore_cache.cache_path()
     assert not os.path.exists(path)
     assert "differs from _simcore_py" in pathlib.Path(path + _simcore_cache.FAILED).read_text()
@@ -193,9 +198,20 @@ def test_build_that_differs_from_the_python_kernel_is_rejected(cache, monkeypatc
     assert capfd.readouterr() == ("", "")
 
 
+def test_source_compiles_without_warnings(tmp_path):
+    reason = missing_compiler()
+    if reason:
+        pytest.skip(reason)
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    # -O2 for the warnings that need the optimizer's flow analysis
+    cmd = cc + ["-O2", "-Wall", "-Wextra", "-Werror", "-c", _simcore_cache.SOURCE, "-o", str(tmp_path / "_simcore.o")]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_import_falls_back_silently():
     # a fresh interpreter whose cache is unusable imports the pure-Python kernel and prints nothing
     env = dict(os.environ, XDG_CACHE_HOME="relative", PYTHONPATH=str(SRC))
-    code = "from aoiharvest import simulator; print(simulator.KERNEL, simulator.log_kind() != 'libm')"
+    code = "from aoiharvest import simulator; print(simulator.KERNEL, simulator.log_kind(4) != 'libm')"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "python True\n", "")
