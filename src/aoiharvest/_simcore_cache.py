@@ -7,66 +7,66 @@ it is used only when it is a directory of the current user that no
 group or other user can write (it is made with mode 0700). A base that
 is not an absolute path is not used at all.
 
-The build is stored under a key that names ``_simcore.c`` (the first
-digits of SOURCE_SHA256 and the file's size) and the interpreter's
-extension suffix (its EXT_SUFFIX). The digest is a constant, which the
-tests check against the file, so an import hashes nothing: it takes a few
-``stat`` calls and one ``ctypes.CDLL``.
+The build is stored under a key that names the bytes of ``_simcore.c``
+(their ``importlib.util.source_hash``) and the interpreter's EXT_SUFFIX:
+``load`` reads the source once, names the build by it and, on a miss,
+compiles those same bytes, so an edited source never meets a stale build.
 
-On a cache miss, ``load`` compiles the bytes of ``_simcore.c``, after
-checking their SHA-256 against SOURCE_SHA256, with the running
-interpreter's ``sysconfig`` CC, CFLAGS, CCSHARED and LDSHARED (the walk
-includes no Python header) in a private temporary directory inside the
-cache. The kernel, ``_simcore_py.run_cycles`` with the build's walk, is
-used only once it matches ``_simcore_py`` bit for bit (inter-update
-times, levels and generator state) on short seeded runs at B = 1, 2, 4
-and 16 from an empty and a full battery; only then is the build moved
-into place, by an atomic ``os.replace``. Any failure (no compiler, a
-compile that fails or outlasts BUILD_TIMEOUT_S, a mismatch) prints
-nothing, gives None and is recorded as a ``.failed`` file under the same
-key, so that later imports do not compile again. Deleting the cache
-directory clears the build and the record alike.
+On a miss the bytes are compiled with the running interpreter's
+``sysconfig`` CC, CFLAGS, CCSHARED and LDSHARED (the walk includes no
+Python header) in a private temporary directory inside the cache. The
+kernel, ``_simcore_py.run_cycles`` with the build's walk, is used only
+once it matches ``_simcore_py`` bit for bit on the short seeded runs of
+``_matches_reference``, at the batteries whose cycles reach the C walk;
+only then is the build moved into place, by an atomic ``os.replace``.
+Any failure (no compiler, a compile that fails or outlasts
+BUILD_TIMEOUT_S, a mismatch) prints nothing, gives None and is recorded
+as a ``.failed`` file under the same key, so that later imports do not
+compile again. Deleting the cache directory clears the build and the
+record alike.
 """
 
 import ctypes
 import functools
+import math
 import os
 import stat
 import types
 from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import source_hash
 
 import numpy as np
 
 from . import _simcore_py
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_simcore.c")
-SOURCE_SHA256 = "008526df1ca9876ae5393aa38a827bda7ad5bd7ce156fecd569d4a71d264d570"
 BUILD_TIMEOUT_S = 120.0  # for the whole build: compile and link
 FAILED = ".failed"
 
 # The bit-identity check of a fresh build against _simcore_py.
-CHECK_BATTERIES = (1, 2, 4, 16)
+CHECK_BATTERIES = (2, 4, 16)
 CHECK_CYCLES = 20_000  # more than two of the kernels' 8192-uniform refills
 
 
-def cache_path():
-    """Where this interpreter's build of ``_simcore.c`` is stored, in ``$XDG_CACHE_HOME/aoiharvest``, else ``~/.cache/aoiharvest``.
+def cache_path(source):
+    """Where this interpreter's build of the C source bytes is stored, in ``$XDG_CACHE_HOME/aoiharvest``, else ``~/.cache/aoiharvest``.
 
-    None where that base is not an absolute path or ``_simcore.c`` is missing.
+    None where that base is not an absolute path.
     """
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    try:
-        size = os.stat(SOURCE).st_size
-    except OSError:
-        return None
-    return os.path.join(base, "aoiharvest", f"_simcore-{SOURCE_SHA256[:16]}-{size}{EXTENSION_SUFFIXES[0]}")
+    return os.path.join(base, "aoiharvest", f"_simcore-{source_hash(source).hex()}{EXTENSION_SUFFIXES[0]}")
 
 
 def load():
     """The compiled kernel from the cache, built there on a miss; None where it cannot be had."""
-    path = cache_path()
+    try:
+        with open(SOURCE, "rb") as f:
+            source = f.read()
+    except OSError:
+        return None
+    path = cache_path(source)
     if path is None or not _private_dir(os.path.dirname(path)):
         return None
     if os.path.lexists(path + FAILED):
@@ -79,7 +79,7 @@ def load():
             if not _private_file(path):
                 raise OSError(f"{path} is not a private file of this user")
             return _load(path)
-        return _build(path)
+        return _build(path, source)
     except Exception as exc:
         _record_failure(path, exc)
         return None
@@ -138,16 +138,11 @@ class BuildError(Exception):
     """_simcore.c could not be built into a kernel that matches _simcore_py."""
 
 
-def _build(path):
-    """Compile, check and store the build at path; return its kernel."""
-    import hashlib
+def _build(path, source):
+    """Compile the C source bytes, check the build and store it at path; return its kernel."""
     import tempfile
     import time
 
-    with open(SOURCE, "rb") as f:
-        source = f.read()
-    if hashlib.sha256(source).hexdigest() != SOURCE_SHA256:
-        raise BuildError(f"{SOURCE} does not match SOURCE_SHA256")
     deadline = time.monotonic() + BUILD_TIMEOUT_S
     with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
         src = os.path.join(tmp, "_simcore.c")
@@ -205,15 +200,19 @@ def _run(cmd, cwd, deadline):
 def _matches_reference(kernel):
     """True where kernel.run_cycles equals _simcore_py's bit for bit on short seeded runs.
 
-    Each battery size runs a stratified policy at mu = 1 (the k-th smallest
-    threshold uniform on the k-th of B parts of [0, 4]) from an empty and
-    from a full battery; the inter-update times, the post-update levels
-    and the generator's final state must all agree.
+    Each battery size (B = 1 takes the driver's Python screen under both
+    kernels, so none is run) runs a stratified policy at mu = 1 (the k-th
+    smallest threshold uniform on the k-th of B parts of [0, 4]) from an
+    empty and from a full battery, and every threshold at the first draw's
+    arrival, formed as both walks form it, from level 1, where that draw
+    ties the update; the inter-update times, the post-update levels and
+    the generator's final state must all agree.
     """
     for b in CHECK_BATTERIES:
         rng = np.random.default_rng(b)
-        taus = np.array([rng.uniform(k * 4.0 / b, (k + 1) * 4.0 / b) for k in reversed(range(b))])
-        for start in (0, b):
+        stratified = np.array([rng.uniform(k * 4.0 / b, (k + 1) * 4.0 / b) for k in reversed(range(b))])
+        tie = 0.0 - math.log(1.0 - np.random.Generator(np.random.PCG64(b)).random()) / 1.0
+        for taus, start in ((stratified, 0), (stratified, b), (np.full(b, tie), 1)):
             runs = []
             for run_cycles in (_simcore_py.run_cycles, kernel.run_cycles):
                 gen = np.random.Generator(np.random.PCG64(b))

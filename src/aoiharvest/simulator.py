@@ -114,7 +114,8 @@ def simulate(
     Stops on renewal count (not wall-clock time) so every estimate is a
     clean ratio of per-cycle sums. Uncertainty on the average penalty
     comes from batch means over contiguous cycle blocks, which respects
-    the Markov dependence between cycles.
+    the Markov dependence between cycles. A statistic outside double
+    range raises OverflowError.
     """
     if cfg.renewals <= cfg.warmup:
         raise ZeroMeasurementWindow(
@@ -123,35 +124,34 @@ def simulate(
     if cfg.initial_state > params.battery:
         raise ValueError("initial_state cannot exceed the battery size")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    start = time.perf_counter()
-    x, states = _kernel.run_cycles(
-        np.asarray(policy.thresholds, dtype=np.float64),
-        params.mu_h,
-        cfg.renewals,
-        cfg.initial_state,
-        rng,
-    )
-    kernel_s = time.perf_counter() - start
-    # Peak memory is the kernel's output: each full-length array is
-    # released once its last sum is taken, and x is squared in place last.
-    xm = x[cfg.warmup :]
-    n = len(xm)
-    freq = np.bincount(states[cfg.warmup :], minlength=params.battery)[: params.battery] / n
-    del states
-    nb = min(cfg.batches, n)
-    m = n // nb
-    total_x = float(xm.sum())
-    bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
-    px = p.antiderivative(xm)
-    total_p = float(px.sum())
-    bp = px[: nb * m].reshape(nb, m).sum(axis=1)
-    del px
-    mean_x2 = float(np.multiply(xm, xm, out=xm).sum()) / n
-    avg_penalty = total_p / total_x
-    mean_x = total_x / n
-    avg_age = mean_x2 / (2.0 * mean_x)
-    ratios = bp / bx
-    stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+    taus = np.asarray(policy.thresholds, dtype=np.float64)
+    # a path outside double range fails the finite check below, with no warnings on the way
+    with np.errstate(all="ignore"):
+        start = time.perf_counter()
+        x, states = _kernel.run_cycles(taus, params.mu_h, cfg.renewals, cfg.initial_state, rng)
+        kernel_s = time.perf_counter() - start
+        # Peak memory is the kernel's output: each full-length array is
+        # released once its last sum is taken, and x is squared in place last.
+        xm = x[cfg.warmup :]
+        n = len(xm)
+        freq = np.bincount(states[cfg.warmup :], minlength=params.battery)[: params.battery] / n
+        del states
+        nb = min(cfg.batches, n)
+        m = n // nb
+        total_x = float(xm.sum())
+        bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
+        px = p.antiderivative(xm)
+        total_p = float(px.sum())
+        bp = px[: nb * m].reshape(nb, m).sum(axis=1)
+        del px
+        mean_x2 = float(np.multiply(xm, xm, out=xm).sum()) / n
+        avg_penalty = total_p / total_x
+        mean_x = total_x / n
+        avg_age = mean_x2 / (2.0 * mean_x)
+        ratios = bp / bx
+        stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+    if not np.isfinite((avg_penalty, avg_age, mean_x, mean_x2, stderr)).all():
+        raise OverflowError("simulated statistics outside double range")
 
     return SimReport(
         avg_penalty=avg_penalty,

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import record_cli_corpus
 from aoiharvest import cli
 from aoiharvest.model import PolicyError, PolicyMetrics  # noqa: F401  (re-export sanity)
 from aoiharvest.model import Policy, SystemParams, validate_policy
@@ -130,20 +131,6 @@ class TestEvaluate:
         )
         assert code == 0
         assert json.loads(out)["battery"] == 2
-
-    # (argv, stdout) pairs: B = 1, 4 and 32; the identity, power-0.5 and
-    # power-2 penalties; rates in and outside [1, 2); the certain regime
-    # (mu tau_B past 1024) and a zero down-rate (pi_0 = +0.0)
-    GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "evaluate_stdout.json").read_text())
-
-    @pytest.mark.parametrize(
-        "case",
-        GOLDEN,
-        ids=lambda case: "mu{2}-B{4}-".format(*case["argv"]) + ("pow" + case["argv"][-1] if "power" in case["argv"] else "id"),
-    )
-    def test_stdout_bytes_pinned(self, capsys, case):
-        # every byte of the JSON line, per_state and stationary included
-        assert run(capsys, case["argv"]) == (0, case["stdout"])
 
 
 class TestOptimize:
@@ -464,6 +451,23 @@ class TestSimulate:
         assert code == cli.EXIT_VALIDATION and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu", "1e-320", "--thresholds", "1"],
+            ["--mu", "1", "--thresholds", "0", "--penalty", "power", "--exponent", "400"],
+            ["--mu", "1", "--thresholds", "1e200", "--check"],
+        ],
+        ids=["inter-update-times", "penalty", "squared-times-check"],
+    )
+    def test_sample_path_outside_double_range_exits_2(self, capsys, flags):
+        # numpy warnings, then "Out of range float values are not JSON
+        # compliant", or "the batch means tie" under --check
+        code = run_without_warnings(["simulate", "--battery", "1", "--renewals", "1000", "--warmup", "0", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_VALIDATION, "")
+        assert captured.err == "error: OverflowError: simulated statistics outside double range\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -768,3 +772,25 @@ def test_optimize_stdout_does_not_depend_on_blas_threads():
         done = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True, timeout=120)
         outs.append(done.stdout)
     assert outs[0] == outs[1] and json.loads(outs[0])["objective"] > 0.5
+
+
+CORPUS = json.loads(record_cli_corpus.CORPUS.read_text())
+
+
+def corpus_group(argv):
+    """The subcommand argv names, else "usage" (no argv, help, an unknown subcommand)."""
+    return argv[0] if argv and argv[0] in cli._subcommands() else "usage"
+
+
+@pytest.mark.parametrize("group", [*cli._subcommands(), "usage"])
+def test_corpus_bytes_unchanged(group):
+    """Every argv of tests/data/cli_corpus.json gives its recorded exit code, stdout and stderr.
+
+    The hashes are of this machine's libm and numpy build, as any pinned
+    floating-point output is; a change meant to alter CLI bytes records the
+    file again with tests/record_cli_corpus.py, and its diff names the argvs.
+    """
+    entries = [entry for entry in CORPUS if corpus_group(entry["argv"]) == group]
+    assert entries
+    changed = [entry["argv"] for entry in entries if record_cli_corpus.record(entry["argv"]) != entry]
+    assert changed == []

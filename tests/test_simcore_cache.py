@@ -7,7 +7,6 @@ checked in test_simulator.py, whose exact-path cases also run on a kernel
 built through an empty cache.
 """
 
-import hashlib
 import os
 import pathlib
 import shlex
@@ -15,12 +14,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from importlib.util import source_hash
 
 import pytest
 
 from aoiharvest import _simcore_cache, simulator
 
 SRC = pathlib.Path(simulator.__file__).resolve().parents[1]
+SOURCE = pathlib.Path(_simcore_cache.SOURCE).read_bytes()
 
 
 @pytest.fixture
@@ -56,32 +57,34 @@ def calls(log):
     return len(log.read_text().splitlines()) if log.exists() else 0
 
 
-def test_key_names_the_committed_source(cache):
-    # the key holds a digest constant so that an import hashes nothing; a
-    # regenerated _simcore.c must come with a new constant, hence a new key
-    source = pathlib.Path(_simcore_cache.SOURCE)
-    assert source.parent == pathlib.Path(simulator.__file__).parent
-    assert hashlib.sha256(source.read_bytes()).hexdigest() == _simcore_cache.SOURCE_SHA256
-    name = os.path.basename(_simcore_cache.cache_path())
-    stem = f"_simcore-{_simcore_cache.SOURCE_SHA256[:16]}-{source.stat().st_size}"
-    assert name == stem + sysconfig.get_config_var("EXT_SUFFIX")
+def committed_path():
+    """The cache path of the committed _simcore.c's build."""
+    return _simcore_cache.cache_path(SOURCE)
 
 
-def test_regenerated_source_loads_no_stale_build(cache, compiler, tmp_path, monkeypatch, capfd):
-    stale = pathlib.Path(_simcore_cache.cache_path())
+def test_edited_source_gets_a_new_key_and_loads_no_stale_build(cache, tmp_path, monkeypatch, capfd):
+    reason = missing_compiler()
+    if reason:
+        pytest.skip(reason)
+    stale = pathlib.Path(committed_path())
+    assert stale.parent == cache / "aoiharvest"
+    assert stale.name == f"_simcore-{source_hash(SOURCE).hex()}" + sysconfig.get_config_var("EXT_SUFFIX")
     stale.parent.mkdir(mode=0o700)
     stale.write_bytes(b"a build of the committed _simcore.c")
     stale.chmod(0o700)
-    regenerated = tmp_path / "_simcore.c"
-    regenerated.write_bytes(pathlib.Path(_simcore_cache.SOURCE).read_bytes() + b"/* regenerated */\n")
-    monkeypatch.setattr(_simcore_cache, "SOURCE", str(regenerated))
+    edited = tmp_path / "_simcore.c"
+    edited.write_bytes(SOURCE + b"/* edited */\n")
+    monkeypatch.setattr(_simcore_cache, "SOURCE", str(edited))
     loaded = []
-    monkeypatch.setattr(_simcore_cache, "_load", loaded.append)
-    assert _simcore_cache.load() is None
-    # a source that does not match SOURCE_SHA256 is not compiled, and the failure is kept
-    assert loaded == [] and calls(compiler) == 0
-    assert os.path.exists(_simcore_cache.cache_path() + _simcore_cache.FAILED)
+    real = _simcore_cache._load
+    monkeypatch.setattr(_simcore_cache, "_load", lambda path: loaded.append(path) or real(path))
+    kernel = _simcore_cache.load()
+    # the edited bytes are built under their own key, checked and kept; the
+    # stale build is neither loaded nor touched
+    assert kernel is not None and kernel.path == _simcore_cache.cache_path(edited.read_bytes()) != str(stale)
+    assert os.path.isfile(kernel.path) and str(stale) not in loaded
     assert stale.read_bytes() == b"a build of the committed _simcore.c"
+    assert sorted(os.listdir(stale.parent)) == sorted([stale.name, os.path.basename(kernel.path)])
     assert capfd.readouterr() == ("", "")
 
 
@@ -91,7 +94,7 @@ def test_failing_compiler_runs_once_per_key(cache, compiler, monkeypatch, code, 
     for _ in range(3):
         assert _simcore_cache.load() is None
     assert calls(compiler) == 1
-    path = _simcore_cache.cache_path()
+    path = committed_path()
     assert not os.path.exists(path)
     assert "CalledProcessError" in pathlib.Path(path + _simcore_cache.FAILED).read_text()
     assert sorted(os.listdir(cache / "aoiharvest")) == [os.path.basename(path) + _simcore_cache.FAILED]
@@ -102,10 +105,10 @@ def test_missing_compiler_is_recorded(cache, tmp_path, monkeypatch, capfd):
     real = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc") if name == "CC" else real(name))
     assert _simcore_cache.load() is None
-    failed = pathlib.Path(_simcore_cache.cache_path() + _simcore_cache.FAILED)
+    failed = pathlib.Path(committed_path() + _simcore_cache.FAILED)
     assert "FileNotFoundError" in failed.read_text()
     # the record stands for the key: the compiler is not looked for again
-    monkeypatch.setattr(_simcore_cache, "_build", lambda path: pytest.fail("built again"))
+    monkeypatch.setattr(_simcore_cache, "_build", lambda path, source: pytest.fail("built again"))
     assert _simcore_cache.load() is None
     assert capfd.readouterr() == ("", "")
 
@@ -122,7 +125,7 @@ def test_compile_timeout_kills_the_compiler(cache, tmp_path, monkeypatch, capfd)
     (pid,) = map(int, pids.read_text().split())
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
-    assert "TimeoutExpired" in pathlib.Path(_simcore_cache.cache_path() + _simcore_cache.FAILED).read_text()
+    assert "TimeoutExpired" in pathlib.Path(committed_path() + _simcore_cache.FAILED).read_text()
     assert capfd.readouterr() == ("", "")
 
 
@@ -131,7 +134,7 @@ def test_writable_by_others_is_neither_written_nor_read(cache, compiler, monkeyp
     directory = cache / "aoiharvest"
     directory.mkdir()
     directory.chmod(mode)
-    path = pathlib.Path(_simcore_cache.cache_path())
+    path = pathlib.Path(committed_path())
     path.write_bytes(b"a build someone else could have written")
     loaded = []
     monkeypatch.setattr(_simcore_cache, "_load", loaded.append)
@@ -143,7 +146,7 @@ def test_writable_by_others_is_neither_written_nor_read(cache, compiler, monkeyp
 
 
 def test_writable_by_others_build_is_not_read(cache, compiler, monkeypatch, capfd):
-    path = pathlib.Path(_simcore_cache.cache_path())
+    path = pathlib.Path(committed_path())
     path.parent.mkdir(mode=0o700)
     path.write_bytes(b"a build someone else could have written")
     path.chmod(0o722)
@@ -171,31 +174,40 @@ def test_unusable_cache_home_means_no_build(tmp_path, compiler, monkeypatch, bas
 def test_home_cache_is_made_private(tmp_path, monkeypatch):
     monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
-    monkeypatch.setattr(_simcore_cache, "_build", lambda path: None)
+    monkeypatch.setattr(_simcore_cache, "_build", lambda path, source: None)
     assert _simcore_cache.load() is None
     directory = tmp_path / ".cache" / "aoiharvest"
-    assert _simcore_cache.cache_path().startswith(str(directory) + os.sep)
+    assert committed_path().startswith(str(directory) + os.sep)
     assert directory.stat().st_mode & 0o777 == 0o700
 
 
-def test_build_that_differs_from_the_python_kernel_is_rejected(cache, tmp_path, monkeypatch, capfd):
-    # the "compiler" builds a walk that takes log1p(-u) for log(1 - u):
-    # a build that drifted from _simcore_py in the last bits of some draws
+def assert_edited_walk_rejected(cache, tmp_path, monkeypatch, capfd, old, new):
+    """A copy of _simcore.c with old replaced by new builds, fails the check against _simcore_py and is recorded."""
     reason = missing_compiler()
     if reason:
         pytest.skip(reason)
-    drifted = tmp_path / "drifted.c"
-    source = pathlib.Path(_simcore_cache.SOURCE).read_text()
-    assert "log(1.0 - u[i])" in source
-    drifted.write_text(source.replace("log(1.0 - u[i])", "log1p(-u[i])"))
-    real = _simcore_cache._commands
-    monkeypatch.setattr(_simcore_cache, "_commands", lambda src, obj, out: real(str(drifted), obj, out))
+    assert SOURCE.count(old.encode()) == 1
+    edited = tmp_path / "_simcore.c"
+    edited.write_bytes(SOURCE.replace(old.encode(), new.encode()))
+    monkeypatch.setattr(_simcore_cache, "SOURCE", str(edited))
     assert _simcore_cache.load() is None
-    path = _simcore_cache.cache_path()
+    path = _simcore_cache.cache_path(edited.read_bytes())
     assert not os.path.exists(path)
     assert "differs from _simcore_py" in pathlib.Path(path + _simcore_cache.FAILED).read_text()
     assert os.listdir(cache / "aoiharvest") == [os.path.basename(path) + _simcore_cache.FAILED]
     assert capfd.readouterr() == ("", "")
+
+
+def test_build_that_differs_from_the_python_kernel_is_rejected(cache, tmp_path, monkeypatch, capfd):
+    # a walk that takes log1p(-u) for log(1 - u): a build that drifted from
+    # _simcore_py in the last bits of some draws
+    assert_edited_walk_rejected(cache, tmp_path, monkeypatch, capfd, "log(1.0 - u[i])", "log1p(-u[i])")
+
+
+def test_build_that_breaks_ties_the_other_way_is_rejected(cache, tmp_path, monkeypatch, capfd):
+    # a walk that fires the update when an arrival lands exactly on it: no
+    # continuous draw of the stratified runs ties, so only the check's tie run sees it
+    assert_edited_walk_rejected(cache, tmp_path, monkeypatch, capfd, "!(cand < t_next)", "!(cand <= t_next)")
 
 
 def test_source_compiles_without_warnings(tmp_path):

@@ -2,10 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
-import shlex
-import shutil
 import struct
-import sysconfig
 import tracemalloc
 import types
 from math import log
@@ -25,6 +22,7 @@ from aoiharvest.simulator import (
     simulate,
     simulate_greedy,
 )
+from test_simcore_cache import missing_compiler
 
 IDENT = PenaltySpec.identity()
 
@@ -107,14 +105,6 @@ KERNELS = {"python": _simcore_py, simulator.KERNEL: simulator._kernel}
 COLD_BUILD = "cold-build"
 
 
-def missing_compiler():
-    """Why this interpreter cannot compile _simcore.c (sysconfig's CC is not on PATH), else None."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        return f"no C compiler: sysconfig CC is {cc!r}"
-    return None
-
-
 @pytest.fixture(scope="module")
 def cold_built(tmp_path_factory):
     """_simcore.c built, checked against _simcore_py and loaded through an empty cache."""
@@ -124,7 +114,7 @@ def cold_built(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         kernel = _simcore_cache.load()
-        path = _simcore_cache.cache_path()
+        path = _simcore_cache.cache_path(pathlib.Path(_simcore_cache.SOURCE).read_bytes())
         failed = pathlib.Path(path + _simcore_cache.FAILED)
         assert kernel is not None, failed.read_text() if failed.exists() else "no kernel"
     assert kernel.path == path and os.path.isfile(path)
