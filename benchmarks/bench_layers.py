@@ -1,7 +1,7 @@
 """Layer timings of the import, the evaluator, the optimizers, the batch callers and the simulator kernel, interleaved across source trees.
 
     python benchmarks/bench_layers.py --src before=/path/to/other/src --src after=src \
-        [--rounds 16] [--out BENCH_27.json]
+        [--rounds 16] [--out BENCH_29.json]
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``aoiharvest``
 package (a checkout's ``src``). A round runs one child process per tree,
@@ -62,10 +62,11 @@ mu = 1 on seeded policies (thresholds uniform on [0, 4], sorted):
                        kernel and battery size: KERNEL_CYCLES cycles from an
                        empty battery on a stratified policy (the k-th
                        smallest threshold uniform on the k-th of B parts of
-                       [0, 4]). Each kernel is timed in a fresh interpreter
-                       of its own, which runs nothing else: _simcore_py
-                       always, and "compiled", simulator's kernel, where it
-                       is not the pure-Python one
+                       [0, 4]), for _simcore_py always, and "compiled",
+                       simulator's kernel, where it is not the pure-Python
+                       one. Each row of each kernel is timed in a fresh
+                       interpreter of its own, which times nothing else, so
+                       that no row runs in a heap that earlier rows left
     cycles_per_s_b1    the same at B = 1 for each mu tau_1 in KERNEL_B1_Z,
                        the worst (0.2) and best (3.8) cases of the Python
                        kernel's B = 1 screen, which skips the log of every
@@ -187,8 +188,13 @@ def _cold(src: str, battery: int) -> tuple[float, float]:
     return seconds, rss
 
 
-def kernel_child(src: str, name: str) -> dict | None:
-    """cycles_per_s and cycles_per_s_b1 of one kernel, in this interpreter alone; None where it does not load."""
+# The kernel rows, by (key, row): the stratified policy at each battery
+# size, then B = 1 at each mu tau_1.
+KERNEL_ROWS = [("cycles_per_s", str(b)) for b in KERNEL_BATTERIES] + [("cycles_per_s_b1", str(z)) for z in KERNEL_B1_Z]
+
+
+def kernel_child(src: str, name: str, key: str, row: str) -> float | None:
+    """Cycles per second of one kernel row, the only one this interpreter times; None where the kernel does not load."""
     sys.path.insert(0, src)
     import numpy as np
 
@@ -200,31 +206,32 @@ def kernel_child(src: str, name: str) -> dict | None:
         kernel = simulator._kernel
     else:
         return None
-    out = {"cycles_per_s": {}, "cycles_per_s_b1": {}}
-    for b in KERNEL_BATTERIES:
+    if key == "cycles_per_s_b1":
+        taus, seed = np.array([float(row)]), 1
+    else:
+        seed = b = int(row)
         rng = np.random.default_rng(b)
         taus = np.array([rng.uniform(k * 4.0 / b, (k + 1) * 4.0 / b) for k in reversed(range(b))])
 
-        def cycles():
-            kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(b)))
+    def cycles():
+        kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(seed)))
 
-        out["cycles_per_s"][str(b)] = KERNEL_CYCLES / _best(cycles)
-    for z in KERNEL_B1_Z:
-        taus = np.array([z])
-
-        def cycles():
-            kernel.run_cycles(taus, 1.0, KERNEL_CYCLES, 0, np.random.Generator(np.random.PCG64(1)))
-
-        out["cycles_per_s_b1"][str(z)] = KERNEL_CYCLES / _best(cycles)
-    return out
+    return KERNEL_CYCLES / _best(cycles)
 
 
 def _kernel_rows(src: str, name: str) -> dict | None:
-    done = subprocess.run(
-        [sys.executable, __file__, "--src", "x=x", "--child", src, "--kernel", name],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
+    """cycles_per_s and cycles_per_s_b1 of one kernel, each row in a fresh interpreter; None where it does not load."""
+    out = {key: {} for key, _ in KERNEL_ROWS}
+    for key, row in KERNEL_ROWS:
+        done = subprocess.run(
+            [sys.executable, __file__, "--src", "x=x", "--child", src, "--kernel", name, "--row", f"{key}:{row}"],
+            capture_output=True, text=True, check=True,
+        )
+        value = json.loads(done.stdout)
+        if value is None:
+            return None
+        out[key][row] = value
+    return out
 
 
 def child(src: str) -> dict:
@@ -360,12 +367,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", required=True, metavar="LABEL=PATH")
     ap.add_argument("--rounds", type=int, default=16)
-    ap.add_argument("--out", default="BENCH_27.json")
+    ap.add_argument("--out", default="BENCH_29.json")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--kernel", help=argparse.SUPPRESS)
+    ap.add_argument("--row", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(kernel_child(args.child, args.kernel) if args.kernel else child(args.child)))
+        print(json.dumps(kernel_child(args.child, args.kernel, *args.row.split(":")) if args.kernel else child(args.child)))
         return 0
     trees = dict(item.split("=", 1) for item in args.src)
     runs = {label: [] for label in trees}

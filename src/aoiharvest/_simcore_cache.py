@@ -107,19 +107,26 @@ def _load(path):
     walk = ctypes.CDLL(path).walk_levels
     walk.restype = ctypes.c_int64
     p, n = ctypes.c_void_p, ctypes.c_int64
-    walk.argtypes = (p, n, ctypes.c_double, p, n, p, p, n, ctypes.POINTER(n), ctypes.POINTER(ctypes.c_double))
+    walk.argtypes = (p, n, ctypes.c_double, p, n, p, p, p, n, ctypes.POINTER(n), ctypes.POINTER(ctypes.c_double))
 
     def walk_levels(taus, mu, level, x_out, s_out):
         """``_simcore_py.walk_levels`` through the C walk, which writes into x_out and s_out in place."""
         tau = np.array(taus)
         L, t = n(level), ctypes.c_double(0.0)
         tau_p, x_p, s_p, size = tau.ctypes.data, x_out.ctypes.data, s_out.ctypes.data, len(x_out)
+        # the walk's scratch: one d = log(1 - u) / mu per uniform of a chunk
+        d = np.empty(_simcore_py.CHUNK)
 
         def step(u, c):
+            nonlocal d
             u = np.ascontiguousarray(u, dtype=np.float64)
+            if len(u) > len(d):
+                d = np.empty(len(u))
             # x_out and s_out take 8 bytes an entry; len(tau) also keeps
             # tau, which the walk reads at tau_p, alive
-            return c + walk(tau_p, len(tau), mu, u.ctypes.data, len(u), x_p + 8 * c, s_p + 8 * c, size - c, L, t)
+            return c + walk(
+                tau_p, len(tau), mu, u.ctypes.data, len(u), d.ctypes.data, x_p + 8 * c, s_p + 8 * c, size - c, L, t
+            )
 
         return step
 

@@ -7,25 +7,28 @@ draw. At B >= 2 a level walk takes each chunk: ``walk_levels`` here or
 the C walk of ``_simcore.c`` (``_simcore_cache``), which must give the
 same bits and leave the generator in the same state.
 
-The C walk moves the cycle age by ``t - log(1 - u) / mu`` per uniform
-u, with libm's log. Here the logs are taken one CHUNK of uniforms at a
-time, and they must be libm's: numpy's contiguous ``np.log`` runs SIMD
-code that differs from libm in the last bit on some inputs (6,959 of
-2,000,000 draws on an AVX-512 machine), which would fork the sample
-path. ``_libm_log`` calls ``np.log`` with an output whose stride has the
-sign opposite to the input's; numpy then runs its scalar loop, which
-calls libm's log for each element (about 9 ns per element on that
-machine, against 140 ns for ``math.log`` applied element by element).
-As that is numpy's behaviour rather than its promise, the first call
-that takes a log here compares ``_libm_log`` with ``math.log`` bit for
-bit on PROBE seeded draws and keeps ``math.log`` through
-``np.frompyfunc`` if any bit differs; ``log_kind`` names the choice.
+Both walks take a chunk in the same two phases. The first takes
+d = log(1 - u) / mu for every uniform u of the chunk, with libm's log;
+the second follows the battery level through the chunk, and each
+draw's arrival comes at cycle age ``t - d``. The same libm calls and
+the same correctly rounded divide, in the same order, give both walks
+the same bits. The C walk runs its first phase as a loop with no branch
+into a scratch array that its caller owns.
 
-With more than one battery level a loop over the chunk's log(1 - u) / mu,
-as Python floats, follows the battery level and forms ``t - d`` itself;
-an IEEE divide is correctly rounded in numpy as in Python, so this is
-the C walk's ``t - log(1 - u) / mu``. Working memory stays at the size
-of one chunk.
+Here the first phase is one numpy call per chunk, and its logs must be
+libm's: numpy's contiguous ``np.log`` runs SIMD code that differs from
+libm in the last bit on some inputs (6,959 of 2,000,000 draws on an
+AVX-512 machine), which would fork the sample path. ``_libm_log`` calls
+``np.log`` with an output whose stride has the sign opposite to the
+input's; numpy then runs its scalar loop, which calls libm's log for
+each element (about 9 ns per element on that machine, against 140 ns
+for ``math.log`` applied element by element). As that is numpy's
+behaviour rather than its promise, the first call that takes a log here
+compares ``_libm_log`` with ``math.log`` bit for bit on PROBE seeded
+draws and keeps ``math.log`` through ``np.frompyfunc`` if any bit
+differs; ``log_kind`` names the choice. The second phase is a loop over
+the chunk's d as Python floats. Working memory stays at the size of one
+chunk.
 
 With one battery level, under both kernels, every cycle takes exactly
 one draw and fires at max(tau_1, E), evaluated for a whole chunk at

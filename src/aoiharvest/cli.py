@@ -147,7 +147,7 @@ def _stats_line(result, seconds: float) -> str:
 
 
 def _simulate_stats_line(report, battery: int) -> str:
-    """The simulator kernel's throughput, and the log it takes at this battery size, as one JSON line."""
+    """The simulator kernel's throughput, the log it takes at this battery size, and the seconds of the reductions after it, as one JSON line."""
     seconds = report.kernel_s
     return _dumps(
         {
@@ -156,6 +156,7 @@ def _simulate_stats_line(report, battery: int) -> str:
             "cycles": report.renewals,
             "kernel_s": seconds,
             "cycles_per_s": report.renewals / seconds if seconds > 0.0 else None,
+            "report_s": report.report_s,
         }
     )
 
@@ -265,6 +266,8 @@ def _validate_curve(params: SystemParams, taus: np.ndarray):
 def cmd_simulate(args) -> int:
     params = SystemParams(mu_h=args.mu, battery=args.battery)
     p = _parse_penalty(args)
+    if args.optimal and args.thresholds:
+        raise ValueError("give --thresholds or --optimal, not both")
     if args.optimal:
         policy = optimize_penalty(params, OptimizerConfig(penalty=p)).policy
     elif args.thresholds:

@@ -166,9 +166,28 @@ class PenaltySpec:
         return sum(c * delta**a for c, a in self.terms)
 
     def antiderivative(self, x):
-        """P(x) = integral of p from 0 to x, exact for the power family."""
+        """P(x) = integral of p from 0 to x, exact for the power family.
+
+        Each term c x^(a+1) / (a+1) is formed in place in its power's
+        array and added in place to the first, with the roundings of that
+        expression in that order, so an array x costs at most two arrays
+        of its size: the sum and the term being formed. An integer array
+        is taken as float64 first.
+        """
         _check_age(x)
-        return sum(c * x ** (a + 1) / (a + 1) for c, a in self.terms)
+        if isinstance(x, np.ndarray) and x.dtype.kind in "biu":
+            x = x.astype(np.float64)
+        total = None
+        for c, a in self.terms:
+            y = x ** (a + 1)
+            y *= c
+            y /= a + 1
+            if total is None:
+                total = y
+            else:
+                total += y
+            del y  # the next term's power is then the only other array
+        return total
 
     @cached_property
     def exponents(self) -> tuple[float, ...]:

@@ -16,27 +16,29 @@ the pure-Python screen of ``run_cycles`` under both.
 Randomness: numpy PCG64, exponential variates by inverse transform, so
 sample paths are reproducible across platforms and across kernels.
 ``run_cycles`` takes uniforms from the generator CHUNK at a time, and
-each walk moves the cycle age by -log(1 - u) / mu with the C library's
-log: the C walk one draw at a time; the pure-Python one a chunk's logs
-at once, through ``np.log`` with an output stride opposite to the
-input's, which makes numpy call libm's log per element instead of
-running its SIMD log (that one differs from libm in the last bit on some
-inputs, and one such draw would fork the path). The first pure-Python
-walk checks that call against ``math.log`` bit for bit on seeded draws
-and falls back to ``math.log`` per element if any bit differs;
-``log_kind`` names the log in use. With one battery level
+both walks take a chunk in two phases: first d = log(1 - u) / mu for
+every uniform, with the C library's log, then the level walk, which
+moves the cycle age to t - d per draw. The C walk takes its logs in a
+loop with no branch; the pure-Python one in one ``np.log`` call with an
+output stride opposite to the input's, which makes numpy call libm's log
+per element instead of running its SIMD log (that one differs from libm
+in the last bit on some inputs, and one such draw would fork the path).
+The first pure-Python walk checks that call against ``math.log`` bit for
+bit on seeded draws and falls back to ``math.log`` per element if any
+bit differs; ``log_kind`` names the log in use. With one battery level
 ``run_cycles`` takes only the logs it reads: a uniform whose arrival is
 certain to fall below tau_1 gives a cycle of tau_1 with no log taken.
-``SimReport.kernel_s`` times the kernel call, outside the report's
-equality and JSON.
+``SimReport.kernel_s`` times the kernel call and ``SimReport.report_s``
+the reductions after it, both outside the report's equality and JSON.
 
 Memory: a run's peak is the kernel's output, 8 bytes of inter-update time
 and 8 of post-update level per renewal. The levels are counted and
-released before the penalty work; the antiderivative (8 bytes a renewal
-per power term, and a 1-byte sign check) is released after its sums, and
-x is squared in place for E[X^2]. So a run peaks at about 17 bytes per
+released before the penalty work; the antiderivative (built in place: 8
+bytes a renewal for its sum and 8 for the term being formed, past the
+first; a 1-byte sign check before) is released after its sums, and x is
+squared in place for E[X^2]. So a run peaks at about 17 bytes per
 renewal with one power term, as every CLI penalty has (10^8 renewals:
-about 1.7 GB), and about 25 with several.
+about 1.7 GB), and about 24 with several.
 """
 
 from __future__ import annotations
@@ -98,11 +100,13 @@ class SimReport:
     warmup: int
     generator: str = GENERATOR_ID
     kernel: str = KERNEL
-    # wall seconds of the cycle kernel: a diagnostic, outside equality and to_json
+    # wall seconds of the cycle kernel and of the reductions after it:
+    # diagnostics, outside equality and to_json
     kernel_s: float = field(default=0.0, compare=False, repr=False)
+    report_s: float = field(default=0.0, compare=False, repr=False)
 
     def to_json(self) -> str:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kernel_s"}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         return json.dumps(d, sort_keys=True)
 
 
@@ -129,7 +133,7 @@ def simulate(
     with np.errstate(all="ignore"):
         start = time.perf_counter()
         x, states = _kernel.run_cycles(taus, params.mu_h, cfg.renewals, cfg.initial_state, rng)
-        kernel_s = time.perf_counter() - start
+        kernel_done = time.perf_counter()
         # Peak memory is the kernel's output: each full-length array is
         # released once its last sum is taken, and x is squared in place last.
         xm = x[cfg.warmup :]
@@ -150,6 +154,7 @@ def simulate(
         avg_age = mean_x2 / (2.0 * mean_x)
         ratios = bp / bx
         stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+        report_done = time.perf_counter()
     if not np.isfinite((avg_penalty, avg_age, mean_x, mean_x2, stderr)).all():
         raise OverflowError("simulated statistics outside double range")
 
@@ -165,7 +170,8 @@ def simulate(
         seed=cfg.seed,
         renewals=cfg.renewals,
         warmup=cfg.warmup,
-        kernel_s=kernel_s,
+        kernel_s=kernel_done - start,
+        report_s=report_done - kernel_done,
     )
 
 

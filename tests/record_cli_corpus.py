@@ -37,7 +37,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
 
 _KERNEL = re.compile(r'"(kernel|log)": "[^"]*"')
-_WALL = re.compile(r'"(wall_s|kernel_s|cycles_per_s)": [^,}]*')
+_WALL = re.compile(r'"(wall_s|kernel_s|cycles_per_s|report_s)": [^,}]*')
 
 
 def _normal(text):
@@ -238,6 +238,7 @@ ERROR_ARGVS = [
     ["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5,nan"],
     ["sweep", "--fig", "5", "--mu", "1", "--tau2", "0.5,-1"],
     ["simulate", "--mu", "1", "--battery", "2"],
+    [*SIMULATE, "--optimal"],
     [*SIMULATE, "--renewals", "1000"],
     [*SIMULATE, "--renewals", str(2**60)],
     [*SIMULATE, "--renewals", "2000", "--warmup", "-1"],

@@ -279,9 +279,9 @@ class TestSimulateStats:
         assert code == 0 and out == plain
         assert err.endswith("\n") and err.count("\n") == 1
         stats = json.loads(err)
-        assert set(stats) == {"kernel", "log", "cycles", "kernel_s", "cycles_per_s"}
+        assert set(stats) == {"kernel", "log", "cycles", "kernel_s", "cycles_per_s", "report_s"}
         assert stats["kernel"] == KERNEL and stats["cycles"] == 20000
-        assert stats["kernel_s"] > 0.0
+        assert stats["kernel_s"] > 0.0 and stats["report_s"] > 0.0
         assert stats["cycles_per_s"] == pytest.approx(stats["cycles"] / stats["kernel_s"])
 
     def test_log_names_the_kernels_log(self, capsys, monkeypatch):
@@ -441,6 +441,15 @@ class TestSimulate:
     def test_requires_policy(self, capsys):
         code, _ = run(capsys, ["simulate", "--mu", "1", "--battery", "2"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("order", ["optimal-first", "thresholds-first"])
+    def test_rejects_thresholds_with_optimal(self, capsys, order):
+        # --optimal used to run with the thresholds silently dropped
+        flags = [["--optimal"], ["--thresholds", "1,0.5"]]
+        argv = ["simulate", "--mu", "1", "--battery", "2", *sum(flags if order == "optimal-first" else flags[::-1], [])]
+        code, out, err = call(capsys, argv)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "error: ValueError: give --thresholds or --optimal, not both\n"
 
     @pytest.mark.parametrize("renewals", [2**59, 2**60], ids=["memory-error", "too-big"])
     def test_unallocatable_renewals_exit_2(self, capsys, renewals):

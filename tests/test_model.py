@@ -121,6 +121,69 @@ class TestPenalty:
         assert lo - slack <= mid <= hi + slack
 
 
+def summed_antiderivative(p, x):
+    """P(x) as one sum of fresh temporaries, kept as the oracle of the in-place antiderivative."""
+    return sum(c * x ** (a + 1) / (a + 1) for c, a in p.terms)
+
+
+ANTIDERIVATIVE_PENALTIES = {
+    "identity": PenaltySpec.identity(),
+    "power0.5": PenaltySpec.power(0.5),
+    "power2_c3": PenaltySpec.power(2.0, 3.0),
+    "power1.5_c0.7": PenaltySpec.power(1.5, 0.7),
+    "two_terms": PenaltySpec(((1.0, 1.0), (0.25, 2.0))),
+    "constant_and_cube": PenaltySpec(((0.3, 0.0), (1.7, 3.0))),
+    "three_terms": PenaltySpec(((0.1, 0.5), (2.0, 1.0), (1e-3, 4.0))),
+}
+
+# zero, subnormal, ordinary, large and overflowing ages: x^(a+1) past the
+# largest double, or c x^(a+1) past it where x^(a+1) is not (5.6e102 cubed,
+# times 3); 1.3e154 squared lies just below it
+AGES = [0.0, 5e-324, 1e-200, 0.1, 0.72, 1.0, 2.5, 1e5, 5.6e102, 1e150, 1.3e154, 1e200, 1.7e308]
+
+
+def outcome(f, x):
+    """The IEEE bytes of the float f(x), or the type of the exception it raises."""
+    try:
+        return np.float64(f(x)).tobytes()
+    except OverflowError as exc:
+        return type(exc)
+
+
+class TestAntiderivativeBits:
+    """The in-place antiderivative gives the summed expression's bits."""
+
+    @pytest.mark.parametrize("name", ANTIDERIVATIVE_PENALTIES)
+    def test_python_scalars(self, name):
+        # a Python float power past double range raises OverflowError in both
+        p = ANTIDERIVATIVE_PENALTIES[name]
+        for x in AGES:
+            got, want = outcome(p.antiderivative, x), outcome(lambda x: summed_antiderivative(p, x), x)
+            assert got == want, x
+        assert type(p.antiderivative(0.72)) is float
+
+    @pytest.mark.parametrize("name", ANTIDERIVATIVE_PENALTIES)
+    def test_arrays(self, name):
+        p = ANTIDERIVATIVE_PENALTIES[name]
+        x = np.concatenate([AGES, np.random.default_rng(1).exponential(2.0, 1000)])
+        with np.errstate(over="ignore"):
+            got, want = p.antiderivative(x), summed_antiderivative(p, x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got[AGES.index(1.7e308)])
+
+    def test_leaves_the_ages_alone(self):
+        x = np.array(AGES[:8])
+        before = x.tobytes()
+        ANTIDERIVATIVE_PENALTIES["two_terms"].antiderivative(x)
+        assert x.tobytes() == before
+
+    def test_integer_ages(self):
+        p = ANTIDERIVATIVE_PENALTIES["two_terms"]
+        assert p.antiderivative(np.arange(4)).tobytes() == summed_antiderivative(p, np.arange(4.0)).tobytes()
+        assert p.antiderivative(2) == summed_antiderivative(p, 2)
+
+
 class TestPenaltyInverse:
     def test_single_power_closed_form(self):
         assert PenaltySpec.identity().inverse(0.72) == 0.72

@@ -195,6 +195,23 @@ class TestExactPath:
                 kernel.run_cycles(taus, 1.0, 100, start, np.random.Generator(np.random.PCG64(1)))
 
 
+@pytest.mark.parametrize("kernel", [*(k for k in KERNELS if k != "python"), COLD_BUILD], indirect=True)
+def test_walk_takes_chunks_of_any_length(kernel):
+    # run_cycles hands the walk CHUNK uniforms a step; a longer chunk must
+    # not overrun the C walk's scratch, and a shorter one must walk alike
+    walk = kernel.run_cycles.keywords["walk"]
+    u = np.random.Generator(np.random.PCG64(5)).random(3 * _simcore_py.CHUNK + 7)
+    taus = tuple(stratified(1.0, 4, seed=4))
+    outs = []
+    for factory in (_simcore_py.walk_levels, walk):
+        x, s = np.zeros(40_000), np.zeros(40_000, dtype=np.int64)
+        step = factory(taus, 1.0, 0, x, s)
+        c = step(u[:5], 0)
+        c = step(u[5:], c)
+        outs.append((c, x.tobytes(), s.tobytes()))
+    assert outs[0] == outs[1]
+
+
 class ScriptedGenerator:
     """A stand-in for numpy's Generator whose random(n) hands out the
     scripted uniforms first, then seeded PCG64 uniforms; its
@@ -552,25 +569,35 @@ class TestReductions:
         assert got.to_json() == want.to_json()
 
 
+def simulate_peak(penalty, n):
+    """The tracemalloc peak, in bytes, of one simulate() of n renewals at B = 4 under the penalty."""
+    params, pol = make(1.0, [2.5, 1.5, 0.8, 0.5])
+    p = REDUCTION_PENALTIES[penalty]
+    # a first short run keeps the kernel's one-off set-up out of the trace
+    simulate(params, pol, p, SimConfig(seed=1, renewals=2000))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate(params, pol, p, SimConfig(seed=1, renewals=n))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestMemory:
     @pytest.mark.parametrize("penalty", ["identity", "power0.5"])
     def test_peak_is_the_kernel_output(self, penalty):
         # the kernel returns 8-byte inter-update times and 8-byte levels;
         # simulate's reductions add no full-length array on top of them
-        params, pol = make(1.0, [2.5, 1.5, 0.8, 0.5])
-        p = REDUCTION_PENALTIES[penalty]
         n = 200_000
-        # a first short run keeps the kernel's one-off set-up out of the trace
-        simulate(params, pol, p, SimConfig(seed=1, renewals=2000))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            simulate(params, pol, p, SimConfig(seed=1, renewals=n))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= n * (8 + 8) + 2**20
+        assert simulate_peak(penalty, n) <= n * (8 + 8) + 2**20
+
+    def test_several_terms_add_one_array(self):
+        # past the levels' release: x, the antiderivative's running sum and
+        # the term being formed, 8 bytes each
+        n = 200_000
+        assert simulate_peak("two_terms", n) <= n * (8 + 8 + 8) + 2**20
