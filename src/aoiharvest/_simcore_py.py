@@ -1,11 +1,21 @@
 """The cycle loop that both simulation kernels run, and its pure-Python level walk.
 
 ``run_cycles`` drives both kernels: it checks the start state, fires a
-full battery's first cycle, screens B = 1, owns the output arrays and
+full battery's first cycle, screens B = 1, owns the output buffers and
 refills the uniforms CHUNK at a time, only when a cycle needs one more
 draw. At B >= 2 a level walk takes each chunk: ``walk_levels`` here or
 the C walk of ``_simcore.c`` (``_simcore_cache``), which must give the
 same bits and leave the generator in the same state.
+
+A uniform completes at most one cycle: it either fires the update or
+raises the level, and a level that reaches B fires at once. So a chunk
+completes at most CHUNK cycles, and buffers of CHUNK + 1 entries (one
+more for a full battery's first cycle, which takes no uniform) hold any
+chunk's. Given a sink, ``run_cycles`` walks every chunk into such
+buffers and hands the cycles it completed to ``sink(x, s)`` before the
+next chunk overwrites them, so its memory does not grow with the number
+of cycles; given none, the buffers are the full-length arrays it
+returns. The cycles are the same bits either way.
 
 Both walks take a chunk in the same two phases. The first takes
 d = log(1 - u) / mu for every uniform u of the chunk, with libm's log;
@@ -90,14 +100,21 @@ def log_kind():
     return "numpy-scalar" if _chunk_log() is _libm_log else "frompyfunc"
 
 
-def run_cycles(thresholds, mu, n_cycles, start_state, rng, walk=None):
-    """Simulate n_cycles update cycles; return (inter-update times, post states).
+def run_cycles(thresholds, mu, n_cycles, start_state, rng, sink=None, *, walk=None):
+    """Simulate n_cycles update cycles: return (inter-update times, post states), or hand them to sink.
 
     A cycle starts right after an update with battery level j. Arrivals
     raise the level (clipped at B); the update fires at the first instant
     the cycle age reaches the threshold of the currently occupied level,
     which is max(arrival time of that level, its threshold). Firing
     requires level >= 1, so energy causality holds by construction.
+
+    With a sink, the cycles go to sink(x, s) in order, chunk by chunk, as
+    views of buffers of CHUNK + 1 entries that the next chunk
+    overwrites, and None is returned. Without one, the buffers are the
+    full-length arrays returned. Either way the walk writes a chunk from
+    the first free entry, with room for the cycles still wanted and no
+    more, so it stops where they are complete.
 
     At B >= 2 ``walk`` (``walk_levels`` unless given) takes each chunk of
     uniforms; B = 1 takes the screen whatever the walk.
@@ -107,10 +124,13 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng, walk=None):
     if not 0 <= start_state <= B:
         raise ValueError("start_state must lie in 0..B")
     mu = float(mu)
-    x_out = np.empty(n_cycles)
-    s_out = np.empty(n_cycles, dtype=np.int64)
+    # a uniform completes at most one cycle, and a full battery's first
+    # cycle takes none: CHUNK + 1 entries hold any chunk's cycles
+    size = n_cycles if sink is None else min(n_cycles, CHUNK + 1)
+    x_out = np.empty(size)
+    s_out = np.empty(size, dtype=np.int64)
     buf = rng.random(CHUNK)
-    c = 0
+    lo = c = 0  # the cycles in x_out[lo:c] are not yet handed on
     if start_state == B and n_cycles:
         # a full battery fires at tau_B without waiting for an arrival
         x_out[0] = 0.0 if taus[-1] < 0.0 else taus[-1]
@@ -118,15 +138,22 @@ def run_cycles(thresholds, mu, n_cycles, start_state, rng, walk=None):
         c = 1
     if B == 1:
         # back to level 0 after every update: every post state is 0
-        s_out[c:] = 0
+        s_out[:] = 0
         step = _fire_once(taus[0], mu, x_out)
     else:
         step = (walk or walk_levels)(taus, mu, min(start_state, B - 1), x_out, s_out)
-    while c < n_cycles:
-        c = step(buf, c)
-        if c < n_cycles:
-            buf = rng.random(CHUNK)
-    return x_out, s_out
+    left = n_cycles  # cycles not yet handed on
+    while True:
+        if c - lo < left:
+            c = step(buf, c)
+        if sink is not None and c > lo:
+            sink(x_out[lo:c], s_out[lo:c])
+        left -= c - lo
+        if not left:
+            return None if sink is not None else (x_out, s_out)
+        buf = rng.random(CHUNK)
+        # room from c to the buffers' end for the cycles still wanted, and no more
+        lo = c = max(size - left, 0)
 
 
 def walk_levels(taus, mu, L, x_out, s_out):

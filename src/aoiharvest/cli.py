@@ -7,8 +7,8 @@ the analytic evaluator), table1 (optimal thresholds for B = 1..4 at
 mu = 1 next to the published reference values).
 
 Exit codes: 0 success, 2 validation failure (also an unwritable --output
-file, a result outside double range, or a request too large to allocate,
-such as simulate --renewals 2^59), 3 search budget exceeded,
+file, a result outside double range, or simulate --renewals past 2^53,
+where counts stop being exact doubles), 3 search budget exceeded,
 4 simulation/analytic disagreement under --check.
 
 main parses an argv once: where argv[0] names a subcommand, that

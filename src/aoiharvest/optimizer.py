@@ -70,6 +70,11 @@ GRID_BATCH = 4096
 # grows with B (3e-14 at B = 64), while a step whose Bellman residual is
 # still 1e-7 lowers the objective by about 1e-14 more.
 OBJECTIVE_TIE = 1e-12
+# A tie ends policy iteration only where the Bellman residual of the thresholds
+# it moves is at most this, relative to max(1, |objective|), or on a second tie
+# in a row: at B = 4096 a step still 3.5e-10 from the fixed point lowers the
+# objective by less than OBJECTIVE_TIE.
+TIE_RESIDUAL = 1e-12
 # The unit-rate bisection bracket [1/2, 1] has width 2^-(q+1) after q
 # steps; past about 52 its midpoint rounds onto an endpoint.
 MAX_Q = 50
@@ -269,15 +274,25 @@ class _Search:
             improved[-1] = point.taus[-1]
         return improved
 
+    def _residual(self, point: _Point, pinned: bool) -> float:
+        """max |p(tau_i) - level_i| over the thresholds the run moves (0 where it moves none)."""
+        moved = len(point.taus) - pinned
+        if not moved:
+            return 0.0
+        return float(np.abs(self.penalty(np.asarray(point.taus[:moved])) - point.levels[:moved]).max())
+
     def run(self, taus, pinned: bool = False) -> _Point:
         """Iterate from the thresholds taus; returns the best policy evaluated.
 
-        Stops when no threshold moves more than STEP_TOL or when the
-        objective stops falling by more than OBJECTIVE_TIE. With pinned,
-        tau_B stays at taus[-1].
+        Stops when no threshold moves more than STEP_TOL, when the objective
+        rises by more than OBJECTIVE_TIE, or when it ties within
+        OBJECTIVE_TIE where the Bellman residual is at most TIE_RESIDUAL
+        relative, or for a second time in a row. With pinned, tau_B stays
+        at taus[-1].
         """
         taus = tuple(taus)
         best = None
+        tied = False
         self.stop_reason = "iteration limit"
         for _ in range(MAX_ITERATIONS):
             point = self._evaluate(taus)
@@ -286,8 +301,12 @@ class _Search:
             if falling or point.objective <= best.objective + tie:
                 best = point  # on a tie the later point, nearer the fixed point
             if not falling:
-                self.stop_reason = "objective stopped falling"
-                break
+                # the levels read here are the ones the next step reads
+                bound = TIE_RESIDUAL * max(1.0, abs(point.objective))
+                if best is not point or tied or self._residual(point, pinned) <= bound:
+                    self.stop_reason = "objective stopped falling"
+                    break
+            tied = not falling
             improved = self._improve(point, pinned).tolist()
             if not all(map(math.isfinite, improved)):
                 self.stop_reason = "non-finite thresholds"

@@ -28,22 +28,24 @@ bit on seeded draws and falls back to ``math.log`` per element if any
 bit differs; ``log_kind`` names the log in use. With one battery level
 ``run_cycles`` takes only the logs it reads: a uniform whose arrival is
 certain to fall below tau_1 gives a cycle of tau_1 with no log taken.
-``SimReport.kernel_s`` times the kernel call and ``SimReport.report_s``
-the reductions after it, both outside the report's equality and JSON.
+``SimReport.kernel_s`` times the kernel call less its sink's calls, and
+``SimReport.report_s`` the sink's calls and the final combination, both
+outside the report's equality and JSON.
 
-Memory: a run's peak is the kernel's output, 8 bytes of inter-update time
-and 8 of post-update level per renewal. The levels are counted and
-released before the penalty work; the antiderivative (built in place: 8
-bytes a renewal for its sum and 8 for the term being formed, past the
-first; a 1-byte sign check before) is released after its sums, and x is
-squared in place for E[X^2]. So a run peaks at about 17 bytes per
-renewal with one power term, as every CLI penalty has (10^8 renewals:
-about 1.7 GB), and about 24 with several.
+Memory: a run holds no array that grows with the renewals. ``simulate``
+hands ``run_cycles`` a sink, ``_Sums``, and the kernel passes it each
+chunk's cycles from buffers of CHUNK + 1 entries that the next chunk
+reuses. The sink keeps one block of BLOCK inter-update times, reduces it
+when full (its antiderivative and squares are a block long too), and
+keeps the level counts and one row of sums per closed batch. A traced run
+peaks at about 0.5 MB whatever the number of renewals, and runs are
+capped at 2^53 renewals, where the counts stop being exact doubles.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -56,6 +58,12 @@ _kernel = _simcore_cache.load() or _simcore_py
 KERNEL = "python" if _kernel is _simcore_py else "c"
 
 GENERATOR_ID = "numpy-pcg64"
+
+# simulate reduces the measured cycles in blocks of BLOCK (see _Sums)
+BLOCK = 8192
+# Past 2^53 renewals the counts stop being exact doubles.
+MAX_RENEWALS = 2**53
+_RANGE_ERROR = "simulated statistics outside double range"
 
 
 def log_kind(battery: int) -> str:
@@ -83,6 +91,8 @@ class SimConfig:
             raise ValueError(f"seed, renewals, warmup, initial_state and batches must be integers, got {counts!r}")
         if self.renewals < 1 or self.warmup < 0 or self.initial_state < 0 or self.batches < 1:
             raise ValueError("invalid simulation configuration")
+        if self.renewals > MAX_RENEWALS:
+            raise ValueError(f"renewals must be at most 2**53, got {self.renewals}")
 
 
 @dataclass(frozen=True)
@@ -129,50 +139,126 @@ def simulate(
         raise ValueError("initial_state cannot exceed the battery size")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     taus = np.asarray(policy.thresholds, dtype=np.float64)
+    n = cfg.renewals - cfg.warmup
+    sums = _Sums(params.battery, p, cfg.warmup, n, cfg.batches)
     # a path outside double range fails the finite check below, with no warnings on the way
-    with np.errstate(all="ignore"):
-        start = time.perf_counter()
-        x, states = _kernel.run_cycles(taus, params.mu_h, cfg.renewals, cfg.initial_state, rng)
-        kernel_done = time.perf_counter()
-        # Peak memory is the kernel's output: each full-length array is
-        # released once its last sum is taken, and x is squared in place last.
-        xm = x[cfg.warmup :]
-        n = len(xm)
-        freq = np.bincount(states[cfg.warmup :], minlength=params.battery)[: params.battery] / n
-        del states
-        nb = min(cfg.batches, n)
-        m = n // nb
-        total_x = float(xm.sum())
-        bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
-        px = p.antiderivative(xm)
-        total_p = float(px.sum())
-        bp = px[: nb * m].reshape(nb, m).sum(axis=1)
-        del px
-        mean_x2 = float(np.multiply(xm, xm, out=xm).sum()) / n
-        avg_penalty = total_p / total_x
-        mean_x = total_x / n
-        avg_age = mean_x2 / (2.0 * mean_x)
-        ratios = bp / bx
-        stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
-        report_done = time.perf_counter()
+    try:
+        with np.errstate(all="ignore"):
+            start = time.perf_counter()
+            # the sink goes positionally: a wrapper of run_cycles may pass on positional arguments only
+            _kernel.run_cycles(taus, params.mu_h, cfg.renewals, cfg.initial_state, rng, sums)
+            kernel_done = time.perf_counter()
+            (total_x, total_p, total_x2), batch_x, batch_p = sums.totals()
+            avg_penalty = total_p / total_x
+            mean_x = total_x / n
+            mean_x2 = total_x2 / n
+            avg_age = mean_x2 / (2.0 * mean_x)
+            nb = len(batch_x)
+            ratios = batch_p / batch_x
+            stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+            report_done = time.perf_counter()
+    except OverflowError:  # math.fsum's, where finite partials overflow
+        raise OverflowError(_RANGE_ERROR) from None
     if not np.isfinite((avg_penalty, avg_age, mean_x, mean_x2, stderr)).all():
-        raise OverflowError("simulated statistics outside double range")
+        raise OverflowError(_RANGE_ERROR)
 
     return SimReport(
         avg_penalty=avg_penalty,
         avg_age=avg_age,
         mean_x=mean_x,
         mean_x2=mean_x2,
-        state_freq=tuple(float(f) for f in freq),
+        state_freq=tuple((sums.counts / n).tolist()),
         stderr=stderr,
         elapsed_sim_time=total_x,
         renewals_measured=n,
         seed=cfg.seed,
         renewals=cfg.renewals,
         warmup=cfg.warmup,
-        kernel_s=kernel_done - start,
-        report_s=report_done - kernel_done,
+        kernel_s=kernel_done - start - sums.seconds,
+        report_s=sums.seconds + report_done - kernel_done,
     )
+
+
+class _Sums:
+    """The sink simulate hands the kernel: it reduces the measured cycles as the walk completes them.
+
+    It drops the first ``warmup`` cycles, counts the post-update levels
+    of the rest, and copies their inter-update times x into one block of
+    BLOCK cycles. A full block, and the last one, is reduced at once: the
+    sums of x, of the penalty antiderivative P(x) and of x^2 over each
+    segment of the block, where a segment ends at the block's end or at a
+    batch boundary, each one numpy sum (``np.add.reduceat``). A batch is
+    one segment of each block it spans, and ``math.fsum`` adds those
+    segments when the batch closes; ``totals`` adds the batch sums the
+    same way. Each sum thus depends on the measured cycles' indices
+    alone, whatever cycles each chunk of the kernel completed.
+    ``seconds`` times its calls from the kernel; ``totals`` is left to
+    its caller to time.
+    """
+
+    def __init__(self, battery: int, penalty: PenaltySpec, warmup: int, n: int, batches: int):
+        self.battery = battery
+        self.penalty = penalty
+        self.skip = warmup
+        self.nb = min(batches, n)
+        self.m = n // self.nb  # cycles per batch; the last n - nb * m make one more
+        self.counts = np.zeros(battery, dtype=np.int64)
+        self.block = np.empty(BLOCK)
+        self.filled = 0  # cycles in the block
+        self.start = 0  # measured index of the block's first cycle
+        self.batch = 0  # the open batch
+        self.parts = []  # (x, P(x), x^2) sums of the open batch's segments
+        self.sums = np.empty((self.nb + 1, 3))  # each closed batch's fsums
+        self.seconds = 0.0
+
+    def __call__(self, x, s):
+        t0 = time.perf_counter()
+        if self.skip:
+            k = min(self.skip, len(x))
+            self.skip -= k
+            x, s = x[k:], s[k:]
+        self.counts += np.bincount(s, minlength=self.battery)
+        while len(x):
+            k = min(BLOCK - self.filled, len(x))
+            self.block[self.filled : self.filled + k] = x[:k]
+            self.filled += k
+            x = x[k:]
+            if self.filled == BLOCK:
+                self._reduce()
+        self.seconds += time.perf_counter() - t0
+
+    def _reduce(self):
+        """Add the block's segment sums to their batches and empty the block."""
+        lo, xb = self.start, self.block[: self.filled]
+        m, nb = self.m, self.nb
+        # the batch boundaries k m (1 <= k <= nb) inside the block
+        cuts = np.r_[0, m * (lo // m + 1) - lo : min(len(xb), nb * m + 1 - lo) : m]
+        parts = np.stack([np.add.reduceat(v, cuts) for v in (xb, self.penalty.antiderivative(xb), xb * xb)], axis=1)
+        first = min(lo // m, nb)
+        if first != self.batch:
+            self._close()
+            self.batch = first
+        self.parts.append(parts[0].tolist())
+        if len(parts) > 1:
+            # every segment after the first starts a batch, and all but the last end in the block
+            self._close()
+            self.sums[first + 1 : first + len(parts) - 1] = parts[1:-1]
+            self.batch = first + len(parts) - 1
+            self.parts = [parts[-1].tolist()]
+        self.start += self.filled
+        self.filled = 0
+
+    def _close(self):
+        self.sums[self.batch] = [math.fsum(v) for v in zip(*self.parts)]
+        self.parts = []
+
+    def totals(self):
+        """The sums of x, P(x) and x^2 over every measured cycle, and each batch's sums of x and of P(x)."""
+        if self.filled:
+            self._reduce()
+        self._close()
+        batches = self.sums[: self.batch + 1]
+        return tuple(math.fsum(v) for v in batches.T.tolist()), batches[: self.nb, 0], batches[: self.nb, 1]
 
 
 def simulate_greedy(params: SystemParams, p: PenaltySpec, cfg: SimConfig) -> SimReport:

@@ -451,10 +451,11 @@ class TestSimulate:
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err == "error: ValueError: give --thresholds or --optimal, not both\n"
 
-    @pytest.mark.parametrize("renewals", [2**59, 2**60], ids=["memory-error", "too-big"])
+    @pytest.mark.parametrize("renewals", [2**59, 2**60], ids=["2^59", "2^60"])
     def test_unallocatable_renewals_exit_2(self, capsys, renewals):
-        # 2^59 cycles ask numpy for 4 EiB, which it refuses with a MemoryError
-        # (an exit-1 traceback before); 2^60 overflows its size check, a ValueError
+        # the simulator's memory does not grow with the renewals, so nothing
+        # would stop such a run: SimConfig rejects renewals past 2^53, where
+        # counts stop being exact doubles, before any cycle is drawn
         argv = ["simulate", "--mu", "1", "--battery", "2", "--thresholds", "1,0.5", "--renewals", str(renewals)]
         code, out, err = call(capsys, argv)
         assert code == cli.EXIT_VALIDATION and out == ""
@@ -466,12 +467,14 @@ class TestSimulate:
             ["--mu", "1e-320", "--thresholds", "1"],
             ["--mu", "1", "--thresholds", "0", "--penalty", "power", "--exponent", "400"],
             ["--mu", "1", "--thresholds", "1e200", "--check"],
+            ["--mu", "1", "--thresholds", "1e306"],
         ],
-        ids=["inter-update-times", "penalty", "squared-times-check"],
+        ids=["inter-update-times", "penalty", "squared-times-check", "summed-times"],
     )
     def test_sample_path_outside_double_range_exits_2(self, capsys, flags):
         # numpy warnings, then "Out of range float values are not JSON
-        # compliant", or "the batch means tie" under --check
+        # compliant", or "the batch means tie" under --check; at 1e306 each
+        # batch sum is finite and math.fsum overflows adding them
         code = run_without_warnings(["simulate", "--battery", "1", "--renewals", "1000", "--warmup", "0", *flags])
         captured = capsys.readouterr()
         assert (code, captured.out) == (cli.EXIT_VALIDATION, "")

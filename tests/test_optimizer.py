@@ -484,6 +484,31 @@ class TestPolicyIteration:
         r = optimize_penalty(SystemParams(1.0, battery), config)
         assert (r.evaluations, r.stop_reason) == (evaluations, stop_reason)
 
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("battery", [64, 256])
+    def test_tie_stop_meets_the_residual(self, battery, exponent):
+        # an objective tie ends the run only where the Bellman residual is at
+        # most TIE_RESIDUAL relative, or on a second tie in a row; each of
+        # these runs stops on its first
+        r = optimize_penalty(SystemParams(1.0, battery), OptimizerConfig(penalty=PenaltySpec.power(exponent)))
+        assert r.stop_reason == "objective stopped falling"
+        assert r.bellman_residual <= optimizer.TIE_RESIDUAL * max(1.0, abs(r.objective))
+
+    @pytest.mark.parametrize("exponent, battery", [(1.0, 4), (1.0, 64), (0.5, 16)])
+    def test_tie_above_the_residual_steps_on(self, monkeypatch, exponent, battery):
+        # where no residual is small enough and no step small enough to
+        # converge, a tie takes one more step, and the next tie (or rise)
+        # stops the run whatever its residual
+        params, config = SystemParams(1.0, battery), OptimizerConfig(penalty=PenaltySpec.power(exponent))
+        first = optimize_penalty(params, config)
+        assert first.stop_reason == "objective stopped falling"
+        monkeypatch.setattr(optimizer, "TIE_RESIDUAL", 0.0)
+        monkeypatch.setattr(optimizer, "STEP_TOL", 0.0)
+        r = optimize_penalty(params, config)
+        assert r.stop_reason == "objective stopped falling"
+        assert r.evaluations == first.evaluations + 1
+        assert r.objective == pytest.approx(first.objective, rel=optimizer.OBJECTIVE_TIE)
+
     @pytest.mark.parametrize("exponent", [10.0, 40.0])
     def test_steep_power_penalty_certified(self, exponent):
         # the certificate scales with the objective: 26002 at power 10, 1.9e40 at 40

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import pathlib
@@ -50,8 +51,9 @@ class TestDeterminism:
         x_k, s_k = simulator._kernel.run_cycles(taus, 1.0, 30000, 0, np.random.Generator(np.random.PCG64(7)))
         assert x_py.tobytes() == x_k.tobytes()
         assert np.array_equal(s_py, s_k)
-        rep = simulate(params, pol, IDENT, SimConfig(seed=7, renewals=30000, warmup=0))
-        assert rep.mean_x == float(x_py.sum()) / len(x_py)
+        cfg = SimConfig(seed=7, renewals=30000, warmup=0)
+        rep = simulate(params, pol, IDENT, cfg)
+        assert bits(rep) == bits(reference_report(params, IDENT, cfg, x_py, s_py))
         assert rep.state_freq[0] == np.count_nonzero(s_py == 0) / len(s_py)
 
 
@@ -147,21 +149,42 @@ def oracle(taus, mu, n_cycles, start_state, make_rng, key):
     return _ORACLE[key]
 
 
+def sunk_cycles(kernel, taus, mu, n_cycles, start_state, rng):
+    """run_cycles with a sink: the views it was handed, each copied before
+    the next chunk overwrites it, joined in order."""
+    xs, ss = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+
+    def sink(x, s):
+        assert x.dtype == np.float64 and s.dtype == np.int64
+        assert 0 < len(x) == len(s) <= _simcore_py.CHUNK + 1
+        xs.append(x.copy())
+        ss.append(s.copy())
+
+    assert kernel.run_cycles(taus, mu, n_cycles, start_state, rng, sink) is None
+    return np.concatenate(xs), np.concatenate(ss)
+
+
+def assert_matches_oracle(kernel, taus, mu, n_cycles, start_state, make_rng, key):
+    """Both modes of kernel.run_cycles, the arrays it returns and the views it
+    hands a sink, give the oracle's cycles and leave its generator state."""
+    x_ref, s_ref, state_ref = oracle(taus, mu, n_cycles, start_state, make_rng, key)
+    for run in (kernel.run_cycles, functools.partial(sunk_cycles, kernel)):
+        rng_new = make_rng()
+        x_new, s_new = run(taus, mu, n_cycles, start_state, rng_new)
+        assert x_new.dtype == np.float64 and s_new.dtype == np.int64
+        assert x_new.tobytes() == x_ref
+        assert s_new.tobytes() == s_ref
+        # the chunks were refilled at the same moments: the generators agree
+        assert rng_new.bit_generator.state == state_ref
+
+
 def assert_same_path(kernel, taus, mu, n_cycles, start_state, seed=11):
     taus = np.asarray(taus, dtype=np.float64)
 
     def make_rng():
         return np.random.Generator(np.random.PCG64(seed))
 
-    key = (taus.tobytes(), mu, n_cycles, start_state, seed)
-    x_ref, s_ref, state_ref = oracle(taus, mu, n_cycles, start_state, make_rng, key)
-    rng_new = make_rng()
-    x_new, s_new = kernel.run_cycles(taus, mu, n_cycles, start_state, rng_new)
-    assert x_new.dtype == np.float64 and s_new.dtype == np.int64
-    assert x_new.tobytes() == x_ref
-    assert s_new.tobytes() == s_ref
-    # the chunks were refilled at the same moments: the generators agree
-    assert rng_new.bit_generator.state == state_ref
+    assert_matches_oracle(kernel, taus, mu, n_cycles, start_state, make_rng, (taus.tobytes(), mu, n_cycles, start_state, seed))
 
 
 @pytest.mark.parametrize("kernel", [*KERNELS, COLD_BUILD], indirect=True)
@@ -186,6 +209,14 @@ class TestExactPath:
 
     def test_no_cycles(self, kernel):
         assert_same_path(kernel, [1.5, 0.72], 1.0, 0, 0)
+
+    @pytest.mark.parametrize("n_cycles", [0, 1, 2])
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    @pytest.mark.parametrize("battery", [1, 2])
+    def test_fewest_cycles(self, kernel, battery, start, n_cycles):
+        # a full battery's first cycle alone, or before one chunk's cycle
+        taus = stratified(1.0, battery, seed=battery)
+        assert_same_path(kernel, taus, 1.0, n_cycles, 0 if start == "empty" else battery)
 
     @pytest.mark.parametrize("battery", [1, 2, 4])
     def test_start_state_out_of_range(self, kernel, battery):
@@ -282,14 +313,9 @@ class TestScriptedEdges:
         taus = np.array(edge_policies()[name])
         script = edge_script(taus[0])
         state = 0 if start == "empty" else len(taus)
-        x_ref, s_ref, state_ref = oracle(
-            taus, MU, n_cycles, state, lambda: ScriptedGenerator(script), ("scripted", name, n_cycles, state)
+        assert_matches_oracle(
+            kernel, taus, MU, n_cycles, state, lambda: ScriptedGenerator(script), ("scripted", name, n_cycles, state)
         )
-        rng_new = ScriptedGenerator(script)
-        x_new, s_new = kernel.run_cycles(taus, MU, n_cycles, state, rng_new)
-        assert x_new.tobytes() == x_ref
-        assert s_new.tobytes() == s_ref
-        assert rng_new.bit_generator.state == state_ref
 
     def test_screen_sees_both_sides(self, kernel):
         # the B = 1 policies put scripted uniforms on both sides of u_lo
@@ -490,32 +516,60 @@ class TestConfigAndErrors:
         assert a == b
 
 
-def reference_report(params, p, cfg, x, states):
-    """The reductions simulate ran on the kernel's output while it kept every
-    array to the end, kept word for word as the oracle of the bit-identity
-    tests."""
+def keep_everything_report(params, p, cfg, x, states):
+    """The sums simulate took while it kept every kernel array to the end,
+    whole-array numpy sums: the yardstick of the block-order sums' rounding."""
     xm = x[cfg.warmup :]
     sm = states[cfg.warmup :]
     n = len(xm)
     total_x = float(xm.sum())
     px = p.antiderivative(xm)
     total_p = float(px.sum())
-    avg_penalty = total_p / total_x
-    mean_x = total_x / n
     mean_x2 = float((xm * xm).sum()) / n
-    avg_age = mean_x2 / (2.0 * mean_x)
     freq = np.bincount(sm, minlength=params.battery)[: params.battery] / n
 
     nb = min(cfg.batches, n)
     m = n // nb
     bp = px[: nb * m].reshape(nb, m).sum(axis=1)
     bx = xm[: nb * m].reshape(nb, m).sum(axis=1)
+    return _report(cfg, n, freq, total_x, total_p, mean_x2, bx, bp)
+
+
+# The reference's block of measured cycles, fixed here so that the oracle
+# does not follow a change to simulator.BLOCK.
+REFERENCE_BLOCK = 8192
+
+
+def reference_report(params, p, cfg, x, states):
+    """The block-order reductions, taken on the kernel's full arrays: the
+    oracle of the bit-identity tests. The measured cycles are cut into
+    segments at every multiple of REFERENCE_BLOCK and every batch boundary;
+    each segment's sums of x, P(x) and x^2 are one np.add.reduceat, math.fsum
+    adds the segments of each batch (the cycles past the last batch making
+    one more), and then the batch sums."""
+    xm = x[cfg.warmup :]
+    sm = states[cfg.warmup :]
+    n = len(xm)
+    nb = min(cfg.batches, n)
+    m = n // nb
+    starts = sorted({*range(0, n, REFERENCE_BLOCK), *range(0, nb * m + 1, m)} - {n})
+    segments = [np.add.reduceat(v, starts) for v in (xm, p.antiderivative(xm), xm * xm)]
+    batch = np.minimum(np.array(starts) // m, nb)
+    per_batch = np.array([[math.fsum(v[batch == k]) for v in segments] for k in range(batch[-1] + 1)])
+    total_x, total_p, total_x2 = (math.fsum(column) for column in per_batch.T)
+    freq = np.bincount(sm, minlength=params.battery) / n
+    return _report(cfg, n, freq, total_x, total_p, total_x2 / n, per_batch[:nb, 0], per_batch[:nb, 1])
+
+
+def _report(cfg, n, freq, total_x, total_p, mean_x2, bx, bp):
+    """The report of these sums, as simulate forms it."""
+    mean_x = total_x / n
+    nb = len(bx)
     ratios = bp / bx
     stderr = float(ratios.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
-
     return SimReport(
-        avg_penalty=avg_penalty,
-        avg_age=avg_age,
+        avg_penalty=total_p / total_x,
+        avg_age=mean_x2 / (2.0 * mean_x),
         mean_x=mean_x,
         mean_x2=mean_x2,
         state_freq=tuple(float(f) for f in freq),
@@ -550,23 +604,70 @@ REDUCTION_PENALTIES = {
 
 
 class TestReductions:
-    """simulate releases each kernel array after its last sum, bit for bit."""
+    """simulate reduces the cycles block by block as the kernel completes
+    them, bit for bit the block-order reductions of the full arrays."""
 
+    @pytest.mark.parametrize("renewals", [5000, 30_000])
     @pytest.mark.parametrize("start", [0, 3])
     @pytest.mark.parametrize("batches", [1, 7, 100])
     @pytest.mark.parametrize("warmup", [0, 1000, 4990])
     @pytest.mark.parametrize("penalty", REDUCTION_PENALTIES)
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_fields_equal_the_keep_everything_reductions(self, seed, penalty, warmup, batches, start):
+    def test_fields_equal_the_block_order_reductions(self, seed, penalty, warmup, batches, start, renewals):
         params, pol = make(1.3, [2.0, 1.1, 0.4])
         p = REDUCTION_PENALTIES[penalty]
-        cfg = SimConfig(seed=seed, renewals=5000, warmup=warmup, initial_state=start, batches=batches)
+        cfg = SimConfig(seed=seed, renewals=renewals, warmup=warmup, initial_state=start, batches=batches)
         rng = np.random.Generator(np.random.PCG64(seed))
         x, states = simulator._kernel.run_cycles(np.asarray(pol.thresholds), 1.3, cfg.renewals, start, rng)
         want = reference_report(params, p, cfg, x, states)
         got = simulate(params, pol, p, cfg)
         assert bits(got) == bits(want)
         assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize(
+        "renewals, warmup, batches",
+        [
+            (3 * 8192, 0, 3),  # every batch boundary on a block boundary
+            (3 * 8192, 0, 6),  # every other one
+            (3 * 8192 + 5, 5, 2),  # the warmup ends inside the first chunk
+            (2000, 0, 2000),  # a batch per cycle
+            (20_000, 0, 19_999),  # batches of one cycle, and one cycle past them
+            (40_000, 30_000, 3),  # the measured cycles start in a later chunk
+        ],
+    )
+    def test_batch_and_block_edges(self, renewals, warmup, batches):
+        params, pol = make(1.0, [1.5, 0.72])
+        cfg = SimConfig(seed=5, renewals=renewals, warmup=warmup, batches=batches)
+        x, states = _simcore_py.run_cycles(np.asarray(pol.thresholds), 1.0, renewals, 0, np.random.Generator(np.random.PCG64(5)))
+        p = REDUCTION_PENALTIES["two_terms"]
+        assert bits(simulate(params, pol, p, cfg)) == bits(reference_report(params, p, cfg, x, states))
+
+    @pytest.mark.parametrize("chunk", [1000, 3001])
+    @pytest.mark.parametrize("battery", [1, 4])
+    def test_bits_do_not_follow_the_chunks(self, monkeypatch, battery, chunk):
+        # the uniforms, and so the cycles, are the same at any refill size,
+        # while the cycles each chunk completes are not
+        params, pol = make(1.0, stratified(1.0, battery, seed=battery))
+        cfg = SimConfig(seed=8, renewals=30_000, batches=9)
+        want = simulate(params, pol, IDENT, cfg)
+        monkeypatch.setattr(_simcore_py, "CHUNK", chunk)
+        assert bits(simulate(params, pol, IDENT, cfg)) == bits(want)
+
+    @pytest.mark.parametrize("penalty", REDUCTION_PENALTIES)
+    def test_rounding_near_the_keep_everything_reductions(self, penalty):
+        # the block-order sums differ from the whole-array pairwise sums of
+        # the reductions they replaced only in the last bits
+        params, pol = make(1.3, [2.0, 1.1, 0.4])
+        p = REDUCTION_PENALTIES[penalty]
+        cfg = SimConfig(seed=3, renewals=200_000)
+        rng = np.random.Generator(np.random.PCG64(3))
+        x, states = simulator._kernel.run_cycles(np.asarray(pol.thresholds), 1.3, cfg.renewals, 0, rng)
+        old = keep_everything_report(params, p, cfg, x, states)
+        got = simulate(params, pol, p, cfg)
+        assert got.state_freq == old.state_freq
+        for f in dataclasses.fields(got):
+            if f.compare and isinstance(getattr(got, f.name), float):
+                assert getattr(got, f.name) == pytest.approx(getattr(old, f.name), rel=1e-12, abs=0.0), f.name
 
 
 def simulate_peak(penalty, n):
@@ -589,15 +690,9 @@ def simulate_peak(penalty, n):
 
 
 class TestMemory:
-    @pytest.mark.parametrize("penalty", ["identity", "power0.5"])
-    def test_peak_is_the_kernel_output(self, penalty):
-        # the kernel returns 8-byte inter-update times and 8-byte levels;
-        # simulate's reductions add no full-length array on top of them
-        n = 200_000
-        assert simulate_peak(penalty, n) <= n * (8 + 8) + 2**20
-
-    def test_several_terms_add_one_array(self):
-        # past the levels' release: x, the antiderivative's running sum and
-        # the term being formed, 8 bytes each
-        n = 200_000
-        assert simulate_peak("two_terms", n) <= n * (8 + 8 + 8) + 2**20
+    @pytest.mark.parametrize("n", [200_000, 2_000_000])
+    @pytest.mark.parametrize("penalty", REDUCTION_PENALTIES)
+    def test_peak_does_not_grow_with_renewals(self, penalty, n):
+        # the kernel's buffers, the block and its sums hold a chunk's cycles
+        # at a time, whatever the number of renewals
+        assert simulate_peak(penalty, n) <= 2**20
